@@ -18,7 +18,7 @@ from . import data as data_mod
 from . import memory_model as mm
 from . import ops, snr, zoo
 from . import train as train_mod
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 from .model import BackpropMode
 
 EXIT_OK = 0
@@ -353,7 +353,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps ConfigError (and bad usage) to exit code 2 and numeric failures
-(NumericError and subclasses) to exit code 3.
+The CLI maps ConfigError, ShapeError (an input size the architecture cannot
+take) and bad usage to exit code 2, and numeric failures (NumericError and
+subclasses) to exit code 3.
 """
 
 

@@ -737,6 +737,8 @@ class MemoryReport:
 
 
 def memory_report(spec, mode, h, w, bs):
+    if min(h, w, bs) < 1:
+        raise ConfigError(f"height, width and batch must be positive, got {h}x{w}, batch {bs}")
     return MemoryReport(
         name=spec.name,
         mode=mode,

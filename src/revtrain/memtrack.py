@@ -2,9 +2,12 @@
 
 Buffers are registered at allocation through track(); releases are observed via
 weakref finalizers, which fire deterministically under CPython refcounting.
-Kernel-internal scratch (im2col workspace, numpy expression temporaries) is
-deliberately untracked; the cost model treats workspace as out of scope and the
-reported overhead line item covers concurrent operands instead.
+Kernel-internal scratch (the conv column workspace, numpy expression
+temporaries) is deliberately untracked; the cost model treats workspace as out
+of scope and the reported overhead line item covers concurrent operands
+instead. The conv kernels build their column workspace in slices of at most
+max(input bytes, ops.WORKSPACE_FLOOR_BYTES), so one conv call's untracked
+scratch stays near that budget plus one slice's padded input and GEMM result.
 """
 
 from __future__ import annotations

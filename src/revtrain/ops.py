@@ -1,9 +1,27 @@
 """Dense 4-D tensor kernels.
 
 The universal value type is a numpy ndarray of shape (batch, channel, height,
-width) in float32 or float64, C-contiguous row-major. Convolution is
-cross-correlation (no kernel flip), implemented as im2col + BLAS matmul; the
-im2col workspace is untracked scratch.
+width) in float32 or float64, C-contiguous row-major.
+
+Convolution is cross-correlation (no kernel flip): a BLAS matmul of the kernel
+with a column matrix that holds one row per (channel, ky, kx) tap and one
+column per output pixel, filled with one strided slice copy per tap. The
+columns are untracked scratch built in slices, of batch elements for the
+forward and input-gradient kernels and of input channels for the weight
+gradient, each at most max(input bytes, WORKSPACE_FLOOR_BYTES) (but at least
+one element or channel). A call's scratch is thus about that budget plus one
+slice's zero-padded input and GEMM result, not the whole-batch column matrix
+(9x the input for a 3x3 kernel). The input gradient correlates grad_out,
+dilated by the stride and padded by k-1-p, so it computes exactly the input
+frame rather than the full correlation.
+
+Results equal the whole-batch im2col formulation bit for bit (see
+SMALL_GEMM_MACS), except where BLAS rounds by an output's position rather than
+its layout: matrix-vector products (one output channel, or one input channel
+for the input gradient), some 1x1 kernels on one batch element or channel
+(where the im2col matrix is a strided view), and channel-sliced weight
+gradients whose slices BLAS blocks differently from the whole batch (seen only
+with fewer than 8 output channels). Those differ in the last bits.
 
 Convolution-application accounting: conv2d_forward and conv2d_backward_input
 each count as one application; conv2d_backward_weight rides along with the
@@ -21,7 +39,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 from .memtrack import track
@@ -73,18 +90,99 @@ def check_tensor(x, name: str = "tensor"):
     return x
 
 
-def _pad_hw(x, padding: int):
-    if padding == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+# A column slice takes at most max(conv input bytes, this); see the docstring.
+WORKSPACE_FLOOR_BYTES = 4 << 20
+
+# Rounding. The column kernels reproduce the whole-batch im2col GEMMs bit for
+# bit. BLAS rounds an output the same whatever the operand layout, size and
+# blocking only on its packed path and inside full tiles, so:
+#   - a GEMM the whole-batch form would run with at most SMALL_GEMM_MACS
+#     multiply-adds (BLAS may give those to size- and layout-specific
+#     small-matrix kernels) is issued exactly as that form issues it: one
+#     call, columns as rows ("im2col layout");
+#   - every other GEMM gets more than SMALL_GEMM_MACS multiply-adds and a
+#     pixel count that is a multiple of PIXEL_TILE, padding with zero columns.
+SMALL_GEMM_MACS = 1 << 20
+PIXEL_TILE = 16
 
 
-def _im2col(xp, kh: int, kw: int, stride: int):
-    # (bs, cin, H, W) -> column matrix (bs*oh*ow, cin*kh*kw), plus (oh, ow)
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    bs, cin, oh, ow = win.shape[:4]
-    col = win.transpose(0, 2, 3, 1, 4, 5).reshape(bs * oh * ow, cin * kh * kw)
-    return col, oh, ow
+def _workspace_budget(src) -> int:
+    return max(src.nbytes, WORKSPACE_FLOOR_BYTES)
+
+
+def _slices(total: int, unit_bytes: int, src, macs: int):
+    """Near-equal slices of range(total), each unit taking unit_bytes of
+    columns, that fit the workspace budget but keep a GEMM of macs multiply-adds
+    above SMALL_GEMM_MACS per slice."""
+    n = -(-total // max(1, _workspace_budget(src) // unit_bytes))
+    n = max(1, min(n, macs // (2 * SMALL_GEMM_MACS)))
+    return [slice(i * total // n, (i + 1) * total // n) for i in range(n)]
+
+
+def _packed_width(npix: int, macs_per_pixel: int) -> int:
+    """Column count of a packed GEMM over npix pixels: a multiple of
+    PIXEL_TILE, with more than SMALL_GEMM_MACS multiply-adds."""
+    need = max(npix, SMALL_GEMM_MACS // macs_per_pixel + 1)
+    return -(-need // PIXEL_TILE) * PIXEL_TILE
+
+
+def _frame(src, top: int, left: int, fh: int, fw: int, dilation: int = 1):
+    """(n, c, fh, fw) zero canvas holding src[:, :, a, b] at row top + a*dilation,
+    column left + b*dilation; pixels outside the canvas are dropped. Returns a
+    view of src when no padding, dilation or offset is involved."""
+    n, c, h, w = src.shape
+    if dilation == 1 and top == 0 and left == 0 and fh <= h and fw <= w:
+        return src[:, :, :fh, :fw]
+    canvas = np.zeros((n, c, fh, fw), dtype=src.dtype)
+    a0, a1 = max(0, -(top // dilation)), min(h, -((top - fh) // dilation))
+    b0, b1 = max(0, -(left // dilation)), min(w, -((left - fw) // dilation))
+    if a0 < a1 and b0 < b1:
+        rows = slice(top + a0 * dilation, top + (a1 - 1) * dilation + 1, dilation)
+        cols = slice(left + b0 * dilation, left + (b1 - 1) * dilation + 1, dilation)
+        canvas[:, :, rows, cols] = src[:, :, a0:a1, b0:b1]
+    return canvas
+
+
+def _columns(frame, kh: int, kw: int, stride: int, oh: int, ow: int, width=None):
+    """(c*kh*kw, width) column matrix of frame (n, c, fh, fw): row (ci, ky, kx),
+    column (b, i, j) holds frame[b, ci, i*stride + ky, j*stride + kx]; columns
+    past n*oh*ow (the default width) are zero. One strided copy per kernel tap."""
+    n, c = frame.shape[:2]
+    npix = n * oh * ow
+    cols = np.empty((c * kh * kw, width or npix), dtype=frame.dtype)
+    cols[:, npix:] = 0
+    taps = cols[:, :npix].reshape(c, kh, kw, n, oh, ow)
+    src = frame.transpose(1, 0, 2, 3)
+    for ky in range(kh):
+        for kx in range(kw):
+            taps[:, ky, kx] = src[:, :, ky : ky + (oh - 1) * stride + 1 : stride,
+                                  kx : kx + (ow - 1) * stride + 1 : stride]
+    return cols
+
+
+def _correlate(src, kmat, kh: int, kw: int, out, stride: int, top: int, left: int,
+               dilation: int, im2col: bool):
+    """Column core: out[b, o, i, j] = kmat[o] . column(b, i, j), written in place,
+    where the columns are those of src placed on _frame(top, left, dilation).
+    Batch slices bound the workspace; im2col issues one whole-batch GEMM in the
+    im2col layout instead (see SMALL_GEMM_MACS)."""
+    bs = src.shape[0]
+    rows, k = kmat.shape
+    oh, ow = out.shape[2:]
+    fh, fw = (oh - 1) * stride + kh, (ow - 1) * stride + kw
+    macs = rows * k * bs * oh * ow
+    for sl in [slice(0, bs)] if im2col else _slices(bs, k * oh * ow * src.itemsize, src, macs):
+        frame = _frame(src[sl], top, left, fh, fw, dilation)
+        npix = frame.shape[0] * oh * ow
+        if im2col:
+            cols = np.ascontiguousarray(_columns(frame, kh, kw, stride, oh, ow).T)
+            res = (cols @ kmat.T).T
+        else:
+            cols = _columns(frame, kh, kw, stride, oh, ow, _packed_width(npix, rows * k))
+            res = (kmat @ cols)[:, :npix]
+        out[sl] = res.reshape(rows, -1, oh, ow).transpose(1, 0, 2, 3)
+        del frame, cols, res  # free this slice's scratch before the next is built
+    return out
 
 
 def conv2d_forward(x, kernel, bias=None, stride: int = 1, padding: int = 0):
@@ -97,12 +195,15 @@ def conv2d_forward(x, kernel, bias=None, stride: int = 1, padding: int = 0):
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(f"spatial dims {h}x{w} too small for kernel {kh}x{kw} pad {padding}")
     _count_forward()
-    col, oh, ow = _im2col(_pad_hw(x, padding), kh, kw, stride)
-    out = col @ kernel.reshape(cout, -1).T
-    out = out.reshape(bs, oh, ow, cout).transpose(0, 3, 1, 2)
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    dtype = np.result_type(x, kernel, x if bias is None else bias)
+    out = np.empty((bs, cout, oh, ow), dtype=dtype)
+    _correlate(x, kernel.reshape(cout, -1), kh, kw, out, stride, padding, padding, 1,
+               im2col=cout * cin * kh * kw * bs * oh * ow <= SMALL_GEMM_MACS)
     if bias is not None:
-        out = out + bias[None, :, None, None]
-    return track(np.ascontiguousarray(out))
+        out += bias[None, :, None, None]
+    return track(out)
 
 
 def conv2d_backward_input(grad_out, kernel, stride: int = 1, padding: int = 0, input_hw=None):
@@ -124,21 +225,23 @@ def conv2d_backward_input(grad_out, kernel, stride: int = 1, padding: int = 0, i
     if h < 1 or w < 1:
         raise ShapeError("grad_out spatial dims inconsistent with kernel/stride/padding")
     _count_backward()
-    if stride > 1:
-        g = np.zeros((bs, cout, (oh - 1) * stride + 1, (ow - 1) * stride + 1), grad_out.dtype)
-        g[:, :, ::stride, ::stride] = grad_out
-    else:
-        g = grad_out
-    # full correlation with the transposed, spatially flipped kernel, then crop
-    # to the original frame; rows/cols no window reached keep zero gradient
-    k_t = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].swapaxes(0, 1))
-    gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    col, gh, gw = _im2col(gp, kh, kw, 1)
-    out = col @ k_t.reshape(cin, -1).T
-    out = out.reshape(bs, gh, gw, cin).transpose(0, 3, 1, 2)
-    src = out[:, :, padding : padding + h, padding : padding + w]
-    gx = np.zeros((bs, cin, h, w), dtype=grad_out.dtype)
-    gx[:, :, : src.shape[2], : src.shape[3]] = src
+    # correlation of grad_out, dilated by the stride and padded by k-1, with the
+    # transposed, spatially flipped kernel: the full correlation is gh x gw and
+    # the input gradient is its window at offset (p, p), so only that window is
+    # computed, from grad_out padded by k-1-p. Rows/cols past the full extent
+    # keep zero gradient. A small GEMM correlates the full frame and crops.
+    k_t = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].swapaxes(0, 1)).reshape(cin, -1)
+    gh, gw = (oh - 1) * stride + kh, (ow - 1) * stride + kw
+    reach_h, reach_w = min(h, gh - padding), min(w, gw - padding)
+    gx = np.zeros((bs, cin, h, w), dtype=np.result_type(grad_out, kernel))
+    if reach_h > 0 and reach_w > 0:
+        if k_t.size * bs * gh * gw <= SMALL_GEMM_MACS:
+            full = np.empty((bs, cin, gh, gw), dtype=gx.dtype)
+            _correlate(grad_out, k_t, kh, kw, full, 1, kh - 1, kw - 1, stride, im2col=True)
+            gx[:, :, :reach_h, :reach_w] = full[:, :, padding:, padding:][:, :, :reach_h, :reach_w]
+        else:
+            _correlate(grad_out, k_t, kh, kw, gx[:, :, :reach_h, :reach_w],
+                       1, kh - 1 - padding, kw - 1 - padding, stride, im2col=False)
     return track(gx)
 
 
@@ -161,11 +264,25 @@ def conv2d_backward_weight(x, grad_out, stride: int = 1, padding: int = 0, kerne
         kh, kw = kernel_hw
     if kh < 1 or kw < 1:
         raise ShapeError("grad_out spatial dims inconsistent with x/stride/padding")
-    col, oh2, ow2 = _im2col(_pad_hw(x, padding), kh, kw, stride)
+    oh2 = (h + 2 * padding - kh) // stride + 1
+    ow2 = (w + 2 * padding - kw) // stride + 1
     if (oh2, ow2) != (oh, ow):
         raise ShapeError(f"inferred output {oh2}x{ow2} != grad_out {oh}x{ow}")
-    g_mat = grad_out.transpose(0, 2, 3, 1).reshape(bs * oh * ow, cout)
-    gk = (col.T @ g_mat).reshape(cin, kh, kw, cout).transpose(3, 0, 1, 2)
+    # columns one input-channel slice at a time, so each weight still reduces
+    # over the whole batch in a single GEMM
+    n = bs * oh * ow
+    g_mat = grad_out.transpose(0, 2, 3, 1).reshape(n, cout)
+    gk = np.empty((cin * kh * kw, cout), dtype=np.result_type(x, grad_out))
+    fh, fw = (oh - 1) * stride + kh, (ow - 1) * stride + kw
+    macs = cin * kh * kw * n * cout
+    im2col = macs <= SMALL_GEMM_MACS
+    for sl in [slice(0, cin)] if im2col else _slices(cin, n * kh * kw * x.itemsize, x, macs):
+        cols = _columns(_frame(x[:, sl], padding, padding, fh, fw), kh, kw, stride, oh, ow)
+        if im2col:
+            cols = np.ascontiguousarray(cols.T).T
+        np.matmul(cols, g_mat, out=gk[sl.start * kh * kw : sl.stop * kh * kw])
+        del cols
+    gk = gk.reshape(cin, kh, kw, cout).transpose(3, 0, 1, 2)
     gb = grad_out.sum(axis=(0, 2, 3))
     return track(np.ascontiguousarray(gk)), track(np.ascontiguousarray(gb))
 

@@ -1,10 +1,13 @@
 """Independent reference implementations used as test oracles.
 
-These are written for clarity, not speed: direct nested loops and central
-finite differences. Product code must never import from here.
+These are written for clarity, not speed: direct nested loops, central
+finite differences, and the whole-batch im2col convolution that ops.py's
+chunked column kernels must match exactly. Product code must never import
+from here.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def loop_conv2d(x, kernel, bias=None, stride=1, padding=0):
@@ -53,3 +56,65 @@ def rel_err(a, b):
     if denom == 0:
         return np.linalg.norm(a.ravel())
     return np.linalg.norm((a - b).ravel()) / denom
+
+
+# -- im2col reference -------------------------------------------------------------
+# Whole-batch column matrix via a sliding-window transpose, one BLAS matmul per
+# call. ops.py must reproduce these bit for bit: both reduce every output over
+# the same (channel, ky, kx) column order in a single GEMM.
+
+
+def _pad_hw(x, padding):
+    if padding == 0:
+        return x
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+
+def im2col(xp, kh, kw, stride):
+    """(bs, cin, H, W) -> column matrix (bs*oh*ow, cin*kh*kw), plus (oh, ow)."""
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    bs, cin, oh, ow = win.shape[:4]
+    col = win.transpose(0, 2, 3, 1, 4, 5).reshape(bs * oh * ow, cin * kh * kw)
+    return col, oh, ow
+
+
+def im2col_conv2d(x, kernel, bias=None, stride=1, padding=0):
+    bs = x.shape[0]
+    cout, _, kh, kw = kernel.shape
+    col, oh, ow = im2col(_pad_hw(x, padding), kh, kw, stride)
+    out = col @ kernel.reshape(cout, -1).T
+    out = out.reshape(bs, oh, ow, cout).transpose(0, 3, 1, 2)
+    if bias is not None:
+        out = out + bias[None, :, None, None]
+    return np.ascontiguousarray(out)
+
+
+def im2col_conv2d_backward_input(grad_out, kernel, stride, padding, input_hw):
+    """Dilate by the stride, full-correlate with the flipped transposed kernel, crop."""
+    bs, cout, oh, ow = grad_out.shape
+    _, cin, kh, kw = kernel.shape
+    h, w = input_hw
+    if stride > 1:
+        g = np.zeros((bs, cout, (oh - 1) * stride + 1, (ow - 1) * stride + 1), grad_out.dtype)
+        g[:, :, ::stride, ::stride] = grad_out
+    else:
+        g = grad_out
+    k_t = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].swapaxes(0, 1))
+    gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    col, gh, gw = im2col(gp, kh, kw, 1)
+    out = col @ k_t.reshape(cin, -1).T
+    out = out.reshape(bs, gh, gw, cin).transpose(0, 3, 1, 2)
+    src = out[:, :, padding : padding + h, padding : padding + w]
+    gx = np.zeros((bs, cin, h, w), dtype=grad_out.dtype)
+    gx[:, :, : src.shape[2], : src.shape[3]] = src
+    return gx
+
+
+def im2col_conv2d_backward_weight(x, grad_out, stride, padding, kernel_hw):
+    bs, cin = x.shape[:2]
+    cout, oh, ow = grad_out.shape[1:]
+    kh, kw = kernel_hw
+    col, _, _ = im2col(_pad_hw(x, padding), kh, kw, stride)
+    g_mat = grad_out.transpose(0, 2, 3, 1).reshape(bs * oh * ow, cout)
+    gk = (col.T @ g_mat).reshape(cin, kh, kw, cout).transpose(3, 0, 1, 2)
+    return np.ascontiguousarray(gk), grad_out.sum(axis=(0, 2, 3))

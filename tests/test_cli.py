@@ -81,6 +81,14 @@ def test_memcost_rejects_invalid_mode(capsys):
     assert "maxpool" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--batch", "--height", "--width"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_memcost_rejects_non_positive_size(flag, value, capsys):
+    assert cli.main(["memcost", "--config", "resnet", flag, value]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "positive" in err[0]
+
+
 # -- snr-alpha -----------------------------------------------------------------------
 
 
@@ -151,6 +159,15 @@ def test_gradcheck_block_against_stored(capsys):
     assert rc == 0
     assert captured.out.startswith("tensor,rel_error")
     assert "worst relative error" in captured.err
+
+
+def test_gradcheck_input_size_the_arch_cannot_take_is_config_error(capsys):
+    # pure-block pools 2x2, so an odd height is a shape error, not a mismatch
+    assert cli.main(["gradcheck", "--config", "pure-block", "--height", "7"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "even" in err[0]
+    assert "Traceback" not in captured.err
 
 
 def test_gradcheck_stored_against_finite_differences():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 from revtrain import memtrack, ops
 from revtrain.errors import ShapeError
 
-from oracles import fd_grad, loop_conv2d, rel_err
+from oracles import (
+    fd_grad,
+    im2col_conv2d,
+    im2col_conv2d_backward_input,
+    im2col_conv2d_backward_weight,
+    loop_conv2d,
+    rel_err,
+)
 
 # Regression anchors computed once from the loop reference in oracles.py
 # (inputs: PCG64 seeds 42/43/44, shapes below). Not derived from ops.py.
@@ -98,6 +107,110 @@ def test_conv2d_backward_input_rejects_impossible_geometry():
     k = np.zeros((1, 1, 3, 3), dtype=np.float32)
     with pytest.raises(ShapeError):
         ops.conv2d_backward_input(g, k, stride=1, padding=3)
+
+
+# -- column kernels against the whole-batch im2col reference ------------------------
+
+
+def _conv_case(shape, cout, k, dtype):
+    rng = ops.default_rng(17)
+    x = rng.standard_normal(shape).astype(dtype)
+    kernel = (0.3 * rng.standard_normal((cout, shape[1], k, k))).astype(dtype)
+    bias = rng.standard_normal(cout).astype(dtype)
+    return x, kernel, bias
+
+
+def _check_against_im2col(x, kernel, bias, stride, padding, check):
+    k = kernel.shape[2]
+    hw = x.shape[2:]
+    y = ops.conv2d_forward(x, kernel, bias, stride, padding)
+    check(y, im2col_conv2d(x, kernel, bias, stride, padding))
+    g = ops.gaussian(y.shape, seed=5, dtype=x.dtype)
+    check(ops.conv2d_backward_input(g, kernel, stride, padding, input_hw=hw),
+          im2col_conv2d_backward_input(g, kernel, stride, padding, hw))
+    gk, gb = ops.conv2d_backward_weight(x, g, stride, padding, kernel_hw=(k, k))
+    want_k, want_b = im2col_conv2d_backward_weight(x, g, stride, padding, (k, k))
+    check(gk, want_k)
+    check(gb, want_b)
+
+
+def _bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k,padding", [(k, p) for k in (1, 3, 5) for p in (0, 1, 2)])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_kernels_bitwise_equal_im2col_reference(stride, k, padding, dtype):
+    # rectangular, and 9x7 leaves (h + 2p - k) % 2 != 0 for some cases
+    x, kernel, bias = _conv_case((3, 4, 9, 7), 5, k, dtype)
+    _check_against_im2col(x, kernel, bias, stride, padding, _bitwise)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("f32_shape,cout,k,stride,padding", [
+    ((7, 32, 32, 32), 32, 3, 1, 1),
+    ((7, 128, 32, 32), 16, 3, 2, 1),
+    ((7, 12, 32, 32), 16, 5, 1, 2),
+    ((7, 128, 31, 29), 24, 3, 2, 0),
+])
+def test_conv_kernels_bitwise_equal_im2col_reference_across_slices(f32_shape, cout, k, stride, padding, dtype):
+    # f64 halves the channels, which keeps the byte sizes and so the slicing
+    bs, cin, h, w = f32_shape
+    cin = cin * 4 // np.dtype(dtype).itemsize
+    x, kernel, bias = _conv_case((bs, cin, h, w), cout, k, dtype)
+    oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    sample_cols = cin * k * k * oh * ow * x.itemsize
+    macs = cout * cin * k * k * bs * oh * ow
+    # several batch slices of unequal size, and several input-channel slices
+    batch_slices = ops._slices(bs, sample_cols, x, macs)
+    assert len(batch_slices) > 1
+    assert len({sl.stop - sl.start for sl in batch_slices}) > 1
+    assert len(ops._slices(cin, bs * sample_cols // cin, x, macs)) > 1
+    _check_against_im2col(x, kernel, bias, stride, padding, _bitwise)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-14)])
+@pytest.mark.parametrize("shape,cout,k", [
+    ((16, 8, 24, 20), 1, 3),   # one output channel: matrix-vector products
+    ((16, 1, 24, 20), 8, 3),   # one input channel: so is the input gradient
+    ((1, 8, 24, 20), 8, 1),    # 1x1 kernel on one batch element
+])
+def test_conv_kernels_match_im2col_reference_to_rounding_in_matrix_vector_cases(shape, cout, k, dtype, tol):
+    # BLAS rounds these by an output's position, so equality is not bitwise
+    def close(got, want):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert rel_err(got, want) < tol
+
+    x, kernel, bias = _conv_case(shape, cout, k, dtype)
+    _check_against_im2col(x, kernel, bias, 1, k // 2, close)
+
+
+def test_conv_workspace_stays_within_the_slice_budget():
+    # hot narrow-conv shape; its whole-batch im2col matrix alone is 9x the input
+    x = ops.gaussian((32, 8, 32, 32), seed=1)
+    g = ops.gaussian((32, 8, 32, 32), seed=2)
+    kernel = ops.gaussian((8, 8, 3, 3), seed=3, std=0.1)
+    padded = x.nbytes * 34 * 34 // (32 * 32)
+    # one budget of columns, plus the output (for the weight gradient, its
+    # grad_out copy) and one slice's padded input and GEMM result, neither
+    # larger than the padded input
+    bound = max(x.nbytes, ops.WORKSPACE_FLOOR_BYTES) + 2 * padded
+    assert 9 * x.nbytes > bound
+    calls = {
+        "forward": lambda: ops.conv2d_forward(x, kernel, None, 1, 1),
+        "backward_input": lambda: ops.conv2d_backward_input(g, kernel, 1, 1, input_hw=(32, 32)),
+        "backward_weight": lambda: ops.conv2d_backward_weight(x, g, 1, 1, kernel_hw=(3, 3)),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (name, peak, bound)
 
 
 def test_check_tensor_rejects_bad_inputs():

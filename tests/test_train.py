@@ -3,7 +3,7 @@ import gc
 import numpy as np
 import pytest
 
-from revtrain import data, train, zoo
+from revtrain import data, ops, train, zoo
 from revtrain.errors import ConfigError, TrainDivergence
 from revtrain.memory_model import ArchSpec, LayerSpec
 from revtrain.model import BackpropMode
@@ -244,6 +244,25 @@ def test_block_mode_recompute_matches_stored_training(dataset):
     # recompute costs extra conv applies but not extra retained memory
     assert block[0].conv_applies > stored[0].conv_applies
     assert block[0].peak_bytes < stored[0].peak_bytes
+
+
+def test_block_mode_first_step_gradients_match_stored_to_rounding(dataset):
+    # block mode rebuilds x2 = y2 - G(y1) in f32, which is exact only up to
+    # rounding, so its gradients match stored mode's to rounding, not bit for bit
+    imgs, labels = data.take_subset(dataset.train_images, dataset.train_labels, 128, 2)
+    idx = ops.default_rng(2).permutation(128)[:32]
+    x, labels = dataset.normalize(imgs[idx]), labels[idx]
+    grads = {}
+    for mode in ("stored", "block"):
+        model = zoo.build_model(block_spec(mode=mode), seed=2)
+        logits, saved = model.forward(x, BackpropMode.parse(mode))
+        _, grad_logits = train.softmax_cross_entropy(logits, labels)
+        grads[mode] = model.backward(saved, grad_logits, x)[0]
+    assert grads["block"].keys() == grads["stored"].keys()
+    for name, want in grads["stored"].items():
+        got = grads["block"][name]
+        assert got.dtype == np.float32
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want), name
 
 
 def test_divergence_names_step_and_lr(dataset):
