@@ -7,10 +7,18 @@ the conventional non-invertible counterparts.
 
 Conventions shared by every layer:
   - tensors are (bs, c, h, w), f32 or f64; a layer's dtype fixes its parameters
-  - backward takes the gradient w.r.t. the layer output plus whatever forward
-    context the caller saved or reconstructed, and returns the input gradient
+  - backward(grad, x=None, y=None) takes the gradient w.r.t. the layer output
+    plus the forward input x and output y, saved or reconstructed; the class
+    attribute backward_reads names the ones it reads, so a caller resolves
+    only those and releases the rest first. It returns the input gradient
     together with a {name: grad} dict for the layer's parameters
   - params() returns live parameter arrays keyed by name, for in-place updates
+
+InvConv and model.ReversibleBlock share one additive coupling,
+y1 = x1 + F(x2), y2 = x2 + G(y1), over a channel split (RevNet, Gomez et al.,
+arXiv 1707.04585; i-RevNet, Jacobsen et al., arXiv 1802.07088): the
+_coupling_* and _uncouple helpers below hold its arithmetic, with the
+branches passed in.
 
 Normalization uses scale = |gamma| + eps_i rather than |gamma + eps_i|: the
 floor keeps the per-channel scale away from zero for every gamma value, so the
@@ -34,9 +42,83 @@ def kaiming_kernel(cout, cin, kh, kw, rng, dtype):
     return ops.gaussian((cout, cin, kh, kw), rng=rng, std=std, dtype=dtype)
 
 
+class _Cell:
+    """Single-owner handoff for a tensor crossing a call boundary.
+
+    Passing a bare array into a call pins it in the caller's frame until the
+    call returns; wrapping it lets the callee take the only reference and
+    free the buffer as soon as it has been consumed.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    def take(self):
+        v = self.v
+        self.v = None
+        return v
+
+
+def _take(x):
+    return x.take() if isinstance(x, _Cell) else x
+
+
+def _coupling_forward(x, f, g):
+    """y1 = x1 + f(x2), y2 = x2 + g(y1), for branch callables f and g."""
+    x1, x2 = ops.split_channels(x)
+    y1 = ops.add(x1, f(x2))
+    del x1
+    y2 = ops.add(x2, g(y1))
+    del x2
+    return ops.concat_channels(y1, y2)
+
+
+def _uncouple(y, f, g, x):
+    """Rebuild the coupling input from its output y into the list x.
+
+    A generator: x2 = y2 - g(y1), a yield, then x1 = y1 - f(x2), so a caller
+    can backprop one branch before the next is rebuilt.  x ends as
+    [x1, x2].  y may be a _Cell, so the output is freed once it is split.
+    """
+    y1, y2 = ops.split_channels(_take(y))
+    x2 = ops.sub(y2, g(y1))
+    del y2
+    yield
+    x[:] = ops.sub(y1, f(x2)), x2
+
+
+def _coupling_inverse(y, f, g):
+    """x2 = y2 - g(y1), x1 = y1 - f(x2), concatenated."""
+    x = []
+    for _ in _uncouple(y, f, g, x):
+        pass
+    return ops.concat_channels(*x)
+
+
+def _coupling_backward(halves, f_backward, g_backward):
+    """Input gradient of the coupling; returns (grad_in, f_aux, g_aux).
+
+    halves is a _Cell holding the output gradient split, (g1, g2), so each
+    half is freed once used.  g_backward(g2), called first, and then
+    f_backward(gy1) return (gradient at the branch input, aux), aux being
+    whatever the branch reports, e.g. its parameter gradients.
+    """
+    g1, g2 = halves.take()
+    gg, g_aux = g_backward(g2)
+    gy1 = ops.add(g1, gg)
+    del g1, gg
+    gf, f_aux = f_backward(gy1)
+    gx2 = ops.add(g2, gf)
+    del g2, gf
+    return ops.concat_channels(gy1, gx2), f_aux, g_aux
+
+
 class Conv2D:
     kind = "conv"
     invertible = False
+    backward_reads = ("x",)
 
     def __init__(self, cin, cout, k=3, stride=1, padding=None, rng=None, dtype=np.float32):
         if padding is None:
@@ -53,7 +135,7 @@ class Conv2D:
     def forward(self, x):
         return ops.conv2d_forward(x, self.kernel, self.bias, self.stride, self.padding)
 
-    def backward(self, grad_out, x):
+    def backward(self, grad_out, x=None, y=None):
         gx = ops.conv2d_backward_input(
             grad_out, self.kernel, self.stride, self.padding, input_hw=x.shape[2:]
         )
@@ -66,6 +148,7 @@ class Conv2D:
 class InvBatchNorm:
     kind = "bn"
     invertible = True
+    backward_reads = ("x",)
 
     def __init__(self, channels, eps=1e-5, eps_i=0.1, momentum=0.9, dtype=np.float32):
         if eps <= 0 or eps_i < 0:
@@ -135,7 +218,7 @@ class InvBatchNorm:
         x = (y - col(self.beta)) / col(self._scale()) * col(denom) + col(mean)
         return track(x)
 
-    def backward(self, grad_out, x):
+    def backward(self, grad_out, x=None, y=None):
         """Gradients of the train-mode forward, treating batch stats as functions of x."""
         self._check(x)
         if grad_out.shape != x.shape:
@@ -163,6 +246,7 @@ class InvBatchNorm:
 class InvLeakyReLU:
     kind = "lrelu"
     invertible = True
+    backward_reads = ("x",)
 
     def __init__(self, n=2.0):
         if n <= 1.0:
@@ -180,12 +264,14 @@ class InvLeakyReLU:
         ops.check_tensor(y, "y")
         return track(np.where(y > 0, y, y * self.n))
 
-    def backward(self, grad_out, sign_source):
-        """Scale gradients by 1 or 1/n; the branch comes from sign_source's sign.
+    def backward(self, grad_out, x=None, y=None):
+        """Scale gradients by 1 or 1/n; the branch comes from the sign of x, or
+        of y when x is not given.
 
-        sign_source may be the (reconstructed) input or output: both sides of
-        the kink have the same sign, so either works.
+        Input and output have the same sign on both sides of the kink, so
+        either works.
         """
+        sign_source = y if x is None else x
         if grad_out.shape != sign_source.shape:
             raise ShapeError(f"grad {grad_out.shape} vs sign source {sign_source.shape}")
         return track(np.where(sign_source > 0, grad_out, grad_out / self.n)), {}
@@ -200,6 +286,7 @@ class InvConv:
 
     kind = "invconv"
     invertible = True
+    backward_reads = ("x", "y")
 
     def __init__(self, channels, k=3, rng=None, dtype=np.float32):
         if channels % 2:
@@ -229,32 +316,28 @@ class InvConv:
     def _g(self, t):
         return ops.conv2d_forward(t, self.g_kernel, self.g_bias, 1, self.padding)
 
+    def _branch_backward(self, kernel, x, grad):
+        """One branch conv's (input gradient, (kernel grad, bias grad))."""
+        gk_gb = ops.conv2d_backward_weight(x, grad, 1, self.padding)
+        return ops.conv2d_backward_input(grad, kernel, 1, self.padding), gk_gb
+
     def forward(self, x):
-        x1, x2 = ops.split_channels(x)
-        y1 = ops.add(x1, self._f(x2))
-        y2 = ops.add(x2, self._g(y1))
-        return ops.concat_channels(y1, y2)
+        return _coupling_forward(x, self._f, self._g)
 
     def inverse(self, y):
-        y1, y2 = ops.split_channels(y)
-        x2 = ops.sub(y2, self._g(y1))
-        x1 = ops.sub(y1, self._f(x2))
-        return ops.concat_channels(x1, x2)
+        return _coupling_inverse(y, self._f, self._g)
 
-    def backward(self, grad_out, x, y=None):
+    def backward(self, grad_out, x=None, y=None):
         """Exact coupling gradients; pass y to skip recomputing y1 from x."""
-        g1, g2 = ops.split_channels(grad_out)
         x1, x2 = ops.split_channels(x)
-        if y is None:
-            y1 = ops.add(x1, self._f(x2))
-        else:
-            y1 = ops.split_channels(y)[0]
-        gk_g, gb_g = ops.conv2d_backward_weight(y1, g2, 1, self.padding)
-        gy1 = ops.add(g1, ops.conv2d_backward_input(g2, self.g_kernel, 1, self.padding))
-        gk_f, gb_f = ops.conv2d_backward_weight(x2, gy1, 1, self.padding)
-        gx2 = ops.add(g2, ops.conv2d_backward_input(gy1, self.f_kernel, 1, self.padding))
-        grads = {"f_kernel": gk_f, "f_bias": gb_f, "g_kernel": gk_g, "g_bias": gb_g}
-        return ops.concat_channels(gy1, gx2), grads
+        y1 = ops.add(x1, self._f(x2)) if y is None else ops.split_channels(y)[0]
+        del x1
+        gx, (gk_f, gb_f), (gk_g, gb_g) = _coupling_backward(
+            _Cell(ops.split_channels(grad_out)),
+            lambda gy1: self._branch_backward(self.f_kernel, x2, gy1),
+            lambda g2: self._branch_backward(self.g_kernel, y1, g2),
+        )
+        return gx, {"f_kernel": gk_f, "f_bias": gb_f, "g_kernel": gk_g, "g_bias": gb_g}
 
 
 class ChannelPool:
@@ -262,6 +345,7 @@ class ChannelPool:
 
     kind = "pool_c"
     invertible = True
+    backward_reads = ()
 
     def params(self):
         return {}
@@ -272,7 +356,7 @@ class ChannelPool:
     def inverse(self, y):
         return ops.unpool_channels(y)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, x=None, y=None):
         return ops.unpool_channels(grad_out), {}
 
 
@@ -281,6 +365,7 @@ class BatchPool:
 
     kind = "pool_b"
     invertible = True
+    backward_reads = ()
 
     def params(self):
         return {}
@@ -291,13 +376,14 @@ class BatchPool:
     def inverse(self, y):
         return ops.unpool_batch(y)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, x=None, y=None):
         return ops.unpool_batch(grad_out), {}
 
 
 class MaxPool2x2:
     kind = "maxpool"
     invertible = False
+    backward_reads = ("x",)
 
     def params(self):
         return {}
@@ -314,7 +400,7 @@ class MaxPool2x2:
         ops.check_tensor(x, "x")
         return track(np.ascontiguousarray(self._windows(x).max(axis=-1)))
 
-    def backward(self, grad_out, x):
+    def backward(self, grad_out, x=None, y=None):
         """Route gradients to each window's argmax, recomputed from the stored input."""
         ops.check_tensor(x, "x")
         bs, c, h, w = x.shape
@@ -341,6 +427,7 @@ class ClassifierHead:
 
     kind = "head"
     invertible = False
+    backward_reads = ()
 
     def __init__(self, cin, num_classes, group_size=1, rng=None, dtype=np.float32):
         if group_size < 1:
@@ -369,7 +456,7 @@ class ClassifierHead:
         self._in_shape = x.shape
         return track(pooled @ self.weight + self.bias)
 
-    def backward(self, grad_logits):
+    def backward(self, grad_logits, x=None, y=None):
         if self.cached_pooled is None:
             raise StateError("head backward needs the pooled features from forward")
         bs, c, h, w = self._in_shape

@@ -12,6 +12,10 @@ updates run in place, and coupling subtractions reuse their output buffer.
 The executor in `model.py` allocates fresh buffers instead; that gap is a
 separate `overhead_bytes` line item, never folded into the budget.
 
+The mode policy lives here once, for both routes and for the executor:
+`check_mode` decides which backprop modes a chain of items admits, and
+`keeps_input` which item inputs each mode's forward keeps.
+
 Conventions that the budgets rely on:
   * The input batch is owned by the caller, so the first standalone layer
     never pays for its input; the batch appears as its own line item.
@@ -275,39 +279,70 @@ def place(spec):
     return items
 
 
-# -- mode admissibility (mirrors the executor's validation) ------------------
+# -- mode policy: admissibility and kept inputs ------------------------------
+#
+# One rule set for both the spec-level costing here and the live executor in
+# model.py, which describes its items the same way.
 
 
-def validate_mode(spec, mode):
-    items = place(spec)
-    blocks = [it for it in items if not it.standalone]
+def check_mode(mode, items):
+    """Raise ConfigError unless `mode` can train the chain `items`.
+
+    items holds one (kind, layer_kinds) pair per schedule item before the
+    head: kind is a layer kind or "block", layer_kinds the kinds of the
+    layers the item holds (the layer itself, or a block's F and G layers).
+    """
     if mode == "stored":
         return
+    blocks = [i for i, (kind, _) in enumerate(items) if kind == "block"]
     if mode == "layerwise" and blocks:
         raise ConfigError(
-            f"layerwise mode needs a plain chain but item {blocks[0].index} "
+            f"layerwise mode needs a plain chain but item {blocks[0]} (block) "
             "is a reversible block"
         )
     if mode in ("block", "hybrid") and not blocks:
         raise ConfigError(f"{mode} mode needs at least one reversible block")
     if mode in ("layerwise", "hybrid"):
-        for it in items:
-            kind = it.kind
-            if kind == "head":
-                continue
-            if it.standalone and it.index > 0 and kind not in INVERTIBLE_KINDS:
+        # A non-invertible stem at position 0 is fine: its input is the
+        # caller-owned batch, so the walk needs nothing saved for it.
+        for i, (kind, _) in enumerate(items):
+            if i > 0 and kind != "block" and kind not in INVERTIBLE_KINDS:
                 raise ConfigError(
                     f"{mode} mode needs invertible layers past the stem but "
-                    f"item {it.index} ({kind}) is not invertible"
+                    f"item {i} ({kind}) is not invertible"
                 )
     if mode == "hybrid":
-        for it in blocks:
-            for pl in it.placed:
-                if pl.layer.kind not in INVERTIBLE_KINDS:
-                    raise ConfigError(
-                        f"hybrid mode needs invertible block internals but "
-                        f"item {it.index} (block) contains a {pl.layer.kind} layer"
-                    )
+        for i in blocks:
+            bad = [kind for kind in items[i][1] if kind not in INVERTIBLE_KINDS]
+            if bad:
+                raise ConfigError(
+                    f"hybrid mode needs invertible block internals but "
+                    f"item {i} (block) contains a {bad[0]} layer"
+                )
+
+
+def keeps_input(mode, kind, index):
+    """Whether `mode`'s forward keeps the input of standalone item `index`.
+
+    Item 0's input is the caller's batch and the head keeps only its pooled
+    features.  Stored mode keeps the inputs of parameterised layers, block
+    mode those of every layer it cannot invert; the walk modes keep nothing,
+    as check_mode admits only invertible layers past the stem there.  A block
+    record keeps what stored mode keeps inside each branch, plus the branch
+    input.
+    """
+    if index == 0 or kind == "head":
+        return False
+    if mode == "stored":
+        return kind in PARAM_KINDS
+    if mode == "block":
+        return kind in PARAM_KINDS or kind == "maxpool"
+    return False
+
+
+def validate_mode(spec, mode):
+    items = place(spec)[:-1]
+    check_mode(mode, [(it.kind, [pl.layer.kind for pl in it.placed]) for it in items])
 
 
 # -- closed-form per-pixel budgets -------------------------------------------
@@ -318,35 +353,23 @@ def weight_bytes(spec):
 
 
 def _kept_internals(item):
-    """Per-pixel elements a block's record keeps: parameterised inputs plus
-    a branch anchor when the first branch layer keeps nothing itself."""
+    """Per-pixel elements a block's record keeps: each branch's input plus
+    the inputs stored mode keeps inside it."""
     total = Fraction(0)
     for name in ("f", "g"):
-        branch = item.branch(name)
-        if branch and branch[0].layer.kind not in PARAM_KINDS:
-            total += branch[0].a
-        for pl in branch:
-            if pl.layer.kind in PARAM_KINDS:
+        for j, pl in enumerate(item.branch(name)):
+            if j == 0 or keeps_input("stored", pl.layer.kind, j):
                 total += pl.a
     return total
 
 
-def _stored_kept(items):
-    """Standalone inputs stored mode keeps, per pixel (item 0 is free)."""
-    total = Fraction(0)
-    for it in items:
-        if it.standalone and it.index > 0 and it.kind in PARAM_KINDS and it.kind != "head":
-            total += it.placed[0].a
-    return total
-
-
-def _blockrev_kept(items):
-    kept = {}
-    for it in items:
-        keepable = it.kind in PARAM_KINDS or it.kind == "maxpool"
-        if it.standalone and it.index > 0 and keepable and it.kind != "head":
-            kept[it.index] = it.placed[0].a
-    return kept
+def _kept(items, mode):
+    """Standalone inputs `mode` keeps, per pixel, by item index."""
+    return {
+        it.index: it.placed[0].a
+        for it in items
+        if it.standalone and keeps_input(mode, it.kind, it.index)
+    }
 
 
 def _final_volume(items):
@@ -362,12 +385,8 @@ def _stored_candidates(items):
     block's branch gradients add half its volume.  On chains whose keeps
     dominate, the winner is the first backward step with everything live.
     """
-    kept = {}
-    for it in items:
-        if not it.standalone:
-            kept[it.index] = _kept_internals(it)
-        elif it.index > 0 and it.kind in PARAM_KINDS and it.kind != "head":
-            kept[it.index] = it.placed[0].a
+    kept = _kept(items, "stored")
+    kept.update((it.index, _kept_internals(it)) for it in items if not it.standalone)
     live = sum(kept.values(), Fraction(0))
     best = (live, _final_volume(items))
     for it in reversed(items[:-1]):
@@ -393,7 +412,7 @@ def per_pixel_elems(spec, mode):
     if mode == "stored":
         return _stored_candidates(items)
     if mode == "block":
-        kept = _blockrev_kept(items)
+        kept = _kept(items, "block")
         best = (sum(kept.values(), Fraction(0)) + _final_volume(items), g_final)
         for it in items:
             if it.standalone:
@@ -456,7 +475,7 @@ def stored_saved_bytes(spec, h, w, bs):
     kept inputs, cached statistics, and the head's pooled features."""
     items = place(spec)
     px = h * w * bs
-    kept = _stored_kept(items)
+    kept = sum(_kept(items, "stored").values(), Fraction(0))
     for it in items:
         if not it.standalone:
             kept += _kept_internals(it)
@@ -481,9 +500,14 @@ def max_volume_elems(spec):
 # activation volume. The python executor splits by copying and allocates
 # fresh buffers where the lean schedule works in place; walk modes carry
 # extra concurrent halves while re-deriving values. Calibrated against
-# tracked-allocator peaks on five specs at three sizes (per-case factors
-# stable to <0.3 across a 4x pixel range; worst prediction error 8.4%).
-OVERHEAD_FACTORS = {"stored": 3.0, "block": 3.0, "layerwise": 6.0, "hybrid": 5.0}
+# tracked-allocator peaks of the small-hybrid, pure-block, hybrid, revnet
+# and layerwise specs at 8x8, 16x16 and 32x32, batch 8.  The walk factors
+# predict within 3%.  Block mode predicts within 7.3%: the executor rebuilds
+# F only after G's backward, so fewer records are live at once than the
+# replay assumes, by an amount that depends on the spec.  Stored mode
+# predicts within 5% on small-hybrid and pure-block, while its closed form
+# overestimates the larger specs (by up to 21% on hybrid at 32x32).
+OVERHEAD_FACTORS = {"stored": 1.5, "block": 1.1, "layerwise": 3.6, "hybrid": 3.2}
 
 
 def overhead_bytes(spec, mode, h, w, bs):
@@ -564,11 +588,7 @@ def simulate_schedule(spec, mode, h, w, bs):
             prev = it.volume
         else:
             pl = it.placed[0]
-            keep = False
-            if mode == "stored":
-                keep = it.index > 0 and it.kind in PARAM_KINDS
-            elif mode == "block":
-                keep = it.index > 0 and (it.kind in PARAM_KINDS or it.kind == "maxpool")
+            keep = keeps_input(mode, it.kind, it.index)
             if keep:
                 kept[it.index] = B(pl.a)
             bn_cached(it.index, it.placed)

@@ -1,22 +1,30 @@
-"""Model composition and the four backpropagation strategies.
+"""Model composition and backpropagation by one chain interpreter.
 
 A SequentialModel is a flat list of items (plain layers and reversible
 blocks) followed by a classifier head.  The forward pass is a single code
-path for every mode; only what gets saved differs:
+path for every mode; only what gets saved differs, by the policy in
+`memory_model` (`keeps_input`, with `check_mode` deciding which modes a
+model admits):
 
-* stored          -- keep the input of every parameterised layer.
-* block           -- keep only segment boundaries; reversible blocks are
-                     inverted during backward and their internals are
-                     recomputed by one extra forward pass per block.
+* stored          -- keep the input of every parameterised layer and
+                     record every block's internals.
+* block           -- keep the inputs of the layers that cannot be inverted;
+                     reversible blocks are inverted during backward one
+                     branch at a time, each rebuild re-recording that
+                     branch's internals: one extra forward pass per block.
 * layerwise       -- keep only the final activation; every layer of the
                      chain is inverted one at a time while gradients flow.
 * hybrid          -- blocks are inverted analytically like `block`, but
-                     their internals are reconstructed by layer inverses
-                     instead of being recomputed and held.
+                     their internals are rebuilt by layer inverses instead
+                     of being recorded.
 
-Unparameterised layers never store their inputs in stored mode; a backward
-walk replays the short gap from the nearest saved activation (a BN affine
-re-application, never an extra convolution for the shapes used here).
+Backward is one interpreter, `_backward_chain`, run over the model's items
+and over each block branch.  Walking last to first, it takes each input
+from a saved anchor, else from the layer's inverse of its output (walks),
+else by replaying forward from the nearest anchor below (stored: a BN
+affine re-application, never an extra convolution except a G branch after
+a block).  Blocks dispatch to one coupling backward whose branches are
+either replayed from a record (stored, block) or walked (hybrid).
 
 Parameter gradients come back as a flat dict keyed by path, e.g.
 ``"3.F.0.f_kernel"`` for item 3's F-branch layer 0, or ``"head.weight"``.
@@ -26,12 +34,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
+from . import memory_model as mm
 from . import ops
-from .errors import ConfigError, ShapeError, StateError
-from .layers import ClassifierHead
+from .errors import ConfigError, StateError
+from .layers import (
+    ClassifierHead,
+    _Cell,
+    _coupling_backward,
+    _coupling_forward,
+    _coupling_inverse,
+    _take,
+    _uncouple,
+)
 
 __all__ = [
     "BackpropMode",
@@ -59,10 +77,6 @@ class BackpropMode(Enum):
         raise ConfigError(f"unknown backprop mode {name!r} (expected one of: {valid})")
 
 
-_PARAMETERISED = {"conv", "bn", "invconv", "head"}
-_INVERTIBLE_KINDS = {"bn", "lrelu", "invconv", "pool_c", "pool_b"}
-
-
 def _apply_layer(layer, x, train=True, update_running=True):
     if layer.kind == "bn":
         return layer.forward(x, train=train, update_running=update_running)
@@ -76,63 +90,75 @@ def _replay_layer(layer, x):
     return layer.forward(x)
 
 
-def _layer_backward(layer, grad, x):
-    """Backward dispatch for layers whose input value x is at hand."""
-    if layer.kind in ("pool_c", "pool_b"):
-        return layer.backward(grad)
-    return layer.backward(grad, x)
+def _replay(steps, vals, i):
+    """Input of step i: its value at hand, or a forward replay from the
+    nearest value below.
 
-
-class _ValueChain:
-    """Resolves the input value of position i in a layer chain.
-
-    Anchors are saved activations (position -> tensor); gaps are replayed
-    forward from the nearest anchor at or below the requested position.
+    A callable value is a block output still to be rebuilt from its record.
+    The replayed values stay in vals for the steps below to consume.
     """
-
-    def __init__(self, layers, anchors):
-        self.layers = layers
-        self.vals = dict(anchors)
-
-    def value_before(self, i):
-        if i in self.vals:
-            return self.vals[i]
-        below = [j for j in self.vals if j < i]
-        if not below:
-            raise StateError(f"no saved activation at or below position {i}")
-        j = max(below)
-        x = self.vals[j]
-        for k in range(j, i):
-            x = _replay_layer(self.layers[k], x)
-            self.vals[k + 1] = x
-        return x
-
-    def release_above(self, i):
-        for j in [j for j in self.vals if j > i]:
-            del self.vals[j]
+    j = max((j for j in vals if j <= i), default=None)
+    if j is None:
+        raise StateError(f"no saved activation at or below position {i}")
+    x = vals[j]
+    if callable(x):
+        x = x()
+    for k in range(j, i):
+        x = vals[k + 1] = _replay_layer(steps[k], x)
+    return x
 
 
-class _Cell:
-    """Single-owner handoff for a tensor crossing a call boundary.
+def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, prefix=""):
+    """Backprop through steps last to first.
 
-    Passing a bare array into a block's backward pins it in the caller's
-    frame until the call returns; wrapping it lets the callee take the only
-    reference and free the buffer as soon as it has been consumed.
+    vals maps chain positions to values at hand, position i being the input
+    of step i and len(steps) the output: saved anchors, the output for a
+    walk, or a callable rebuilding a block's output from its record.  The
+    interpreter consumes it.  At step i, y is the value above; the input x
+    is an anchor, else the layer's inverse of y (walk), else a replay from
+    below.  A layer gets only what its backward reads, the rest released
+    first; in a walk an anchor restarts the walk, releasing y.
+    block_backward(i, block, y, grad) takes y and grad in cells and returns
+    (x or None, grad_in, param_grads).  grad may be a cell.
+
+    Returns (grad_in, input, param_grads), keys "<position>.<name>".
     """
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def take(self):
-        v = self.v
-        self.v = None
-        return v
-
-
-def _take(x):
-    return x.take() if isinstance(x, _Cell) else x
+    grad = _take(grad)
+    grads = {}
+    for i in reversed(range(len(steps))):
+        step = steps[i]
+        y = vals.pop(i + 1, None)
+        if isinstance(step, ReversibleBlock):
+            y, grad = _Cell(y), _Cell(grad)
+            x, grad, pg = block_backward(i, step, y, grad)
+            if trace is not None:
+                trace.record(f"{prefix}{i}", "block_input", x)
+        else:
+            reads = step.backward_reads
+            x = vals.get(i) if walk else None
+            if walk and x is None:
+                if not step.invertible:
+                    raise ConfigError(
+                        f"layer {prefix}{i} ({step.kind}) is not invertible and has "
+                        "no saved input; a walk cannot pass through it"
+                    )
+                x = step.inverse(y)
+                # a pool's input is its output permuted, so its record would
+                # only repeat the one above
+                if trace is not None and "x" in reads:
+                    trace.record(f"{prefix}{i}", step.kind, x)
+            elif walk:
+                y = None
+            if "y" not in reads:
+                y = None
+            if not walk and "x" in reads:
+                x = _replay(steps, vals, i)
+            grad, pg = step.backward(grad, x, y)
+        if x is not None:
+            vals[i] = x
+        for name, g in pg.items():
+            grads[f"{i}.{name}"] = g
+    return grad, vals.pop(0, None), grads
 
 
 class Module:
@@ -154,74 +180,34 @@ class Module:
         return x
 
     def apply_record(self, x, train=True, update_running=True):
-        """Forward pass that keeps the inputs of parameterised layers.
+        """Forward pass that keeps what stored mode keeps, plus the input.
 
-        The record also anchors position 0 so unparameterised prefixes can
-        be replayed.  Returns (output, record) with record[i] = input of
+        Position 0 is always anchored so unparameterised prefixes can be
+        replayed.  Returns (output, record) with record[i] = input of
         layer i.
         """
         rec = {0: x}
         for i, layer in enumerate(self.layers):
-            if layer.kind in _PARAMETERISED:
+            if mm.keeps_input("stored", layer.kind, i):
                 rec[i] = x
             x = _apply_layer(layer, x, train, update_running)
         return x, rec
 
     def backward_from_record(self, grad, rec):
-        """Stored-style backward using recorded parameterised-layer inputs."""
-        chain = _ValueChain(self.layers, rec)
-        grads = {}
-        for i in reversed(range(len(self.layers))):
-            layer = self.layers[i]
-            if layer.kind in ("pool_c", "pool_b"):
-                grad, pg = layer.backward(grad)
-            elif layer.kind == "invconv":
-                x = chain.value_before(i)
-                grad, pg = layer.backward(grad, x, y=chain.vals.get(i + 1))
-            else:
-                grad, pg = _layer_backward(layer, grad, chain.value_before(i))
-            chain.release_above(i)
-            for name, g in pg.items():
-                grads[f"{i}.{name}"] = g
-        return grad, grads
+        """Stored-style backward from a record, which it consumes.
+
+        Returns (grad_in, param_grads).
+        """
+        return _backward_chain(self.layers, grad, rec, walk=False)[::2]
 
     def walk_backward(self, grad, output, trace=None, prefix=""):
         """Layer-wise inverse walk: rebuild each input while gradients flow.
 
-        Returns (grad_in, reconstructed_input, param_grads).  Every layer
-        must be invertible; the walk inverts first, then takes the layer's
-        backward, then drops the output it no longer needs.
+        Every layer must be invertible.  output may be a cell.  Returns
+        (grad_in, reconstructed_input, param_grads).
         """
-        grads = {}
-        y = output
-        for i in reversed(range(len(self.layers))):
-            layer = self.layers[i]
-            if not layer.invertible:
-                raise ConfigError(
-                    f"layer {prefix}{i} ({layer.kind}) is not invertible; "
-                    "a layer-wise walk cannot pass through it"
-                )
-            kind = layer.kind
-            if kind == "lrelu":
-                # The output carries the signs, so backward can run first
-                # and the inverse reuses the same buffer walk.
-                grad, pg = layer.backward(grad, y)
-                x = layer.inverse(y)
-            elif kind == "invconv":
-                x = layer.inverse(y)
-                grad, pg = layer.backward(grad, x, y=y)
-            elif kind in ("pool_c", "pool_b"):
-                x = layer.inverse(y)
-                grad, pg = layer.backward(grad)
-            else:
-                x = layer.inverse(y)
-                grad, pg = _layer_backward(layer, grad, x)
-            if trace is not None:
-                trace.record(f"{prefix}{i}", kind, x)
-            for name, g in pg.items():
-                grads[f"{i}.{name}"] = g
-            y = x
-        return grad, y, grads
+        vals = {len(self.layers): _take(output)}
+        return _backward_chain(self.layers, grad, vals, walk=True, trace=trace, prefix=prefix)
 
 
 class ReversibleBlock:
@@ -241,96 +227,105 @@ class ReversibleBlock:
                 out[f"{branch}.{name}"] = arr
         return out
 
-    def internals_invertible(self):
-        return all(
-            layer.invertible for layer in self.F.layers + self.G.layers
-        )
+    def _branches(self, train, update_running, keep=None):
+        """(f, g, kept): branch callables for the coupling helpers.
+
+        keep="record" appends each branch's apply_record record to kept,
+        keep="output" each branch's output in a cell, to seed a walk; kept
+        fills in call order, F then G forward and G then F inverting.
+        """
+        kept = []
+
+        def branch(module):
+            def run(t):
+                if keep == "record":
+                    v, rec = module.apply_record(t, train, update_running)
+                    kept.append(rec)
+                    return v
+                v = module.apply(t, train, update_running)
+                if keep == "output":
+                    kept.append(_Cell(v))
+                return v
+
+            return run
+
+        return branch(self.F), branch(self.G), kept
 
     def forward(self, x, train=True, update_running=True, record=False):
-        x1, x2 = ops.split_channels(x)
-        if record:
-            fv, f_rec = self.F.apply_record(x2, train, update_running)
-            y1 = ops.add(x1, fv)
-            gv, g_rec = self.G.apply_record(y1, train, update_running)
-            y2 = ops.add(x2, gv)
-            return ops.concat_channels(y1, y2), (f_rec, g_rec)
-        y1 = ops.add(x1, self.F.apply(x2, train, update_running))
-        y2 = ops.add(x2, self.G.apply(y1, train, update_running))
-        return ops.concat_channels(y1, y2)
+        f, g, recs = self._branches(train, update_running, "record" if record else None)
+        y = _coupling_forward(x, f, g)
+        return (y, tuple(recs)) if record else y
 
     def inverse(self, y, train=True):
-        y1, y2 = ops.split_channels(y)
-        x2 = ops.sub(y2, self.G.apply(y1, train, update_running=False))
-        x1 = ops.sub(y1, self.F.apply(x2, train, update_running=False))
-        return ops.concat_channels(x1, x2)
+        f, g, _ = self._branches(train, False)
+        return _coupling_inverse(y, f, g)
 
-    def _coupling_backward(self, grad, f_rec, g_rec):
-        grad = _take(grad)
-        g1, g2 = ops.split_channels(grad)
-        del grad
-        gg_in, g_grads = self.G.backward_from_record(g2, g_rec)
-        gy1 = ops.add(g1, gg_in)
-        del g1, gg_in
-        gf_in, f_grads = self.F.backward_from_record(gy1, f_rec)
-        gx2 = ops.add(g2, gf_in)
-        del g2, gf_in
+    def _recorded_output(self, rec):
+        """The output, rebuilt from a stored-mode record: the branch inputs
+        are x2 and y1, so only G runs again."""
+        f_rec, g_rec = rec
+        y1 = g_rec[0]
+        return ops.concat_channels(y1, ops.add(f_rec[0], self.G.apply(y1, update_running=False)))
+
+    @staticmethod
+    def _branch_backward(module, grad, src, trace, prefix):
+        """(grad_in, param_grads) of a branch replayed from a record or
+        walked from its output."""
+        if isinstance(src, dict):
+            return module.backward_from_record(grad, src)
+        return module.walk_backward(grad, src, trace, prefix)[::2]
+
+    def _backward(self, grad, rec=None, y=None, train=True, walk=False, trace=None, prefix=""):
+        """The one coupling backward; returns (x or None, grad_in, param_grads).
+
+        With rec (stored mode) the branches replay from the forward's record.
+        Otherwise the input is rebuilt from the output y one branch at a
+        time, each just before its own backward (x2 = y2 - G(y1) before G's,
+        x1 = y1 - F(x2) before F's), so F's values are never held through
+        G's backward.  Rebuilding re-records the branch, or for a walk keeps
+        its output to seed the walk; nothing is kept beyond the block.
+        """
+        halves = _Cell(ops.split_channels(_take(grad)))
+        x = []
+        if rec is None:
+            f, g, kept = self._branches(train, False, "output" if walk else "record")
+            steps = _uncouple(y, f, g, x)
+        else:
+            kept, steps = list(rec), iter(())
+
+        def source():
+            # G's record or output first, then F's, each rebuilt on demand
+            next(steps, None)
+            return kept.pop()
+
+        grad, f_grads, g_grads = _coupling_backward(
+            halves,
+            lambda gy1: self._branch_backward(self.F, gy1, source(), trace, f"{prefix}F."),
+            lambda g2: self._branch_backward(self.G, g2, source(), trace, f"{prefix}G."),
+        )
         grads = {f"G.{k}": v for k, v in g_grads.items()}
         grads.update({f"F.{k}": v for k, v in f_grads.items()})
-        return ops.concat_channels(gy1, gx2), grads
+        return ops.concat_channels(*x) if x else None, grad, grads
 
     def backward_stored(self, grad, rec):
-        f_rec, g_rec = rec
-        return self._coupling_backward(grad, f_rec, g_rec)
+        """Backprop from the forward's record; returns (grad_in, param_grads)."""
+        return self._backward(grad, rec)[1:]
 
     def backward_blockrev(self, y, grad, train=True):
-        """Invert the block while re-recording internals, then backprop.
-
-        The inversion doubles as the recompute pass, so the block costs one
-        extra forward per branch and nothing is kept beyond the block.
-        Returns (x, grad_in, param_grads).
-        """
-        y = _take(y)
-        y1, y2 = ops.split_channels(y)
-        del y
-        gv, g_rec = self.G.apply_record(y1, train, update_running=False)
-        x2 = ops.sub(y2, gv)
-        del y2, gv
-        fv, f_rec = self.F.apply_record(x2, train, update_running=False)
-        x1 = ops.sub(y1, fv)
-        del y1, fv
-        grad_in, grads = self._coupling_backward(grad, f_rec, g_rec)
-        return ops.concat_channels(x1, x2), grad_in, grads
+        """Rebuild the input from y, re-recording each branch, and backprop
+        through the records; returns (x, grad_in, param_grads)."""
+        return self._backward(grad, y=y, train=train)
 
     def backward_hybrid(self, y, grad, train=True, trace=None, prefix=""):
-        """Analytic block inverse plus layer-wise walks through F and G.
+        """Rebuild the input from y and walk G and F layer by layer; returns
+        (x, grad_in, param_grads)."""
+        return self._backward(grad, y=y, train=train, walk=True, trace=trace, prefix=prefix)
 
-        Branch outputs from the inversion seed the walks, so internals are
-        reconstructed one layer at a time and never all live at once.
-        Returns (x, grad_in, param_grads).
-        """
-        y = _take(y)
-        y1, y2 = ops.split_channels(y)
-        del y
-        gv = self.G.apply(y1, train, update_running=False)
-        x2 = ops.sub(y2, gv)
-        del y2
-        fv = self.F.apply(x2, train, update_running=False)
-        x1 = ops.sub(y1, fv)
-        del y1
-        grad = _take(grad)
-        g1, g2 = ops.split_channels(grad)
-        del grad
-        gg_in, _, g_grads = self.G.walk_backward(g2, gv, trace, f"{prefix}G.")
-        del gv
-        gy1 = ops.add(g1, gg_in)
-        del g1, gg_in
-        gf_in, _, f_grads = self.F.walk_backward(gy1, fv, trace, f"{prefix}F.")
-        del fv
-        gx2 = ops.add(g2, gf_in)
-        del g2, gf_in
-        grads = {f"G.{k}": v for k, v in g_grads.items()}
-        grads.update({f"F.{k}": v for k, v in f_grads.items()})
-        return ops.concat_channels(x1, x2), ops.concat_channels(gy1, gx2), grads
+
+def _layers(item):
+    if isinstance(item, ReversibleBlock):
+        return item.F.layers + item.G.layers
+    return [item]
 
 
 @dataclass
@@ -419,57 +414,14 @@ class SequentialModel:
 
     def iter_layers(self):
         for item in self.items:
-            if isinstance(item, ReversibleBlock):
-                yield from item.F.layers
-                yield from item.G.layers
-            else:
-                yield item
-
-    def item_label(self, i):
-        item = self.items[i]
-        kind = item.kind
-        return f"item {i} ({kind})"
+            yield from _layers(item)
 
     # -- mode validation ---------------------------------------------------
 
     def validate_mode(self, mode):
-        blocks = [i for i, it in enumerate(self.items) if isinstance(it, ReversibleBlock)]
-        if mode is BackpropMode.STORED:
-            return
-        if mode is BackpropMode.LAYER_WISE:
-            if blocks:
-                raise ConfigError(
-                    f"layerwise mode needs a plain chain but {self.item_label(blocks[0])} "
-                    "is a reversible block"
-                )
-            self._check_walkable_items(mode)
-            return
-        if not blocks:
-            raise ConfigError(f"{mode.value} mode needs at least one reversible block")
-        if mode is BackpropMode.HYBRID:
-            self._check_walkable_items(mode)
-            for i in blocks:
-                if not self.items[i].internals_invertible():
-                    bad = next(
-                        layer.kind
-                        for layer in self.items[i].F.layers + self.items[i].G.layers
-                        if not layer.invertible
-                    )
-                    raise ConfigError(
-                        f"hybrid mode needs invertible block internals but "
-                        f"{self.item_label(i)} contains a {bad} layer"
-                    )
-        # block mode: any block internals are fine (they are recomputed).
-
-    def _check_walkable_items(self, mode):
-        # A non-invertible stem at position 0 is fine: its input is the
-        # caller-owned batch, so the walk needs nothing saved for it.
-        for i, item in enumerate(self.items):
-            if i > 0 and not isinstance(item, ReversibleBlock) and not item.invertible:
-                raise ConfigError(
-                    f"{mode.value} mode needs invertible layers past the stem but "
-                    f"{self.item_label(i)} is not invertible"
-                )
+        mm.check_mode(
+            mode.value, [(item.kind, [l.kind for l in _layers(item)]) for item in self.items]
+        )
 
     def supported_modes(self):
         out = []
@@ -499,26 +451,17 @@ class SequentialModel:
             return self.head.forward(x), None
 
         saved = SavedState(mode=mode)
-        reversible = mode is not BackpropMode.STORED
         for i, item in enumerate(self.items):
             if isinstance(item, ReversibleBlock):
                 if mode is BackpropMode.STORED:
-                    x, rec = item.forward(x, record=True)
-                    saved.block_records[i] = rec
+                    x, saved.block_records[i] = item.forward(x, record=True)
                 else:
                     x = item.forward(x)
             else:
-                keep = False
-                if mode is BackpropMode.STORED:
-                    keep = item.kind in _PARAMETERISED and i > 0
-                elif mode is BackpropMode.BLOCK_REVERSIBLE:
-                    keep = (item.kind in _PARAMETERISED or item.kind == "maxpool") and i > 0
-                else:
-                    keep = not item.invertible and i > 0
-                if keep:
+                if mm.keeps_input(mode.value, item.kind, i):
                     saved.stored[str(i)] = x
                 x = _apply_layer(item, x)
-        if reversible:
+        if mode is not BackpropMode.STORED:
             saved.final = x
         logits = self.head.forward(x)
         return logits, saved
@@ -526,7 +469,7 @@ class SequentialModel:
     # -- backward ----------------------------------------------------------
 
     def backward(self, saved, grad_logits, x_input, trace=False):
-        """Backprop according to saved.mode.
+        """Backprop according to saved.mode, emptying saved.
 
         x_input is the model input batch (owned by the caller; it is never
         part of the saved state).  Returns (param_grads, SnrTrace or None).
@@ -538,150 +481,54 @@ class SequentialModel:
         mode = saved.mode
         snr = None
         if trace:
-            if mode in (BackpropMode.STORED,):
+            if mode is BackpropMode.STORED:
                 raise ConfigError("an SNR trace needs a reversible mode")
             snr = SnrTrace(_truth=self._shadow_truth(x_input))
 
         grad, head_grads = self.head.backward(grad_logits)
+        grad = _Cell(grad)
         grads = {f"head.{name}": arr for name, arr in head_grads.items()}
+        # The interpreter consumes vals and records, so every saved tensor
+        # is freed as soon as backward has passed it.
+        vals = {int(k): v for k, v in saved.stored.items()}
+        vals[0] = x_input
+        saved.stored.clear()
+        records = saved.block_records
         if mode is BackpropMode.STORED:
-            grads.update(self._backward_stored(grad, saved, x_input))
+            for i, rec in records.items():
+                vals.setdefault(i + 1, partial(self.items[i]._recorded_output, rec))
         else:
-            grads.update(self._backward_reversible(grad, saved, x_input, snr))
+            vals[len(self.items)] = saved.final
+            saved.final = None
+
+        def block_backward(i, block, y, g):
+            if mode is BackpropMode.STORED:
+                return (None, *block.backward_stored(g, records.pop(i)))
+            if mode is BackpropMode.BLOCK_REVERSIBLE:
+                return block.backward_blockrev(y, g)
+            return block.backward_hybrid(y, g, trace=snr, prefix=f"{i}.")
+
+        walk = mode is not BackpropMode.STORED
+        grads.update(_backward_chain(self.items, grad, vals, walk, block_backward, snr)[2])
         return grads, snr
-
-    def _backward_stored(self, grad, saved, x_input):
-        anchors = {int(k): v for k, v in saved.stored.items()}
-        anchors[0] = x_input
-        grads = {}
-        chain = _StoredChain(self.items, anchors, saved.block_records)
-        for i in reversed(range(len(self.items))):
-            item = self.items[i]
-            if isinstance(item, ReversibleBlock):
-                grad, pg = item.backward_stored(grad, saved.block_records[i])
-                saved.block_records.pop(i, None)
-            elif item.kind in ("pool_c", "pool_b"):
-                grad, pg = item.backward(grad)
-            elif item.kind == "invconv":
-                x = chain.value_before(i)
-                grad, pg = item.backward(grad, x, y=chain.vals.get(i + 1))
-            else:
-                grad, pg = _layer_backward(item, grad, chain.value_before(i))
-            chain.release_above(i)
-            saved.stored.pop(str(i), None)
-            for name, g in pg.items():
-                grads[f"{i}.{name}"] = g
-        return grads
-
-    def _backward_reversible(self, grad, saved, x_input, snr):
-        mode = saved.mode
-        y = saved.final
-        saved.final = None
-        grads = {}
-        for i in reversed(range(len(self.items))):
-            item = self.items[i]
-            if isinstance(item, ReversibleBlock):
-                y_cell, y = _Cell(y), None
-                g_cell, grad = _Cell(grad), None
-                if mode is BackpropMode.BLOCK_REVERSIBLE:
-                    y, grad, pg = item.backward_blockrev(y_cell, g_cell)
-                else:
-                    y, grad, pg = item.backward_hybrid(y_cell, g_cell, trace=snr, prefix=f"{i}.")
-                if snr is not None:
-                    snr.record(str(i), "block_input", y)
-            elif item.kind in ("pool_c", "pool_b"):
-                x = item.inverse(y)
-                del y
-                grad, pg = item.backward(grad)
-                y = x
-            elif str(i) in saved.stored or i == 0:
-                x = saved.stored.pop(str(i), None)
-                if x is None:
-                    x = x_input
-                grad, pg = _layer_backward(item, grad, x)
-                y = x
-            else:
-                if not item.invertible:
-                    raise StateError(
-                        f"{self.item_label(i)} is not invertible and has no saved input"
-                    )
-                kind = item.kind
-                if kind == "lrelu":
-                    grad, pg = item.backward(grad, y)
-                    x = item.inverse(y)
-                elif kind == "invconv":
-                    x = item.inverse(y)
-                    grad, pg = item.backward(grad, x, y=y)
-                else:
-                    x = item.inverse(y)
-                    grad, pg = _layer_backward(item, grad, x)
-                if snr is not None:
-                    snr.record(str(i), kind, x)
-                del y
-                y = x
-            for name, g in pg.items():
-                grads[f"{i}.{name}"] = g
-        return grads
 
     def _shadow_truth(self, x):
         """Noise-free reference activations, keyed like trace paths."""
         truth = {}
+
+        def branch(path, module):
+            def run(v):
+                for j, layer in enumerate(module.layers):
+                    truth[f"{path}.{j}"] = np.asarray(v, dtype=np.float64)
+                    v = _replay_layer(layer, v)
+                return v
+
+            return run
+
         for i, item in enumerate(self.items):
             truth[str(i)] = np.asarray(x, dtype=np.float64)
             if isinstance(item, ReversibleBlock):
-                x1, x2 = ops.split_channels(x)
-                v = x2
-                for j, layer in enumerate(item.F.layers):
-                    truth[f"{i}.F.{j}"] = np.asarray(v, dtype=np.float64)
-                    v = _replay_layer(layer, v)
-                y1 = ops.add(x1, v)
-                v = y1
-                for j, layer in enumerate(item.G.layers):
-                    truth[f"{i}.G.{j}"] = np.asarray(v, dtype=np.float64)
-                    v = _replay_layer(layer, v)
-                y2 = ops.add(x2, v)
-                x = ops.concat_channels(y1, y2)
+                x = _coupling_forward(x, branch(f"{i}.F", item.F), branch(f"{i}.G", item.G))
             else:
                 x = _replay_layer(item, x)
         return truth
-
-
-class _StoredChain:
-    """Like _ValueChain but aware of reversible-block records at item level."""
-
-    def __init__(self, items, anchors, block_records):
-        self.items = items
-        self.block_records = block_records
-        self.vals = {k: v for k, v in anchors.items() if v is not None}
-
-    def value_before(self, i):
-        if i in self.vals:
-            return self.vals[i]
-        candidates = [j for j in self.vals if j < i]
-        block_below = [j for j in self.block_records if j < i]
-        j = max(candidates) if candidates else -1
-        jb = max(block_below) if block_below else -1
-        if j < 0 and jb < 0:
-            raise StateError(f"no saved activation at or below item {i}")
-        if jb > j:
-            x = self._block_output(jb)
-            start = jb + 1
-        else:
-            x = self.vals[j]
-            start = j
-        for k in range(start, i):
-            x = _replay_layer(self.items[k], x)
-            self.vals[k + 1] = x
-        return x
-
-    def _block_output(self, i):
-        block = self.items[i]
-        f_rec, g_rec = self.block_records[i]
-        y1 = g_rec[0]
-        gv = block.G.apply(y1, update_running=False)
-        y2 = ops.add(f_rec[0], gv)
-        return ops.concat_channels(y1, y2)
-
-    def release_above(self, i):
-        for j in [j for j in self.vals if j > i]:
-            del self.vals[j]

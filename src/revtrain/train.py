@@ -8,6 +8,8 @@ in different backprop modes can be compared on cost as well as accuracy.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -252,7 +254,11 @@ _CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
 
 def save_checkpoint(path, params):
     """Little-endian tensor archive: magic, version, count, then per tensor
-    name length/name/dtype code/rank/dims/raw data."""
+    name length/name/dtype code/rank/dims/raw data.
+
+    The archive is written to a temporary file beside path and renamed over
+    it, so a failed save leaves any existing checkpoint as it was.
+    """
     out = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(params))]
     for name in sorted(params):
         arr = np.ascontiguousarray(params[name])
@@ -265,34 +271,65 @@ def save_checkpoint(path, params):
         out.append(struct.pack("<BB", code, arr.ndim))
         out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         out.append(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
-    Path(path).write_bytes(b"".join(out))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(out))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):
-    raw = Path(path).read_bytes()
+    """Read a save_checkpoint archive into {name: array}.
+
+    A missing, unreadable, truncated or corrupt file raises ConfigError
+    naming the path.
+    """
+    try:
+        raw = memoryview(Path(path).read_bytes())
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read checkpoint ({exc.strerror or exc})") from None
     if raw[:4] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
-    version, count = struct.unpack_from("<II", raw, 4)
+    offset = 4
+
+    def take(n):
+        nonlocal offset
+        if n > len(raw) - offset:
+            raise ConfigError(
+                f"{path}: truncated checkpoint ({n} bytes wanted at offset {offset}, "
+                f"file has {len(raw)})"
+            )
+        offset += n
+        return raw[offset - n : offset]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    version, count = unpack("<II")
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
     params = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        name = raw[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        code, ndim = struct.unpack_from("<BB", raw, offset)
-        offset += 2
+        (name_len,) = unpack("<H")
+        try:
+            name = str(take(name_len), "utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError(
+                f"{path}: corrupt tensor name at offset {offset - name_len}"
+            ) from None
+        code, ndim = unpack("<BB")
         if code not in _CODE_DTYPES:
             raise ConfigError(f"{path}: unknown dtype code {code} for {name}")
-        shape = struct.unpack_from(f"<{ndim}I", raw, offset)
-        offset += 4 * ndim
+        shape = unpack(f"<{ndim}I")
         dtype = _CODE_DTYPES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        arr = np.frombuffer(raw, dtype=dtype.newbyteorder("<"), count=int(np.prod(shape, dtype=np.int64)), offset=offset)
+        arr = np.frombuffer(take(math.prod(shape) * dtype.itemsize), dtype=dtype.newbyteorder("<"))
         params[name] = arr.reshape(shape).astype(dtype)
-        offset += nbytes
     if offset != len(raw):
         raise ConfigError(f"{path}: {len(raw) - offset} trailing bytes after last tensor")
     return params

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from revtrain import memtrack, ops
+from revtrain import memory_model as mm
+from revtrain import memtrack, ops, zoo
 from revtrain.errors import ConfigError, StateError
 from revtrain.layers import (
     BatchPool,
@@ -481,3 +484,110 @@ def test_model_with_pools_round_trips_gradients():
     _, ref = linear_loss_grads(model, x, STORED, probe)
     _, via_hybrid = linear_loss_grads(model, x, HYBRID, probe)
     assert max_param_rel_err(ref, via_hybrid) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# generated architectures
+
+
+@st.composite
+def small_arch_specs(draw):
+    """Valid small ArchSpecs: a stem conv, then standalone bn / lrelu /
+    invconv / pools and blocks whose branches mix conv, bn, lrelu and
+    invconv.  At most two pools, so an 8x8 input keeps 2x2 maps."""
+    c = draw(st.sampled_from([4, 8]))
+    layers = [mm.LayerSpec("conv", 3, c, k=draw(st.sampled_from([1, 3])))]
+    pools = 0
+    blocks = 0
+    for _ in range(draw(st.integers(1, 4))):
+        kinds = ["bn", "lrelu", "invconv", "block", "block"]
+        if pools < 2:
+            kinds += ["pool_b", "maxpool"] + (["pool_c"] if c <= 8 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "block":
+            h = c // 2
+            branch_kinds = ["conv", "bn", "lrelu"] + (["invconv"] if h % 2 == 0 else [])
+            for name in ("f", "g"):
+                for bk in draw(st.lists(st.sampled_from(branch_kinds), min_size=1, max_size=3)):
+                    k = draw(st.sampled_from([1, 3])) if bk in ("conv", "invconv") else 1
+                    layers.append(mm.LayerSpec(bk, h, h, k=k, block=blocks, branch=name))
+            blocks += 1
+            continue
+        c_out = 4 * c if kind == "pool_c" else c
+        k = draw(st.sampled_from([1, 3])) if kind == "invconv" else 1
+        layers.append(mm.LayerSpec(kind, c, c_out, k=k))
+        pools += kind in mm.POOL_KINDS
+        c = c_out
+    layers.append(mm.LayerSpec("head", c, 3))
+    return mm.ArchSpec("generated", 3, layers, classes=3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(spec=small_arch_specs(), seed=st.integers(0, 2**16))
+def test_generated_architectures_agree_across_modes(spec, seed):
+    model = zoo.build_model(spec, seed=seed, dtype=np.float64)
+    x = ops.gaussian((2, 3, 8, 8), seed=seed + 1, dtype=np.float64)
+    probe = ops.gaussian((2, 3), seed=seed + 2, dtype=np.float64)
+    ref = None
+    for mode in model.supported_modes():
+        logits, saved = model.forward(x, mode)
+        grads, _ = model.backward(saved, probe, x)
+        assert saved.stored == {} and saved.block_records == {} and saved.final is None
+        if ref is None:
+            assert mode is STORED
+            ref = grads
+            continue
+        assert grads.keys() == ref.keys()
+        assert max_param_rel_err(ref, grads) < 1e-6, mode
+
+
+# ---------------------------------------------------------------------------
+# buffer lifetimes
+
+
+# Tracked peak above the live bytes before forward, forward plus backward, in
+# bytes, at 16x16, batch 8, f32, zoo.build_model(spec, seed=0).  These are the
+# values before backward became one interpreter; each must not be exceeded.
+LIFETIME_PEAK_BOUNDS = {
+    ("resnet", "stored"): 17_531_000,
+    ("revnet", "stored"): 15_489_000,
+    ("revnet", "block"): 14_871_000,
+    ("irevnet", "stored"): 174_338_000,
+    ("irevnet", "block"): 172_896_000,
+    ("layerwise", "stored"): 36_812_000,
+    ("layerwise", "layerwise"): 31_569_000,
+    ("hybrid", "stored"): 19_699_000,
+    ("hybrid", "block"): 17_299_000,
+    ("hybrid", "hybrid"): 17_168_000,
+    ("small-hybrid", "stored"): 5_726_000,
+    ("small-hybrid", "block"): 2_769_000,
+    ("small-hybrid", "hybrid"): 2_113_000,
+    ("pure-block", "stored"): 218_000,
+    ("pure-block", "block"): 182_000,
+    ("pure-block", "hybrid"): 195_000,
+}
+
+
+def test_lifetime_bounds_cover_every_zoo_pair():
+    pairs = set()
+    for name in zoo.ZOO:
+        for mode in mm.MODES:
+            try:
+                mm.validate_mode(zoo.get_spec(name), mode)
+            except ConfigError:
+                continue
+            pairs.add((name, mode))
+    assert pairs == set(LIFETIME_PEAK_BOUNDS)
+
+
+@pytest.mark.parametrize("name, mode", sorted(LIFETIME_PEAK_BOUNDS))
+def test_backward_frees_buffers_no_later_than_before(name, mode):
+    spec = zoo.get_spec(name)
+    model = zoo.build_model(spec, seed=0)
+    x = ops.gaussian((8, spec.input_channels, 16, 16), seed=1)
+    probe = ops.gaussian((8, spec.classes), seed=2)
+    with memtrack.MeasureScope() as scope:
+        before = memtrack.live_bytes()
+        _, saved = model.forward(x, BackpropMode.parse(mode))
+        model.backward(saved, probe, x)
+    assert scope.stats().peak_bytes - before <= LIFETIME_PEAK_BOUNDS[name, mode]

@@ -355,6 +355,38 @@ def test_checkpoint_rejects_unsupported_dtype(tmp_path):
         train.save_checkpoint(tmp_path / "x.rvtn", {"w": np.zeros(2, dtype=np.int32)})
 
 
+def test_checkpoint_every_truncation_is_a_config_error(tmp_path):
+    path = tmp_path / "cut.rvtn"
+    train.save_checkpoint(path, {"w": np.ones((2, 3), dtype=np.float32), "b": np.zeros(2)})
+    raw = path.read_bytes()
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(ConfigError, match="cut.rvtn"):
+            train.load_checkpoint(path)
+
+
+def test_checkpoint_corrupt_name_and_missing_file_are_config_errors(tmp_path):
+    path = tmp_path / "name.rvtn"
+    train.save_checkpoint(path, {"w": np.ones(2, dtype=np.float32)})
+    raw = bytearray(path.read_bytes())
+    raw[14] = 0xFF  # first byte of the name, not valid UTF-8
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ConfigError, match="name.rvtn"):
+        train.load_checkpoint(path)
+    with pytest.raises(ConfigError, match="absent.rvtn"):
+        train.load_checkpoint(tmp_path / "absent.rvtn")
+
+
+def test_failed_checkpoint_save_keeps_the_existing_file(tmp_path):
+    path = tmp_path / "keep.rvtn"
+    train.save_checkpoint(path, {"w": np.ones(3, dtype=np.float32)})
+    before = path.read_bytes()
+    with pytest.raises(ConfigError, match="dtype"):
+        train.save_checkpoint(path, {"a": np.zeros(2), "w": np.zeros(2, dtype=np.int32)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.rvtn"]
+
+
 def test_checkpoint_restores_model(tmp_path, dataset):
     spec = chain_spec()
     trained = train.train_run(
