@@ -69,8 +69,27 @@ class LayerSpec:
         return 0
 
 
+def _label(pos, layer):
+    return f"layer {pos} ({layer.kind})"
+
+
+def _chain_width(placed, c):
+    """Output width of `placed` run in sequence on c channels."""
+    for pl in placed:
+        if pl.layer.c_in != c:
+            raise ConfigError(f"{_label(pl.pos, pl.layer)}: expects {c} channels, "
+                              f"got {pl.layer.c_in}")
+        c = pl.layer.c_out
+    return c
+
+
 @dataclass
 class ArchSpec:
+    """A layer list and its metadata, validated on construction: each layer
+    on its own, then block structure and channel flow over the items of
+    `place`.  A block is one contiguous run of layers, F layers before G
+    layers, each branch mapping half the block width to itself."""
+
     name: str
     input_channels: int
     layers: list
@@ -88,6 +107,8 @@ class ArchSpec:
             raise ConfigError(
                 f"unknown mode {self.mode!r} (expected one of: {', '.join(MODES)})"
             )
+        if self.bpe <= 0:
+            raise ConfigError(f"bytes per element (bpe) must be positive, got {self.bpe}")
         if not self.layers:
             raise ConfigError("architecture has no layers")
         for pos, layer in enumerate(self.layers):
@@ -96,15 +117,17 @@ class ArchSpec:
             raise ConfigError("last layer must be a head")
         if any(l.kind == "head" for l in self.layers[:-1]):
             raise ConfigError("head must be the last layer")
-        self._check_blocks()
-        self._check_chain()
+        self._check_items(place(self))
 
     def _check_layer(self, pos, layer):
-        label = f"layer {pos} ({layer.kind})"
+        label = _label(pos, layer)
         if layer.kind not in KINDS:
             raise ConfigError(f"layer {pos}: unknown kind {layer.kind!r}")
         if layer.c_in <= 0 or layer.c_out <= 0:
             raise ConfigError(f"{label}: channel counts must be positive")
+        if layer.kind in ("conv", "invconv") and (layer.k < 1 or layer.k % 2 != 1):
+            raise ConfigError(f"{label}: kernel size k must be a positive odd integer, "
+                              f"got {layer.k}")
         if layer.kind in POOL_KINDS:
             if layer.pool != 2:
                 raise ConfigError(f"{label}: pool layers use pool = 2")
@@ -128,59 +151,32 @@ class ArchSpec:
         if layer.block is not None and layer.kind == "head":
             raise ConfigError(f"{label}: the head cannot sit inside a block")
 
-    def _check_blocks(self):
-        seen = {}
-        for pos, layer in enumerate(self.layers):
-            if layer.block is None:
+    def _check_items(self, items):
+        """Block structure and channel flow over the items of `place`."""
+        c = self.input_channels
+        seen = set()
+        for it in items:
+            if it.standalone:
+                c = _chain_width(it.placed, c)
                 continue
-            runs = seen.setdefault(layer.block, [])
-            if runs and runs[-1][1] != pos - 1:
-                raise ConfigError(f"block {layer.block}: layers must be contiguous")
-            if runs:
-                runs[-1] = (runs[-1][0], pos)
-            else:
-                runs.append((pos, pos))
-        for bid, runs in seen.items():
-            lo, hi = runs[0]
-            branches = [self.layers[p].branch for p in range(lo, hi + 1)]
+            bid = it.block_id
+            if bid in seen:
+                raise ConfigError(f"block {bid}: layers must be contiguous")
+            seen.add(bid)
+            branches = [pl.layer.branch for pl in it.placed]
             if "f" not in branches or "g" not in branches:
                 raise ConfigError(f"block {bid}: needs both an f and a g branch")
-            first_g = branches.index("g")
-            if "f" in branches[first_g:]:
+            if "f" in branches[branches.index("g"):]:
                 raise ConfigError(f"block {bid}: list all f layers before g layers")
-
-    def _check_chain(self):
-        c = self.input_channels
-        for pos, layer in enumerate(self.layers):
-            label = f"layer {pos} ({layer.kind})"
-            if layer.block is not None:
-                first = pos == 0 or self.layers[pos - 1].block != layer.block
-                if first and c != 2 * layer.c_in:
-                    raise ConfigError(
-                        f"{label}: branch width {layer.c_in} needs a block input "
-                        f"of {2 * layer.c_in} channels, got {c}"
-                    )
-                if not first and self.layers[pos - 1].branch == layer.branch:
-                    if layer.c_in != self.layers[pos - 1].c_out:
-                        raise ConfigError(
-                            f"{label}: expects {self.layers[pos - 1].c_out} "
-                            f"channels, got {layer.c_in}"
-                        )
-                last = pos + 1 == len(self.layers) or self.layers[pos + 1].block != layer.block
-                if last:
-                    if 2 * layer.c_out != self._block_width(layer.block):
-                        raise ConfigError(
-                            f"block {layer.block}: branches must preserve width"
-                        )
-                    c = 2 * layer.c_out
-            else:
-                if layer.c_in != c:
-                    raise ConfigError(f"{label}: expects {c} channels, got {layer.c_in}")
-                c = layer.c_out
-
-    def _block_width(self, bid):
-        first = next(l for l in self.layers if l.block == bid)
-        return 2 * first.c_in
+            first = it.placed[0]
+            half = first.layer.c_in
+            if c != 2 * half:
+                raise ConfigError(
+                    f"{_label(first.pos, first.layer)}: branch width {half} needs a "
+                    f"block input of {2 * half} channels, got {c}"
+                )
+            if any(_chain_width(it.branch(name), half) != half for name in ("f", "g")):
+                raise ConfigError(f"block {bid}: branches must preserve width")
 
     # -- derived quantities --------------------------------------------------
 
@@ -255,7 +251,11 @@ class Item:
 
 
 def place(spec):
-    """Group layers into schedule items and track pixel/batch geometry."""
+    """Group layers into schedule items and track pixel/batch geometry.
+
+    The one grouping that validation, costing and `zoo.build_model` share:
+    an item is a standalone layer or a run of consecutive layers sharing a
+    block id, in spec order.  The head is the last item."""
     items = []
     p, b = Fraction(1), 1
     pos = 0

@@ -26,8 +26,9 @@ affine re-application, never an extra convolution except a G branch after
 a block).  Blocks dispatch to one coupling backward whose branches are
 either replayed from a record (stored, block) or walked (hybrid).
 
-Parameter gradients come back as a flat dict keyed by path, e.g.
-``"3.F.0.f_kernel"`` for item 3's F-branch layer 0, or ``"head.weight"``.
+Parameters and their gradients are flat dicts keyed by the layer paths of
+`SequentialModel.named_layers`, e.g. ``"3.F.0.f_kernel"`` for item 3's
+F-branch layer 0, or ``"head.weight"``.
 """
 
 from __future__ import annotations
@@ -167,13 +168,6 @@ class Module:
     def __init__(self, layers):
         self.layers = list(layers)
 
-    def params(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.params().items():
-                out[f"{i}.{name}"] = arr
-        return out
-
     def apply(self, x, train=True, update_running=True):
         for layer in self.layers:
             x = _apply_layer(layer, x, train, update_running)
@@ -220,13 +214,6 @@ class ReversibleBlock:
         self.F = f_module
         self.G = g_module
 
-    def params(self):
-        out = {}
-        for branch, module in (("F", self.F), ("G", self.G)):
-            for name, arr in module.params().items():
-                out[f"{branch}.{name}"] = arr
-        return out
-
     def _branches(self, train, update_running, keep=None):
         """(f, g, kept): branch callables for the coupling helpers.
 
@@ -256,8 +243,8 @@ class ReversibleBlock:
         y = _coupling_forward(x, f, g)
         return (y, tuple(recs)) if record else y
 
-    def inverse(self, y, train=True):
-        f, g, _ = self._branches(train, False)
+    def inverse(self, y):
+        f, g, _ = self._branches(True, False)
         return _coupling_inverse(y, f, g)
 
     def _recorded_output(self, rec):
@@ -275,7 +262,7 @@ class ReversibleBlock:
             return module.backward_from_record(grad, src)
         return module.walk_backward(grad, src, trace, prefix)[::2]
 
-    def _backward(self, grad, rec=None, y=None, train=True, walk=False, trace=None, prefix=""):
+    def _backward(self, grad, rec=None, y=None, walk=False, trace=None, prefix=""):
         """The one coupling backward; returns (x or None, grad_in, param_grads).
 
         With rec (stored mode) the branches replay from the forward's record.
@@ -288,7 +275,7 @@ class ReversibleBlock:
         halves = _Cell(ops.split_channels(_take(grad)))
         x = []
         if rec is None:
-            f, g, kept = self._branches(train, False, "output" if walk else "record")
+            f, g, kept = self._branches(True, False, "output" if walk else "record")
             steps = _uncouple(y, f, g, x)
         else:
             kept, steps = list(rec), iter(())
@@ -311,15 +298,15 @@ class ReversibleBlock:
         """Backprop from the forward's record; returns (grad_in, param_grads)."""
         return self._backward(grad, rec)[1:]
 
-    def backward_blockrev(self, y, grad, train=True):
+    def backward_blockrev(self, y, grad):
         """Rebuild the input from y, re-recording each branch, and backprop
         through the records; returns (x, grad_in, param_grads)."""
-        return self._backward(grad, y=y, train=train)
+        return self._backward(grad, y=y)
 
-    def backward_hybrid(self, y, grad, train=True, trace=None, prefix=""):
+    def backward_hybrid(self, y, grad, trace=None, prefix=""):
         """Rebuild the input from y and walk G and F layer by layer; returns
         (x, grad_in, param_grads)."""
-        return self._backward(grad, y=y, train=train, walk=True, trace=trace, prefix=prefix)
+        return self._backward(grad, y=y, walk=True, trace=trace, prefix=prefix)
 
 
 def _layers(item):
@@ -385,7 +372,7 @@ class SavedState:
         if self.final is not None:
             total += self.final.nbytes
         if model is not None:
-            for layer in model.iter_layers():
+            for _, layer in model.named_layers():
                 if layer.kind == "bn" and layer.cached_stats is not None:
                     total += sum(a.nbytes for a in layer.cached_stats)
             pooled = model.head.cached_pooled
@@ -403,18 +390,25 @@ class SequentialModel:
         self.items = list(items)
         self.head = head
 
-    def params(self):
-        out = {}
+    def named_layers(self):
+        """(path, layer) for every layer, the head last: "3" for a plain
+        item, "3.F.0" for layer 0 of item 3's F branch, and "head"."""
         for i, item in enumerate(self.items):
-            for name, arr in item.params().items():
-                out[f"{i}.{name}"] = arr
-        for name, arr in self.head.params().items():
-            out[f"head.{name}"] = arr
-        return out
+            if isinstance(item, ReversibleBlock):
+                for branch, module in (("F", item.F), ("G", item.G)):
+                    for j, layer in enumerate(module.layers):
+                        yield f"{i}.{branch}.{j}", layer
+            else:
+                yield str(i), item
+        yield "head", self.head
 
-    def iter_layers(self):
-        for item in self.items:
-            yield from _layers(item)
+    def params(self):
+        """Parameter arrays by "<layer path>.<name>", in named_layers order."""
+        return {
+            f"{path}.{name}": arr
+            for path, layer in self.named_layers()
+            for name, arr in layer.params().items()
+        }
 
     # -- mode validation ---------------------------------------------------
 

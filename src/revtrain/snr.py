@@ -43,11 +43,17 @@ __all__ = [
 # -- closed forms --------------------------------------------------------------
 
 
+def _alpha_two_gains(r):
+    """SNR reduction 4 / ((1 + 1/r^2)(1 + r^2)) of a map that scales two
+    equal shares of the signal by 1 and r; symmetric in r and 1/r."""
+    return 4.0 / ((1.0 + 1.0 / r**2) * (1.0 + r**2))
+
+
 def alpha_bn_toy(rho):
     """SNR reduction of a two-channel normalization with gains [1, rho]."""
     if rho <= 0:
         raise ConfigError(f"channel gain ratio must be positive, got {rho}")
-    return 4.0 / ((1.0 + 1.0 / rho**2) * (1.0 + rho**2))
+    return _alpha_two_gains(rho)
 
 
 def alpha_lrelu(n):
@@ -58,7 +64,7 @@ def alpha_lrelu(n):
     """
     if n < 1:
         raise ConfigError(f"negative-slope divisor must be at least 1, got {n}")
-    return 4.0 / ((1.0 + 1.0 / n**2) * (1.0 + n**2))
+    return _alpha_two_gains(n)
 
 
 def alpha_bn_general(gamma, beta, mean, var, eps=0.0):

@@ -21,7 +21,7 @@ from . import data as data_mod
 from . import memtrack, ops, zoo
 from .errors import ConfigError, ShapeError, TrainDivergence
 from .memory_model import ArchSpec, parse_arch_file
-from .model import BackpropMode, ReversibleBlock
+from .model import BackpropMode
 
 
 @dataclass
@@ -335,21 +335,10 @@ def load_checkpoint(path):
     return params
 
 
-def _named_layers(model):
-    for i, item in enumerate(model.items):
-        if isinstance(item, ReversibleBlock):
-            for branch_name, module in (("F", item.F), ("G", item.G)):
-                for j, layer in enumerate(module.layers):
-                    yield f"{i}.{branch_name}.{j}", layer
-        else:
-            yield f"{i}", item
-    yield "head", model.head
-
-
 def model_state(model):
     """Parameters plus normalization running statistics, by dotted path."""
-    tensors = dict(model.params())
-    for path, layer in _named_layers(model):
+    tensors = model.params()
+    for path, layer in model.named_layers():
         if hasattr(layer, "running_mean"):
             tensors[f"{path}.running_mean"] = layer.running_mean
             tensors[f"{path}.running_var"] = layer.running_var
@@ -373,7 +362,7 @@ def load_checkpoint_into(model, path):
     for name, arr in stored.items():
         if name in params:
             params[name][...] = arr
-    for path, layer in _named_layers(model):
+    for path, layer in model.named_layers():
         if hasattr(layer, "running_mean"):
             layer.running_mean = stored[f"{path}.running_mean"].copy()
             layer.running_var = stored[f"{path}.running_var"].copy()

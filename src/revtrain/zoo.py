@@ -223,38 +223,27 @@ def _build_layer(layer, rng, dtype):
     raise ConfigError(f"cannot build a {kind!r} layer")
 
 
-def batch_multiplier(spec):
-    mult = 1
-    for layer in spec.layers:
-        if layer.kind == "pool_b":
-            mult *= layer.pool ** 2
-    return mult
+def _build_item(item, rng, dtype):
+    """One live item: a layer, or a ReversibleBlock from a block's F then G
+    layers.  Layers are built in spec order, which fixes the weight draws."""
+    built = [_build_layer(pl.layer, rng, dtype) for pl in item.placed]
+    if item.standalone:
+        return built[0]
+    n_f = len(item.branch("f"))
+    return ReversibleBlock(Module(built[:n_f]), Module(built[n_f:]))
 
 
 def build_model(spec, seed=0, dtype=np.float32):
-    """Construct a live SequentialModel from an architecture spec."""
+    """Construct a live SequentialModel from an architecture spec.
+
+    Each item of `memory_model.place(spec)` becomes one model item; the
+    head's group size is the head item's batch multiplier.
+    """
     rng = default_rng(seed)
-    items = []
-    i = 0
-    while i < len(spec.layers) - 1:
-        layer = spec.layers[i]
-        if layer.block is None:
-            items.append(_build_layer(layer, rng, dtype))
-            i += 1
-            continue
-        bid = layer.block
-        branches = {"f": [], "g": []}
-        while i < len(spec.layers) - 1 and spec.layers[i].block == bid:
-            cur = spec.layers[i]
-            branches[cur.branch].append(_build_layer(cur, rng, dtype))
-            i += 1
-        items.append(ReversibleBlock(Module(branches["f"]), Module(branches["g"])))
-    head_spec = spec.layers[-1]
-    head = ClassifierHead(
-        head_spec.c_in,
-        head_spec.c_out,
-        group_size=batch_multiplier(spec),
-        rng=rng,
-        dtype=dtype,
+    *items, head = mm.place(spec)
+    body = [_build_item(item, rng, dtype) for item in items]
+    top = head.placed[0]
+    classifier = ClassifierHead(
+        top.layer.c_in, top.layer.c_out, group_size=top.b, rng=rng, dtype=dtype
     )
-    return SequentialModel(items, head)
+    return SequentialModel(body, classifier)

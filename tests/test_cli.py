@@ -89,6 +89,45 @@ def test_memcost_rejects_non_positive_size(flag, value, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "positive" in err[0]
 
 
+def _arch_text(layers, bpe=4):
+    """Arch file text written by hand, since ArchSpec refuses these specs."""
+    lines = ["[meta]", "name = bad", f"bpe = {bpe}"]
+    for layer in layers:
+        lines.append("[layer]")
+        lines += [f"{key} = {value}" for key, value in layer.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _conv(c_in, c_out, k=3, **kw):
+    return dict(kind="conv", c_in=c_in, c_out=c_out, k=k, **kw)
+
+
+_HEAD8 = dict(kind="head", c_in=8, c_out=10)
+
+BAD_ARCHS = {
+    "g-input-6": (_arch_text([_conv(3, 8), _conv(4, 4, block=0, branch="f"),
+                              _conv(6, 4, block=0, branch="g"), _HEAD8]), "layer 2"),
+    "f-output-6": (_arch_text([_conv(3, 8), _conv(4, 6, block=0, branch="f"),
+                               _conv(4, 4, block=0, branch="g"), _HEAD8]), "block 0"),
+    **{f"conv-k{k}": (_arch_text([_conv(3, 8, k=k), _HEAD8]), "layer 0") for k in (0, -1, 2)},
+    **{f"invconv-k{k}": (_arch_text([_conv(3, 8), dict(kind="invconv", c_in=8, c_out=8, k=k),
+                                     _HEAD8]), "layer 1") for k in (0, -1, 2)},
+    "bpe-0": (_arch_text([_conv(3, 8), _HEAD8], bpe=0), "bpe"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARCHS))
+def test_memcost_rejects_unbuildable_arch_file(case, tmp_path, capsys):
+    text, where = BAD_ARCHS[case]
+    path = tmp_path / f"{case}.cfg"
+    path.write_text(text)
+    assert cli.main(["memcost", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and where in err[0]
+    assert captured.out == ""
+
+
 # -- snr-alpha -----------------------------------------------------------------------
 
 

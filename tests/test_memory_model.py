@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,55 @@ def test_pool_inside_block_rejected():
         mm.ArchSpec("bad", 3, layers)
 
 
+def _width8_block(f_out=4, g_in=4):
+    """Stem into one width-8 block with a one-conv branch each."""
+    return [
+        mm.LayerSpec("conv", 3, 8, k=3),
+        mm.LayerSpec("conv", 4, f_out, k=3, block=0, branch="f"),
+        mm.LayerSpec("conv", g_in, 4, k=3, block=0, branch="g"),
+        _head(8),
+    ]
+
+
+def test_g_branch_input_width_names_the_layer():
+    with pytest.raises(ConfigError, match=r"layer 2 \(conv\): expects 4 channels, got 6"):
+        mm.ArchSpec("bad", 3, _width8_block(g_in=6))
+
+
+def test_f_branch_output_width_names_the_block():
+    with pytest.raises(ConfigError, match="block 0: branches must preserve width"):
+        mm.ArchSpec("bad", 3, _width8_block(f_out=6))
+
+
+def test_block_layers_must_be_contiguous():
+    layers = _width8_block()
+    layers[3:3] = [mm.LayerSpec("lrelu", 8, 8), mm.LayerSpec("lrelu", 4, 4, block=0, branch="g")]
+    with pytest.raises(ConfigError, match="block 0: layers must be contiguous"):
+        mm.ArchSpec("bad", 3, layers)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2])
+def test_conv_kernel_must_be_positive_odd(k):
+    with pytest.raises(ConfigError, match=rf"layer 0 \(conv\): kernel size k .* got {k}"):
+        mm.ArchSpec("bad", 3, [mm.LayerSpec("conv", 3, 8, k=k), _head(8)])
+
+
+@pytest.mark.parametrize("k", [0, -1, 2])
+def test_invconv_kernel_must_be_positive_odd(k):
+    layers = [mm.LayerSpec("conv", 3, 8, k=3), mm.LayerSpec("invconv", 8, 8, k=k), _head(8)]
+    with pytest.raises(ConfigError, match=rf"layer 1 \(invconv\): kernel size k .* got {k}"):
+        mm.ArchSpec("bad", 3, layers)
+
+
+@pytest.mark.parametrize("bpe", [0, -4])
+def test_bpe_must_be_positive(bpe):
+    with pytest.raises(ConfigError, match="bpe"):
+        mm.ArchSpec("bad", 3, [mm.LayerSpec("conv", 3, 8, k=3), _head(8)], bpe=bpe)
+    text = mm.format_arch(zoo.pure_block_spec()).replace("bpe = 4", f"bpe = {bpe}")
+    with pytest.raises(ConfigError, match="bad.cfg: .*bpe"):
+        mm.parse_arch_text(text, source="bad.cfg")
+
+
 def test_validate_mode_messages():
     bad = mm.ArchSpec(
         "bad", 3, [mm.LayerSpec("conv", 3, 8), mm.LayerSpec("conv", 8, 8), _head(8)]
@@ -283,6 +334,16 @@ def test_arch_file_round_trip(tmp_path):
     assert back.name == spec.name
     assert back.mode == spec.mode
     assert mm.bytes_per_pixel(back, "hybrid") == 352
+
+
+def test_checked_in_configs_match_the_zoo():
+    # configs/ is the CLI-facing copy of the zoo; scripts/write_zoo_configs.py
+    # regenerates it after a spec edit
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for name in zoo.ZOO:
+        path = configs / f"{name}.cfg"
+        assert path.read_text() == mm.format_arch(zoo.get_spec(name)), name
+    assert sorted(p.stem for p in configs.glob("*.cfg")) == sorted(zoo.ZOO)
 
 
 def test_parse_reports_line_numbers():
