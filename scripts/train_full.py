@@ -18,13 +18,13 @@ Usage:
 import argparse
 from pathlib import Path
 
-from revtrain import train, zoo
+from revtrain import memory_model, train, zoo
 
 
 def main():
     parser = argparse.ArgumentParser(description="50-epoch hybrid training run")
     parser.add_argument("--mode", default="hybrid",
-                        choices=["stored", "block", "layerwise", "hybrid"])
+                        choices=sorted(memory_model.MODES))
     parser.add_argument("--epochs", type=int, default=50)
     parser.add_argument("--batch-size", type=int, default=128)
     parser.add_argument("--lr-max", type=float, default=0.4)

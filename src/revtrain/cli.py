@@ -116,8 +116,8 @@ def _check_golden(spec, mode, report):
     checks = []
     bpp_target = GOLDEN_BYTES_PER_PIXEL.get((spec.name, mode))
     if bpp_target is not None:
-        got = mm.bytes_per_pixel(spec, mode)
-        checks.append(("bytes_per_pixel", float(got), float(bpp_target), got == bpp_target))
+        got = report.bytes_per_pixel
+        checks.append(("bytes_per_pixel", got, float(bpp_target), got == bpp_target))
     total_target = GOLDEN_TOTALS.get((spec.name, mode))
     if total_target is not None and (report.h, report.w, report.bs) == GOLDEN_SIZE:
         quantity, target, tol = total_target

@@ -3,16 +3,21 @@
 Costs split into a fixed weight budget, a per-pixel activation/gradient
 budget (bytes per input pixel, one spatial position of one input sample),
 and small bookkeeping items (batch statistics, the classifier head's pooled
-features).  Two independent routes compute the budget: closed forms per
-backprop mode, and an event-level replay of the whole training schedule
-(`simulate_schedule`).
+features).  One replay of the training schedule computes them.  It walks
+forward and backward item by item, and its ledger books every buffer as
+fixed bytes, activation elements per pixel or gradient elements per pixel.
+The replay has two readings:
+  * `simulate_schedule` evaluates every event at one size, giving the peak
+    and the live bytes after each event;
+  * `per_pixel_elems` reads the budget off the first backward event with
+    the largest per-pixel total.
 
-Both routes model the lean schedule: elementwise inverses and gradient
+The replay models the lean schedule: elementwise inverses and gradient
 updates run in place, and coupling subtractions reuse their output buffer.
 The executor in `model.py` allocates fresh buffers instead; that gap is a
 separate `overhead_bytes` line item, never folded into the budget.
 
-The mode policy lives here once, for both routes and for the executor:
+The mode policy lives here once, for the replay and for the executor:
 `check_mode` decides which backprop modes a chain of items admits, and
 `keeps_input` which item inputs each mode's forward keeps.
 
@@ -21,10 +26,9 @@ Conventions that the budgets rely on:
     never pays for its input; the batch appears as its own line item.
   * Per-layer batch statistics and the head's pooled features do not scale
     with pixel count and live under `stats_bytes`.
-  * In stored mode the peak sits at the first backward step, where every
-    kept input is still live and the gradient is the deepest feature map.
-    This holds whenever kept inputs dominate later gradients, true for
-    every bundled spec.
+  * No forward event holds more per pixel than the first backward step,
+    where every kept input is still live beside the deepest gradient, so
+    the budget reads backward events only.  Ties go to the earliest event.
 """
 
 from dataclasses import dataclass
@@ -125,9 +129,13 @@ class ArchSpec:
             raise ConfigError(f"layer {pos}: unknown kind {layer.kind!r}")
         if layer.c_in <= 0 or layer.c_out <= 0:
             raise ConfigError(f"{label}: channel counts must be positive")
-        if layer.kind in ("conv", "invconv") and (layer.k < 1 or layer.k % 2 != 1):
-            raise ConfigError(f"{label}: kernel size k must be a positive odd integer, "
-                              f"got {layer.k}")
+        if layer.kind in ("conv", "invconv"):
+            if layer.k < 1 or layer.k % 2 != 1:
+                raise ConfigError(f"{label}: kernel size k must be a positive odd integer, "
+                                  f"got {layer.k}")
+        elif layer.k != 1:
+            raise ConfigError(f"{label}: only conv and invconv layers take a kernel size, "
+                              f"got k = {layer.k}")
         if layer.kind in POOL_KINDS:
             if layer.pool != 2:
                 raise ConfigError(f"{label}: pool layers use pool = 2")
@@ -345,7 +353,7 @@ def validate_mode(spec, mode):
     check_mode(mode, [(it.kind, [pl.layer.kind for pl in it.placed]) for it in items])
 
 
-# -- closed-form per-pixel budgets -------------------------------------------
+# -- costing helpers -----------------------------------------------------------
 
 
 def weight_bytes(spec):
@@ -363,101 +371,9 @@ def _kept_internals(item):
     return total
 
 
-def _kept(items, mode):
-    """Standalone inputs `mode` keeps, per pixel, by item index."""
-    return {
-        it.index: it.placed[0].a
-        for it in items
-        if it.standalone and keeps_input(mode, it.kind, it.index)
-    }
-
-
 def _final_volume(items):
     it = items[-2]
     return it.volume if not it.standalone else it.placed[0].o
-
-
-def _stored_candidates(items):
-    """Walk the stored-mode backward and return the worst (live, grad) pair.
-
-    Keeps are freed as the walk consumes them; elementwise gradients run in
-    place, conv-style layers hold both gradient buffers for a step, and a
-    block's branch gradients add half its volume.  On chains whose keeps
-    dominate, the winner is the first backward step with everything live.
-    """
-    kept = _kept(items, "stored")
-    kept.update((it.index, _kept_internals(it)) for it in items if not it.standalone)
-    live = sum(kept.values(), Fraction(0))
-    best = (live, _final_volume(items))
-    for it in reversed(items[:-1]):
-        if not it.standalone:
-            cand = (live + it.volume / 2, it.volume)
-        else:
-            pl = it.placed[0]
-            if it.kind in ("conv", "invconv", "maxpool"):
-                cand = (live + pl.o, pl.a)
-            else:
-                cand = (live, pl.a)
-        if cand[0] + cand[1] > best[0] + best[1]:
-            best = cand
-        live -= kept.pop(it.index, Fraction(0))
-    return best
-
-
-def per_pixel_elems(spec, mode):
-    """(activation, gradient) element counts per input pixel at the peak."""
-    validate_mode(spec, mode)
-    items = place(spec)
-    g_final = _final_volume(items)
-    if mode == "stored":
-        return _stored_candidates(items)
-    if mode == "block":
-        kept = _kept(items, "block")
-        best = (sum(kept.values(), Fraction(0)) + _final_volume(items), g_final)
-        for it in items:
-            if it.standalone:
-                continue
-            below = sum((v for i, v in kept.items() if i < it.index), Fraction(0))
-            z = _kept_internals(it) + it.volume + below
-            if z + it.volume > best[0] + best[1]:
-                best = (z, it.volume)
-        return best
-    # walk modes: the frontier holds one activation and one gradient of the
-    # local volume, plus reconstruction scratch.
-    best = (_final_volume(items), g_final)
-    for it in items:
-        if it.kind == "head":
-            continue
-        if not it.standalone:
-            scratch = it.volume / 2
-            if it.branch_has_invconv():
-                scratch += it.volume / 4
-            z, g = it.volume + scratch, it.volume
-        elif it.index == 0:
-            # Stem backward: the walked value is still live and a conv swaps
-            # gradients out of place.
-            pl = it.placed[0]
-            z, g = pl.o, pl.a + pl.o
-        else:
-            pl = it.placed[0]
-            z = pl.a + (pl.layer.c_in * pl.b * pl.p / 2 if it.kind == "invconv" else 0)
-            g = max(pl.a, pl.o)
-        if z + g > best[0] + best[1]:
-            best = (z, g)
-    return best
-
-
-def activation_bytes_per_pixel(spec, mode):
-    return float(per_pixel_elems(spec, mode)[0] * spec.bpe)
-
-
-def gradient_bytes_per_pixel(spec, mode):
-    return float(per_pixel_elems(spec, mode)[1] * spec.bpe)
-
-
-def bytes_per_pixel(spec, mode):
-    z, g = per_pixel_elems(spec, mode)
-    return float((z + g) * spec.bpe)
 
 
 def stats_bytes(spec, bs):
@@ -473,12 +389,13 @@ def stats_bytes(spec, bs):
 def stored_saved_bytes(spec, h, w, bs):
     """Bytes the executor's stored-mode SavedState should occupy, exactly:
     kept inputs, cached statistics, and the head's pooled features."""
-    items = place(spec)
     px = h * w * bs
-    kept = sum(_kept(items, "stored").values(), Fraction(0))
-    for it in items:
+    kept = Fraction(0)
+    for it in place(spec):
         if not it.standalone:
             kept += _kept_internals(it)
+        elif keeps_input("stored", it.kind, it.index):
+            kept += it.placed[0].a
     cached = sum(2 * l.c_in * spec.bpe for l in spec.layers if l.kind == "bn")
     total = kept * px * spec.bpe + cached + bs * spec.head().c_in * spec.bpe
     assert total.denominator == 1
@@ -505,7 +422,7 @@ def max_volume_elems(spec):
 # predict within 3%.  Block mode predicts within 7.3%: the executor rebuilds
 # F only after G's backward, so fewer records are live at once than the
 # replay assumes, by an amount that depends on the spec.  Stored mode
-# predicts within 5% on small-hybrid and pure-block, while its closed form
+# predicts within 5% on small-hybrid and pure-block, while the replay
 # overestimates the larger specs (by up to 21% on hybrid at 32x32).
 OVERHEAD_FACTORS = {"stored": 1.5, "block": 1.1, "layerwise": 3.6, "hybrid": 3.2}
 
@@ -519,45 +436,44 @@ def overhead_bytes(spec, mode, h, w, bs):
 
 # -- schedule replay ----------------------------------------------------------
 
+# The three parts of the ledger's live total.
+FIXED, ACT, GRAD = range(3)
+
 
 class _Ledger:
-    def __init__(self, base):
-        self.live = base
-        self.peak = base
+    """Live memory as fixed bytes plus activation and gradient elements per
+    input pixel; every noted event records all three."""
+
+    def __init__(self, fixed):
+        self.live = [fixed, Fraction(0), Fraction(0)]
         self.events = []
 
     def note(self, label):
-        self.events.append((label, float(self.live)))
-        if self.live > self.peak:
-            self.peak = self.live
+        self.events.append((label, *self.live))
 
-    def alloc(self, label, n):
-        self.live += n
+    def alloc(self, label, part, n):
+        self.live[part] += n
         self.note(label)
 
-    def free(self, n):
-        self.live -= n
+    def free(self, part, n):
+        self.live[part] -= n
 
-    def bump(self, label, n):
-        self.alloc(label, n)
-        self.free(n)
+    def bump(self, label, part, n):
+        self.alloc(label, part, n)
+        self.free(part, n)
 
 
-def simulate_schedule(spec, mode, h, w, bs):
-    """Replay the lean training schedule step by step.
+def _replay(spec, mode, bs):
+    """Replay the lean training schedule step by step at batch size bs.
 
-    Returns (peak_bytes, events); events are (label, live_bytes) pairs.
-    Scope: weights, running and cached statistics, activations, gradients
-    and the head's buffers.  The input batch, optimizer momentum and
-    executor overhead are separate line items, as in the closed forms.
+    Returns the events as (label, fixed bytes, activation elements per
+    pixel, gradient elements per pixel).  Scope: weights, running and cached
+    statistics, activations, gradients and the head's buffers.  The input
+    batch, optimizer momentum and executor overhead are separate line items.
     """
     validate_mode(spec, mode)
     items = place(spec)
-    px = h * w * bs
     bpe = spec.bpe
-
-    def B(elems_per_px):
-        return elems_per_px * px * bpe
 
     running = sum(2 * l.c_in * bpe for l in spec.layers if l.kind == "bn")
     led = _Ledger(weight_bytes(spec) + running)
@@ -570,7 +486,7 @@ def simulate_schedule(spec, mode, h, w, bs):
         total = sum(2 * l.layer.c_in * bpe for l in layers if l.layer.kind == "bn")
         if total:
             cached[item_index] = cached.get(item_index, 0) + total
-            led.alloc(f"stats {item_index}", total)
+            led.alloc(f"stats {item_index}", FIXED, total)
 
     # forward
     prev = Fraction(0)  # model input is caller-owned
@@ -578,38 +494,38 @@ def simulate_schedule(spec, mode, h, w, bs):
         label = f"fwd {it.index}"
         if not it.standalone:
             if mode == "stored":
-                kept[it.index] = B(_kept_internals(it))
-                led.alloc(f"{label} record", kept[it.index])
+                kept[it.index] = _kept_internals(it)
+                led.alloc(f"{label} record", ACT, kept[it.index])
             bn_cached(it.index, it.placed)
             # the input pair folds into its halves (and the record) at the split
-            led.free(B(prev))
-            led.bump(f"{label} work", B(it.volume * 3 / 4))
-            led.alloc(label, B(it.volume))
+            led.free(ACT, prev)
+            led.bump(f"{label} work", ACT, it.volume * 3 / 4)
+            led.alloc(label, ACT, it.volume)
             prev = it.volume
         else:
             pl = it.placed[0]
             keep = keeps_input(mode, it.kind, it.index)
             if keep:
-                kept[it.index] = B(pl.a)
+                kept[it.index] = pl.a
             bn_cached(it.index, it.placed)
             if not keep and it.kind in ("bn", "lrelu"):
                 led.note(label)  # elementwise, runs in place
             else:
-                led.alloc(label, B(pl.o))
+                led.alloc(label, ACT, pl.o)
                 if not keep:
-                    led.free(B(prev))
+                    led.free(ACT, prev)
             prev = pl.o
     head = spec.head()
-    led.alloc("fwd head pooled", bs * head.c_in * bpe)
-    led.alloc("fwd head logits", bs * head.c_out * bpe)
+    led.alloc("fwd head pooled", FIXED, bs * head.c_in * bpe)
+    led.alloc("fwd head logits", FIXED, bs * head.c_out * bpe)
     if mode == "stored":
-        led.free(B(prev))  # final feature map is not retained
+        led.free(ACT, prev)  # final feature map is not retained
 
     # backward
-    led.alloc("bwd logits grad", bs * head.c_out * bpe)
-    led.alloc("bwd head", B(_final_volume(items)))
-    led.free(2 * bs * head.c_out * bpe)
-    led.free(bs * head.c_in * bpe)
+    led.alloc("bwd logits grad", FIXED, bs * head.c_out * bpe)
+    led.alloc("bwd head", GRAD, _final_volume(items))
+    led.free(FIXED, 2 * bs * head.c_out * bpe)
+    led.free(FIXED, bs * head.c_in * bpe)
     grad = _final_volume(items)
     value = Fraction(0) if mode == "stored" else prev
 
@@ -620,9 +536,9 @@ def simulate_schedule(spec, mode, h, w, bs):
             if mode == "stored":
                 # Coupling gradients swap in place; branch value chains are
                 # a transient on top of the records kept since the forward.
-                led.bump(f"{label} replay", B(it.volume / 2))
+                led.bump(f"{label} replay", ACT, it.volume / 2)
                 led.note(label)
-                led.free(kept.pop(it.index))
+                led.free(ACT, kept.pop(it.index))
                 grad = it.volume
             elif mode == "block":
                 # Inverting re-records the internals.  The module inputs
@@ -634,11 +550,11 @@ def simulate_schedule(spec, mode, h, w, bs):
                      if it.branch(n) and it.branch(n)[0].layer.kind in PARAM_KINDS),
                     Fraction(0),
                 )
-                led.bump(f"{label} invert",
-                         B(max(internals - aliased + it.volume / 2, Fraction(0))))
-                led.alloc(f"{label} record", B(internals))
+                led.bump(f"{label} invert", ACT,
+                         max(internals - aliased + it.volume / 2, Fraction(0)))
+                led.alloc(f"{label} record", ACT, internals)
                 led.note(label)
-                led.free(B(internals))
+                led.free(ACT, internals)
                 grad = it.volume
             else:
                 # Hybrid walk: one branch value at a time, invconv halves
@@ -646,11 +562,11 @@ def simulate_schedule(spec, mode, h, w, bs):
                 half = it.volume / 2
                 quarter = it.volume / 4 if it.branch_has_invconv() else Fraction(0)
                 for phase in ("g", "f"):
-                    led.alloc(f"{label} {phase} value", B(half))
-                    led.bump(f"{label} {phase} scratch", B(quarter))
-                    led.free(B(half))
+                    led.alloc(f"{label} {phase} value", ACT, half)
+                    led.bump(f"{label} {phase} scratch", ACT, quarter)
+                    led.free(ACT, half)
                 grad = it.volume
-            led.free(cached.pop(it.index, 0))
+            led.free(FIXED, cached.pop(it.index, 0))
             continue
         pl = it.placed[0]
         kind = it.kind
@@ -658,37 +574,69 @@ def simulate_schedule(spec, mode, h, w, bs):
             if kind == "bn":
                 led.note(label)  # elementwise gradients run in place
             else:
-                led.alloc(label, B(pl.a))
-                led.free(B(grad))
+                led.alloc(label, GRAD, pl.a)
+                led.free(GRAD, grad)
             if mode == "stored":
-                led.free(kept.pop(it.index))
+                led.free(ACT, kept.pop(it.index))
                 grad = pl.a
             else:
                 # the kept input becomes the walked value below this point
-                led.free(B(value))
+                led.free(ACT, value)
                 kept.pop(it.index)
                 grad, value = pl.a, pl.a
         elif mode == "stored":
             if kind in POOL_KINDS or kind in ("conv", "invconv"):
-                led.alloc(label, B(pl.a))
-                led.free(B(grad))
+                led.alloc(label, GRAD, pl.a)
+                led.free(GRAD, grad)
                 grad = pl.a
             else:
                 led.note(label)  # elementwise gradients run in place
                 grad = pl.a
         elif it.index == 0:
-            led.alloc(label, B(pl.a))
-            led.free(B(grad))
-            led.free(B(value))
+            led.alloc(label, GRAD, pl.a)
+            led.free(GRAD, grad)
+            led.free(ACT, value)
             grad, value = pl.a, Fraction(0)
         else:
             if kind == "invconv":
-                led.bump(f"{label} walk", B(pl.a / 2))
+                led.bump(f"{label} walk", ACT, pl.a / 2)
             led.note(label)
             grad, value = pl.a, pl.a
-        led.free(cached.pop(it.index, 0))
+        led.free(FIXED, cached.pop(it.index, 0))
     led.note("done")
-    return led.peak, led.events
+    return led.events
+
+
+def simulate_schedule(spec, mode, h, w, bs):
+    """Replay the lean training schedule at h x w, batch bs.
+
+    Returns (peak_bytes, events); events are (label, live_bytes) pairs.
+    """
+    px_bytes = h * w * bs * spec.bpe
+    live = [(label, fixed + (z + g) * px_bytes)
+            for label, fixed, z, g in _replay(spec, mode, bs)]
+    return max(b for _, b in live), [(label, float(b)) for label, b in live]
+
+
+def per_pixel_elems(spec, mode):
+    """(activation, gradient) element counts per input pixel at the peak:
+    the replay's first backward event with the largest per-pixel total."""
+    backward = [e for e in _replay(spec, mode, 1) if e[0].startswith("bwd")]
+    _, _, z, g = max(backward, key=lambda e: e[2] + e[3])
+    return z, g
+
+
+def activation_bytes_per_pixel(spec, mode):
+    return float(per_pixel_elems(spec, mode)[0] * spec.bpe)
+
+
+def gradient_bytes_per_pixel(spec, mode):
+    return float(per_pixel_elems(spec, mode)[1] * spec.bpe)
+
+
+def bytes_per_pixel(spec, mode):
+    z, g = per_pixel_elems(spec, mode)
+    return float((z + g) * spec.bpe)
 
 
 # -- reports -------------------------------------------------------------------
@@ -759,6 +707,7 @@ class MemoryReport:
 def memory_report(spec, mode, h, w, bs):
     if min(h, w, bs) < 1:
         raise ConfigError(f"height, width and batch must be positive, got {h}x{w}, batch {bs}")
+    z, g = per_pixel_elems(spec, mode)
     return MemoryReport(
         name=spec.name,
         mode=mode,
@@ -766,8 +715,8 @@ def memory_report(spec, mode, h, w, bs):
         w=w,
         bs=bs,
         weight_bytes=weight_bytes(spec),
-        activation_bytes_per_pixel=activation_bytes_per_pixel(spec, mode),
-        gradient_bytes_per_pixel=gradient_bytes_per_pixel(spec, mode),
+        activation_bytes_per_pixel=float(z * spec.bpe),
+        gradient_bytes_per_pixel=float(g * spec.bpe),
         stats_bytes=stats_bytes(spec, bs),
         input_batch_bytes=input_batch_bytes(spec, h, w, bs),
         momentum_bytes=weight_bytes(spec),
@@ -796,6 +745,7 @@ def parse_arch_text(text, source="<arch>"):
     section = None
     current = None
     current_line = 0
+    seen = {"meta": set()}  # keys given so far, per section
 
     def fail(lineno, msg):
         raise ConfigError(f"{source}:{lineno}: {msg}")
@@ -823,6 +773,7 @@ def parse_arch_text(text, source="<arch>"):
                 fail(lineno, f"unknown section {name!r}")
             finish_layer()
             current = {} if name == "layer" else None
+            seen["layer"] = set()
             current_line = lineno
             section = name
             continue
@@ -832,6 +783,9 @@ def parse_arch_text(text, source="<arch>"):
         key, value = key.strip(), value.strip()
         if section is None:
             fail(lineno, "key outside of a section")
+        if key in seen[section]:
+            fail(lineno, f"duplicate key {key!r}")
+        seen[section].add(key)
         if section == "meta":
             if key not in _META_KEYS:
                 fail(lineno, f"unknown meta key {key!r}")

@@ -69,6 +69,31 @@ def test_memcost_golden_stored_total_diverges(capsys):
     assert "budget_total" in out and "FAIL" in out
 
 
+# memcost --golden at the reference size for every per-pixel target:
+# (exit code, bytes_per_pixel row).  The reference quotes 640 B/px for
+# irevnet, which its own channel ladder does not reach.
+GOLDEN_RUNS = {
+    ("resnet", "stored"): (1, "bytes_per_pixel,1928,1928,ok"),
+    ("revnet", "block"): (0, "bytes_per_pixel,640,640,ok"),
+    ("irevnet", "block"): (1, "bytes_per_pixel,512,640,FAIL"),
+    ("layerwise", "layerwise"): (0, "bytes_per_pixel,320,320,ok"),
+    ("hybrid", "hybrid"): (0, "bytes_per_pixel,352,352,ok"),
+}
+
+
+def test_golden_runs_cover_every_target():
+    assert set(GOLDEN_RUNS) == set(cli.GOLDEN_BYTES_PER_PIXEL)
+
+
+@pytest.mark.parametrize("name, mode", sorted(GOLDEN_RUNS))
+def test_memcost_golden_per_pixel_target(name, mode, capsys):
+    rc = cli.main(["memcost", "--config", name, "--mode", mode, "--height", "240",
+                   "--width", "240", "--batch", "32", "--golden"])
+    want_rc, row = GOLDEN_RUNS[name, mode]
+    assert rc == want_rc
+    assert row in capsys.readouterr().out.splitlines()
+
+
 def test_memcost_golden_unknown_target_is_config_error(capsys):
     rc = cli.main(["memcost", "--config", "small-hybrid", "--golden"])
     assert rc == 2
@@ -113,6 +138,12 @@ BAD_ARCHS = {
     **{f"invconv-k{k}": (_arch_text([_conv(3, 8), dict(kind="invconv", c_in=8, c_out=8, k=k),
                                      _HEAD8]), "layer 1") for k in (0, -1, 2)},
     "bpe-0": (_arch_text([_conv(3, 8), _HEAD8], bpe=0), "bpe"),
+    "bn-k5": (_arch_text([_conv(3, 8), dict(kind="bn", c_in=8, c_out=8, k=5), _HEAD8]),
+              "layer 1 (bn)"),
+    "duplicate-c_out": (_arch_text([_conv(3, 8), _HEAD8]).replace(
+        "c_out = 8\n", "c_out = 8\nc_out = 16\n"), ":8: duplicate key 'c_out'"),
+    "duplicate-meta-name": (_arch_text([_conv(3, 8), _HEAD8]).replace(
+        "bpe = 4\n", "bpe = 4\nname = again\n"), ":4: duplicate key 'name'"),
 }
 
 

@@ -100,6 +100,47 @@ def test_mode_ordering_within_spec():
     assert mm.bytes_per_pixel(chain, "layerwise") < mm.bytes_per_pixel(chain, "stored")
 
 
+# (activation, gradient) bytes per pixel of every zoo spec in every mode it
+# admits.
+ZOO_BUDGETS = {
+    ("resnet", "stored"): (1912, 16),
+    ("revnet", "stored"): (1718, 20),
+    ("revnet", "block"): (480, 160),
+    ("irevnet", "stored"): (2880, 128),
+    ("irevnet", "block"): (384, 128),
+    ("layerwise", "stored"): (2816, 128),
+    ("layerwise", "layerwise"): (192, 128),
+    ("hybrid", "stored"): (3264, 128),
+    ("hybrid", "block"): (512, 128),
+    ("hybrid", "hybrid"): (224, 128),
+    ("small-hybrid", "stored"): (2240, 128),
+    ("small-hybrid", "block"): (768, 128),
+    ("small-hybrid", "hybrid"): (224, 128),
+    ("pure-block", "stored"): (54, 12),
+    ("pure-block", "block"): (36, 12),
+    ("pure-block", "hybrid"): (12, 24),
+}
+
+
+def test_zoo_budgets_cover_every_admitted_pair():
+    pairs = set()
+    for name in zoo.ZOO:
+        for mode in mm.MODES:
+            try:
+                mm.validate_mode(zoo.get_spec(name), mode)
+            except ConfigError:
+                continue
+            pairs.add((name, mode))
+    assert pairs == set(ZOO_BUDGETS)
+
+
+@pytest.mark.parametrize("name, mode", sorted(ZOO_BUDGETS))
+def test_zoo_budget_split(name, mode):
+    spec = zoo.get_spec(name)
+    assert (mm.activation_bytes_per_pixel(spec, mode),
+            mm.gradient_bytes_per_pixel(spec, mode)) == ZOO_BUDGETS[name, mode]
+
+
 def test_totals_are_affine_in_pixels():
     spec = zoo.hybrid_spec()
     r1 = mm.memory_report(spec, "hybrid", 32, 32, 64)
@@ -142,6 +183,28 @@ def test_simulator_matches_closed_form(name, mode):
     assert abs(peak - closed) / closed < 0.01
     assert events[0][0] == "init"
     assert peak == max(live for _, live in events)
+
+
+def peak_slope(spec, mode, bs=2):
+    """Growth of simulate_schedule's peak per input pixel between 256x256
+    and 512x512, in bytes."""
+    p1, _ = mm.simulate_schedule(spec, mode, 256, 256, bs)
+    p2, _ = mm.simulate_schedule(spec, mode, 512, 512, bs)
+    return float((p2 - p1) / ((512 * 512 - 256 * 256) * bs))
+
+
+def test_budget_counts_every_pool_gradient_in_stored_mode():
+    # stored mode allocates a fresh input gradient for each pool backward, so
+    # the second pool's step holds kept inputs plus two gradients
+    spec = mm.ArchSpec("pools", 3, [
+        mm.LayerSpec("conv", 3, 8, k=3),
+        mm.LayerSpec("pool_b", 8, 8),
+        mm.LayerSpec("bn", 8, 8),
+        mm.LayerSpec("pool_b", 8, 8),
+        _head(8),
+    ])
+    assert mm.bytes_per_pixel(spec, "stored") == 96
+    assert peak_slope(spec, "stored") == 96
 
 
 def test_simulator_rejects_bad_mode():
@@ -365,6 +428,28 @@ def test_parse_rejects_stray_keys():
         mm.parse_arch_text("[layer]\nstride = 2\n")
     with pytest.raises(ConfigError, match=":1: unknown section 'layers'"):
         mm.parse_arch_text("[layers]\n")
+
+
+@pytest.mark.parametrize("text, line, key", [
+    ("[layer]\nkind = conv\nc_in = 3\nc_out = 8\nc_out = 16\n", 5, "c_out"),
+    ("[meta]\nname = a\nbpe = 4\nname = b\n", 4, "name"),
+    ("[meta]\nbpe = 4\n[layer]\nkind = conv\nc_in = 3\nc_out = 8\n[meta]\nbpe = 8\n", 8, "bpe"),
+], ids=["layer", "meta", "meta-twice"])
+def test_parse_rejects_duplicate_keys(text, line, key):
+    with pytest.raises(ConfigError, match=f"^dup.cfg:{line}: duplicate key '{key}'$"):
+        mm.parse_arch_text(text, source="dup.cfg")
+
+
+@pytest.mark.parametrize("kind", ["bn", "lrelu", "pool_c", "pool_b", "maxpool", "head"])
+def test_kernel_size_only_on_conv_layers(kind):
+    # layer 1 is the kind under test, after a stem conv
+    if kind == "head":
+        layers = [mm.LayerSpec("conv", 3, 8, k=3), mm.LayerSpec("head", 8, 10, k=5)]
+    else:
+        c_out = 32 if kind == "pool_c" else 8
+        layers = [mm.LayerSpec("conv", 3, 8, k=3), mm.LayerSpec(kind, 8, c_out, k=5), _head(c_out)]
+    with pytest.raises(ConfigError, match=rf"layer 1 \({kind}\): only conv and invconv .* k = 5"):
+        mm.ArchSpec("bad", 3, layers)
 
 
 def test_parse_missing_required_key():

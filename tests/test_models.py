@@ -541,6 +541,20 @@ def test_generated_architectures_agree_across_modes(spec, seed):
         assert max_param_rel_err(ref, grads) < 1e-6, mode
 
 
+@settings(max_examples=50, deadline=None)
+@given(spec=small_arch_specs())
+def test_generated_budgets_equal_the_replay_peak_slope(spec):
+    for mode in mm.MODES:
+        try:
+            mm.validate_mode(spec, mode)
+        except ConfigError:
+            continue
+        p1, _ = mm.simulate_schedule(spec, mode, 256, 256, 2)
+        p2, _ = mm.simulate_schedule(spec, mode, 512, 512, 2)
+        slope = (p2 - p1) / ((512 * 512 - 256 * 256) * 2)
+        assert mm.bytes_per_pixel(spec, mode) == float(slope), mode
+
+
 # ---------------------------------------------------------------------------
 # buffer lifetimes
 
