@@ -15,10 +15,12 @@ Conventions shared by every layer:
   - params() returns live parameter arrays keyed by name, for in-place updates
 
 InvConv and model.ReversibleBlock share one additive coupling,
-y1 = x1 + F(x2), y2 = x2 + G(y1), over a channel split (RevNet, Gomez et al.,
-arXiv 1707.04585; i-RevNet, Jacobsen et al., arXiv 1802.07088): the
-_coupling_* and _uncouple helpers below hold its arithmetic, with the
-branches passed in.
+y1 = x1 + F(x2), y2 = x2 + G(y1), over the channel halves (views) of one
+buffer (RevNet, Gomez et al., arXiv 1707.04585; i-RevNet, Jacobsen et al.,
+arXiv 1802.07088): the _coupling_* and _uncouple helpers below hold its
+arithmetic, with the branches passed in. Only a buffer handed over in a _Cell
+is written in place: public forward, inverse and backward never mutate their
+arguments.
 
 Normalization uses scale = |gamma| + eps_i rather than |gamma + eps_i|: the
 floor keeps the per-channel scale away from zero for every gamma value, so the
@@ -65,54 +67,57 @@ def _take(x):
     return x.take() if isinstance(x, _Cell) else x
 
 
+def _own(x):
+    """A buffer to write in place: a _Cell's, or a tracked copy of a bare array."""
+    return x.take() if isinstance(x, _Cell) else track(x.copy())
+
+
 def _coupling_forward(x, f, g):
-    """y1 = x1 + f(x2), y2 = x2 + g(y1), for branch callables f and g."""
+    """y1 = x1 + f(x2), y2 = x2 + g(y1) in one new buffer, for branches f, g."""
     x1, x2 = ops.split_channels(x)
-    y1 = ops.add(x1, f(x2))
-    del x1
-    y2 = ops.add(x2, g(y1))
-    del x2
-    return ops.concat_channels(y1, y2)
+    y = track(np.empty(x.shape, dtype=x.dtype))
+    y1, y2 = ops.split_channels(y)
+    np.add(x1, f(x2), out=y1)
+    np.add(x2, g(y1), out=y2)
+    return y
 
 
-def _uncouple(y, f, g, x):
-    """Rebuild the coupling input from its output y into the list x.
+def _uncouple(x, f, g):
+    """Rebuild the coupling input in place in x, which holds the output.
 
     A generator: x2 = y2 - g(y1), a yield, then x1 = y1 - f(x2), so a caller
-    can backprop one branch before the next is rebuilt.  x ends as
-    [x1, x2].  y may be a _Cell, so the output is freed once it is split.
+    can backprop one branch before the next is rebuilt.
     """
-    y1, y2 = ops.split_channels(_take(y))
-    x2 = ops.sub(y2, g(y1))
-    del y2
+    h1, h2 = ops.split_channels(x)  # y1, y2, turning into x1, x2
+    h2 -= g(h1)
     yield
-    x[:] = ops.sub(y1, f(x2)), x2
+    h1 -= f(h2)
 
 
 def _coupling_inverse(y, f, g):
-    """x2 = y2 - g(y1), x1 = y1 - f(x2), concatenated."""
-    x = []
-    for _ in _uncouple(y, f, g, x):
+    """x2 = y2 - g(y1), x1 = y1 - f(x2), in y's buffer if y is a _Cell."""
+    x = _own(y)
+    for _ in _uncouple(x, f, g):
         pass
-    return ops.concat_channels(*x)
+    return x
 
 
-def _coupling_backward(halves, f_backward, g_backward):
+def _coupling_backward(grad, f_backward, g_backward):
     """Input gradient of the coupling; returns (grad_in, f_aux, g_aux).
 
-    halves is a _Cell holding the output gradient split, (g1, g2), so each
-    half is freed once used.  g_backward(g2), called first, and then
+    The output gradient (g1, g2) becomes (gy1, gx2) in grad's buffer if grad
+    is a _Cell, else in a copy.  g_backward(g2), called first, and then
     f_backward(gy1) return (gradient at the branch input, aux), aux being
     whatever the branch reports, e.g. its parameter gradients.
     """
-    g1, g2 = halves.take()
+    gx = _own(grad)
+    g1, g2 = ops.split_channels(gx)
     gg, g_aux = g_backward(g2)
-    gy1 = ops.add(g1, gg)
-    del g1, gg
-    gf, f_aux = f_backward(gy1)
-    gx2 = ops.add(g2, gf)
-    del g2, gf
-    return ops.concat_channels(gy1, gx2), f_aux, g_aux
+    g1 += gg
+    del gg
+    gf, f_aux = f_backward(g1)
+    g2 += gf
+    return gx, f_aux, g_aux
 
 
 class Conv2D:
@@ -331,9 +336,8 @@ class InvConv:
         """Exact coupling gradients; pass y to skip recomputing y1 from x."""
         x1, x2 = ops.split_channels(x)
         y1 = ops.add(x1, self._f(x2)) if y is None else ops.split_channels(y)[0]
-        del x1
         gx, (gk_f, gb_f), (gk_g, gb_g) = _coupling_backward(
-            _Cell(ops.split_channels(grad_out)),
+            grad_out,
             lambda gy1: self._branch_backward(self.f_kernel, x2, gy1),
             lambda g2: self._branch_backward(self.g_kernel, y1, g2),
         )
@@ -468,7 +472,7 @@ class ClassifierHead:
         gw = track(self.cached_pooled.T @ grad_logits)
         gb = track(grad_logits.sum(axis=0))
         gp = grad_logits @ self.weight.T / (self.group_size * h * w)
-        gx = np.broadcast_to(
-            gp[:, None, :, None, None], (true_bs, self.group_size, c, h, w)
-        ).reshape(bs, c, h, w)
-        return track(np.ascontiguousarray(gx)), {"weight": gw, "bias": gb}
+        # a fresh buffer even when nothing broadcasts: a coupling adds into it
+        gx = np.empty((bs, c, h, w), dtype=gp.dtype)
+        gx.reshape(true_bs, self.group_size, c, h, w)[...] = gp[:, None, :, None, None]
+        return track(gx), {"weight": gw, "bias": gb}

@@ -13,9 +13,9 @@ The replay has two readings:
     the largest per-pixel total.
 
 The replay models the lean schedule: elementwise inverses and gradient
-updates run in place, and coupling subtractions reuse their output buffer.
-The executor in `model.py` allocates fresh buffers instead; that gap is a
-separate `overhead_bytes` line item, never folded into the budget.
+updates run in place, and couplings work inside the buffer they arrive in.
+The executor in `model.py` allocates fresh buffers for the former; that gap
+is a separate `overhead_bytes` line item, never folded into the budget.
 
 The mode policy lives here once, for the replay and for the executor:
 `check_mode` decides which backprop modes a chain of items admits, and
@@ -414,17 +414,15 @@ def max_volume_elems(spec):
 
 
 # Executor concurrency allowance per mode, in units of the largest
-# activation volume. The python executor splits by copying and allocates
-# fresh buffers where the lean schedule works in place; walk modes carry
-# extra concurrent halves while re-deriving values. Calibrated against
-# tracked-allocator peaks of the small-hybrid, pure-block, hybrid, revnet
-# and layerwise specs at 8x8, 16x16 and 32x32, batch 8.  The walk factors
-# predict within 3%.  Block mode predicts within 7.3%: the executor rebuilds
-# F only after G's backward, so fewer records are live at once than the
-# replay assumes, by an amount that depends on the spec.  Stored mode
-# predicts within 5% on small-hybrid and pure-block, while the replay
-# overestimates the larger specs (by up to 21% on hybrid at 32x32).
-OVERHEAD_FACTORS = {"stored": 1.5, "block": 1.1, "layerwise": 3.6, "hybrid": 3.2}
+# activation volume: mostly the fresh buffers of elementwise inverses and
+# gradients.  Fitted to tracked peaks of the small-hybrid, pure-block, hybrid,
+# revnet and layerwise specs at 8/16/32 px, batch 8.  Errors: stored -5.0% to
+# +0.5% on small-hybrid and pure-block (the replay overestimates hybrid by
+# 4-21%, revnet and layerwise by 2-13%); block -9.5% to +8.9%, negative as the
+# executor holds one branch record at a time while the replay charges both at
+# its coupling step, the event that sets revnet's 640 B/px budget; layerwise
+# within 0.03%; hybrid -2.6% to +2.2%.
+OVERHEAD_FACTORS = {"stored": 0.7, "block": -0.63, "layerwise": 2.0, "hybrid": 1.4}
 
 
 def overhead_bytes(spec, mode, h, w, bs):

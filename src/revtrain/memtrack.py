@@ -69,7 +69,7 @@ def end_measurement(scope: MeasureScope) -> AllocatorStats:
 def track(arr):
     """Register a freshly allocated ndarray buffer. Returns arr for chaining.
 
-    Views must not be re-registered; callers only track materialised outputs.
+    Views are never tracked; a view keeps its base live via .base until it dies.
     """
     nbytes = arr.nbytes
     global _live_bytes, _total_allocs

@@ -42,12 +42,14 @@ import numpy as np
 from . import memory_model as mm
 from . import ops
 from .errors import ConfigError, StateError
+from .memtrack import track
 from .layers import (
     ClassifierHead,
     _Cell,
     _coupling_backward,
     _coupling_forward,
     _coupling_inverse,
+    _own,
     _take,
     _uncouple,
 )
@@ -241,7 +243,8 @@ class ReversibleBlock:
     def forward(self, x, train=True, update_running=True, record=False):
         f, g, recs = self._branches(train, update_running, "record" if record else None)
         y = _coupling_forward(x, f, g)
-        return (y, tuple(recs)) if record else y
+        # records copy their branch input: a view would pin the coupling buffer
+        return (y, tuple({**rec, 0: track(rec[0].copy())} for rec in recs)) if record else y
 
     def inverse(self, y):
         f, g, _ = self._branches(True, False)
@@ -252,7 +255,11 @@ class ReversibleBlock:
         are x2 and y1, so only G runs again."""
         f_rec, g_rec = rec
         y1 = g_rec[0]
-        return ops.concat_channels(y1, ops.add(f_rec[0], self.G.apply(y1, update_running=False)))
+        y = track(np.empty((len(y1), 2 * y1.shape[1], *y1.shape[2:]), dtype=y1.dtype))
+        out1, out2 = ops.split_channels(y)
+        out1[...] = y1
+        np.add(f_rec[0], self.G.apply(y1, update_running=False), out=out2)
+        return y
 
     @staticmethod
     def _branch_backward(module, grad, src, trace, prefix):
@@ -266,19 +273,18 @@ class ReversibleBlock:
         """The one coupling backward; returns (x or None, grad_in, param_grads).
 
         With rec (stored mode) the branches replay from the forward's record.
-        Otherwise the input is rebuilt from the output y one branch at a
-        time, each just before its own backward (x2 = y2 - G(y1) before G's,
+        Otherwise the input is rebuilt in y's buffer one branch at a time,
+        each just before its own backward (x2 = y2 - G(y1) before G's,
         x1 = y1 - F(x2) before F's), so F's values are never held through
         G's backward.  Rebuilding re-records the branch, or for a walk keeps
         its output to seed the walk; nothing is kept beyond the block.
         """
-        halves = _Cell(ops.split_channels(_take(grad)))
-        x = []
         if rec is None:
+            x = _own(y)
             f, g, kept = self._branches(True, False, "output" if walk else "record")
-            steps = _uncouple(y, f, g, x)
+            steps = _uncouple(x, f, g)
         else:
-            kept, steps = list(rec), iter(())
+            x, kept, steps = None, list(rec), iter(())
 
         def source():
             # G's record or output first, then F's, each rebuilt on demand
@@ -286,13 +292,13 @@ class ReversibleBlock:
             return kept.pop()
 
         grad, f_grads, g_grads = _coupling_backward(
-            halves,
+            grad,
             lambda gy1: self._branch_backward(self.F, gy1, source(), trace, f"{prefix}F."),
             lambda g2: self._branch_backward(self.G, g2, source(), trace, f"{prefix}G."),
         )
         grads = {f"G.{k}": v for k, v in g_grads.items()}
         grads.update({f"F.{k}": v for k, v in f_grads.items()})
-        return ops.concat_channels(*x) if x else None, grad, grads
+        return x, grad, grads
 
     def backward_stored(self, grad, rec):
         """Backprop from the forward's record; returns (grad_in, param_grads)."""

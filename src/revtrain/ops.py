@@ -1,7 +1,7 @@
 """Dense 4-D tensor kernels.
 
 The universal value type is a numpy ndarray of shape (batch, channel, height,
-width) in float32 or float64, C-contiguous row-major.
+width) in float32 or float64, C-contiguous row-major, or a split_channels view.
 
 Convolution is cross-correlation (no kernel flip): a BLAS matmul of the kernel
 with a column matrix that holds one row per (channel, ky, kx) tap and one
@@ -288,7 +288,7 @@ def conv2d_backward_weight(x, grad_out, stride: int = 1, padding: int = 0, kerne
 
 
 def split_channels(x, at=None):
-    """Split along channels into two contiguous copies at index ``at``.
+    """Split along channels at index ``at`` into two views sharing x's buffer.
 
     Defaults to an even half split (coupling layers), which requires an even
     channel count.
@@ -301,15 +301,7 @@ def split_channels(x, at=None):
         at = c // 2
     if not 0 < at < c:
         raise ShapeError(f"split index {at} out of range for {c} channels")
-    return track(x[:, :at].copy()), track(x[:, at:].copy())
-
-
-def concat_channels(a, b):
-    check_tensor(a, "a")
-    check_tensor(b, "b")
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ShapeError(f"concat halves disagree: {a.shape} vs {b.shape}")
-    return track(np.concatenate([a, b], axis=1))
+    return x[:, :at], x[:, at:]
 
 
 def add(a, b):

@@ -263,6 +263,24 @@ def test_stored_saved_bytes_matches_executor_blocks():
     assert saved.activation_bytes(model) == mm.stored_saved_bytes(spec, 8, 8, 4)
 
 
+@pytest.mark.parametrize("name", sorted(zoo.ZOO))
+def test_replay_keeps_exactly_what_stored_mode_saves(name):
+    # the replay's activation elements once forward is done, less the final
+    # feature map, against the executor's saved tensors
+    spec = zoo.get_spec(name)
+    h = w = 16
+    bs = 8
+    events = {label: act for label, _, act, _ in mm._replay(spec, "stored", bs)}
+    kept = events["fwd head logits"] - mm._final_volume(mm.place(spec))
+    model = zoo.build_model(spec, seed=0)
+    x = ops.gaussian((bs, spec.input_channels, h, w), seed=1)
+    _, saved = model.forward(x, BackpropMode.STORED)
+    stats = sum(a.nbytes for _, layer in model.named_layers() if layer.kind == "bn"
+                for a in layer.cached_stats)
+    saved_bytes = saved.activation_bytes(model) - stats - model.head.cached_pooled.nbytes
+    assert kept * h * w * bs * spec.bpe == saved_bytes
+
+
 def test_live_models_support_their_modes():
     for name in ("resnet", "revnet", "layerwise", "hybrid", "small-hybrid"):
         spec = zoo.get_spec(name)
