@@ -313,12 +313,14 @@ def build_parser():
     p = sub.add_parser("snr-profile", help="per-layer SNR trace or depth sweep CSV")
     p.add_argument("--config", default=None, help="trace this spec (arch file or zoo name)")
     p.add_argument("--mode", choices=sorted(mm.MODES), default=None)
-    p.add_argument("--family", choices=["layerwise", "hybrid"], default=None,
+    p.add_argument("--family", choices=sorted(zoo.FAMILIES), default=None,
                    help="sweep a generated family instead of tracing a spec")
     p.add_argument("--depths", default="2,4,6,8,10,12,14,16")
     p.add_argument("--slopes", default="2")
-    p.add_argument("--width", type=int, default=16)
-    p.add_argument("--height", type=int, default=8)
+    p.add_argument("--width", type=int, default=16,
+                   help="spatial width with --config; channel width with --family")
+    p.add_argument("--height", type=int, default=8,
+                   help="spatial height with --config; both spatial sides with --family")
     p.add_argument("--batch", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_snr_profile)

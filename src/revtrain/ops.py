@@ -346,14 +346,23 @@ def channel_mean_var(x):
 # pool_channels sends input channel ci window slot k to output channel ci*4+k;
 # pool_batch sends batch element bi window slot k to output element bi*4+k.
 
+def _permute(x, split, axes, shape):
+    """One copy of x into a new buffer of `shape`: x viewed as `split`,
+    with its axes permuted by `axes`.  Never returns a view of x, even where
+    a reshape alone would do."""
+    out = np.empty(shape, dtype=x.dtype)
+    out.reshape([split[a] for a in axes])[...] = x.reshape(split).transpose(axes)
+    return track(out)
+
+
 def pool_channels(x):
     """(bs, c, h, w) -> (bs, 4c, h/2, w/2), bit-exact permutation."""
     check_tensor(x, "x")
     bs, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"pooling requires even spatial dims, got {h}x{w}")
-    r = x.reshape(bs, c, h // 2, 2, w // 2, 2)
-    return track(np.ascontiguousarray(r.transpose(0, 1, 3, 5, 2, 4).reshape(bs, 4 * c, h // 2, w // 2)))
+    return _permute(x, (bs, c, h // 2, 2, w // 2, 2), (0, 1, 3, 5, 2, 4),
+                    (bs, 4 * c, h // 2, w // 2))
 
 
 def unpool_channels(y):
@@ -361,8 +370,7 @@ def unpool_channels(y):
     if c4 % 4:
         raise ShapeError(f"channel unpool requires channels divisible by 4, got {c4}")
     c = c4 // 4
-    r = y.reshape(bs, c, 2, 2, h, w)
-    return track(np.ascontiguousarray(r.transpose(0, 1, 4, 2, 5, 3).reshape(bs, c, 2 * h, 2 * w)))
+    return _permute(y, (bs, c, 2, 2, h, w), (0, 1, 4, 2, 5, 3), (bs, c, 2 * h, 2 * w))
 
 
 def pool_batch(x):
@@ -371,8 +379,8 @@ def pool_batch(x):
     bs, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"pooling requires even spatial dims, got {h}x{w}")
-    r = x.reshape(bs, c, h // 2, 2, w // 2, 2)
-    return track(np.ascontiguousarray(r.transpose(0, 3, 5, 1, 2, 4).reshape(4 * bs, c, h // 2, w // 2)))
+    return _permute(x, (bs, c, h // 2, 2, w // 2, 2), (0, 3, 5, 1, 2, 4),
+                    (4 * bs, c, h // 2, w // 2))
 
 
 def unpool_batch(y):
@@ -380,8 +388,7 @@ def unpool_batch(y):
     if bs4 % 4:
         raise ShapeError(f"batch unpool requires batch divisible by 4, got {bs4}")
     bs = bs4 // 4
-    r = y.reshape(bs, 2, 2, c, h, w)
-    return track(np.ascontiguousarray(r.transpose(0, 3, 4, 1, 5, 2).reshape(bs, c, 2 * h, 2 * w)))
+    return _permute(y, (bs, 2, 2, c, h, w), (0, 3, 4, 1, 5, 2), (bs, c, 2 * h, 2 * w))
 
 
 def default_rng(seed: int) -> np.random.Generator:

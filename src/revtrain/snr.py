@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
+from . import ops, zoo
 from .errors import ConfigError, NumericError
-from .layers import ClassifierHead, Conv2D, InvBatchNorm, InvConv, InvLeakyReLU
-from .model import BackpropMode, Module, ReversibleBlock, SequentialModel
+from .layers import InvBatchNorm, InvLeakyReLU
+from .model import BackpropMode
 
 __all__ = [
     "AlphaEstimate",
@@ -32,8 +32,6 @@ __all__ = [
     "traced_backward",
     "trace_csv",
     "block_trace_summary",
-    "layerwise_family",
-    "hybrid_family",
     "snr_depth_sweep",
     "depth_sweep_csv",
     "line_fit",
@@ -323,73 +321,28 @@ def block_trace_summary(trace):
     return rows
 
 
-# -- depth/slope sweep families --------------------------------------------------
-
-
-def layerwise_family(depth, slope=2.0, width=16, in_channels=3, classes=10,
-                     seed=0, dtype=np.float32):
-    """Stem conv followed by `depth` invertible conv/norm/activation triples."""
-    if depth < 1:
-        raise ConfigError(f"depth must be at least 1, got {depth}")
-    rng = ops.default_rng(seed)
-    items = [Conv2D(in_channels, width, k=3, rng=rng, dtype=dtype)]
-    for _ in range(depth):
-        items += [
-            InvConv(width, k=3, rng=rng, dtype=dtype),
-            InvBatchNorm(width, dtype=dtype),
-            InvLeakyReLU(slope),
-        ]
-    head = ClassifierHead(width, classes, rng=rng, dtype=dtype)
-    return SequentialModel(items, head)
-
-
-def hybrid_family(depth, slope=2.0, width=16, in_channels=3, classes=10,
-                  seed=0, dtype=np.float32):
-    """Stem conv followed by `depth` reversible blocks with invertible branches."""
-    if depth < 1:
-        raise ConfigError(f"depth must be at least 1, got {depth}")
-    if width % 4:
-        raise ConfigError(f"width must split into two even halves, got {width}")
-    rng = ops.default_rng(seed)
-    half = width // 2
-
-    def branch():
-        return Module([
-            InvConv(half, k=3, rng=rng, dtype=dtype),
-            InvBatchNorm(half, dtype=dtype),
-            InvLeakyReLU(slope),
-        ])
-
-    items = [Conv2D(in_channels, width, k=3, rng=rng, dtype=dtype)]
-    items += [ReversibleBlock(branch(), branch()) for _ in range(depth)]
-    head = ClassifierHead(width, classes, rng=rng, dtype=dtype)
-    return SequentialModel(items, head)
-
-
-_FAMILIES = {
-    "layerwise": (layerwise_family, BackpropMode.LAYER_WISE),
-    "hybrid": (hybrid_family, BackpropMode.HYBRID),
-}
+# -- depth/slope sweeps ---------------------------------------------------------
 
 
 def snr_depth_sweep(family, depths, slopes, width=16, h=8, w=8, bs=4, seed=0):
     """Lowest-layer reconstruction SNR for each (depth, slope) combination.
 
-    Builds the family model, runs one traced backward on random input, and
-    records the SNR of the deepest reconstructed activation (the last trace
-    record, nearest the input). Returns (depth, slope, snr) rows.
+    Builds the `zoo.FAMILIES` spec at each depth, runs one traced backward
+    in the spec's mode on random input, and records the SNR of the deepest
+    reconstructed activation (the last trace record, nearest the input).
+    Returns (depth, slope, snr) rows.
     """
-    if family not in _FAMILIES:
+    if family not in zoo.FAMILIES:
         raise ConfigError(
-            f"unknown family {family!r} (expected one of: {', '.join(sorted(_FAMILIES))})"
+            f"unknown family {family!r} (expected one of: {', '.join(sorted(zoo.FAMILIES))})"
         )
-    build, mode = _FAMILIES[family]
     rows = []
     for i, depth in enumerate(depths):
+        spec = zoo.FAMILIES[family](depth, width=width)
         for j, slope in enumerate(slopes):
-            model = build(depth, slope=slope, width=width, seed=seed)
+            model = zoo.build_model(spec, seed=seed, slope=slope)
             x = ops.gaussian((bs, 3, h, w), seed=seed + 1000 * i + j)
-            trace = traced_backward(model, x, mode, seed=seed + 1)
+            trace = traced_backward(model, x, spec.mode, seed=seed + 1)
             rows.append((int(depth), float(slope), trace.records[-1].snr))
     return rows
 

@@ -364,5 +364,5 @@ def load_checkpoint_into(model, path):
             params[name][...] = arr
     for path, layer in model.named_layers():
         if hasattr(layer, "running_mean"):
-            layer.running_mean = stored[f"{path}.running_mean"].copy()
-            layer.running_var = stored[f"{path}.running_var"].copy()
+            layer.running_mean = memtrack.track(stored[f"{path}.running_mean"].copy())
+            layer.running_var = memtrack.track(stored[f"{path}.running_var"].copy())

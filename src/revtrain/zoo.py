@@ -1,6 +1,7 @@
-"""Calibrated architecture specs and builders for live models.
+"""Calibrated architecture specs, the depth families of the SNR sweeps,
+and the one builder of live models.
 
-Each spec reproduces a reference cost profile: the per-pixel training
+Each ZOO spec reproduces a reference cost profile: the per-pixel training
 budget of its backprop mode and the weight footprint.  Layer counts are
 calibrated so the budgets land exactly where the profiles say; see
 ARCH_NOTES on each spec for the resulting figures.
@@ -181,6 +182,36 @@ def pure_block_spec():
     return mm.ArchSpec("pure-block", 3, layers, mode="hybrid")
 
 
+def _family(mode, depth, width, unit):
+    """Stem conv, then `depth` units from unit(i), then a head; `mode` also
+    names the family."""
+    if depth < 1:
+        raise ConfigError(f"depth must be at least 1, got {depth}")
+    layers = [_L("conv", 3, width, k=3)]
+    for i in range(depth):
+        layers += unit(i)
+    layers += [_L("head", width, 10)]
+    return mm.ArchSpec(f"{mode}-d{depth}", 3, layers, mode=mode)
+
+
+def layerwise_family(depth, width=16):
+    """The layer-wise net of the depth sweeps: `depth` invertible
+    conv/norm/activation triples at `width` channels."""
+    return _family("layerwise", depth, width, lambda _: _invertible_triple(width))
+
+
+def hybrid_family(depth, width=16):
+    """The hybrid net of the depth sweeps: `depth` coupled blocks with
+    invertible branches at `width` channels."""
+    if width % 4:
+        raise ConfigError(f"width must split into two even halves, got {width}")
+    return _family("hybrid", depth, width,
+                   lambda bid: _coupled_block(bid, width, _invconv_branch(width)))
+
+
+FAMILIES = {"layerwise": layerwise_family, "hybrid": hybrid_family}
+
+
 ZOO = {
     "resnet": resnet_spec,
     "revnet": revnet_spec,
@@ -204,14 +235,14 @@ def get_spec(name):
 # -- live models ---------------------------------------------------------------
 
 
-def _build_layer(layer, rng, dtype):
+def _build_layer(layer, rng, dtype, slope):
     kind = layer.kind
     if kind == "conv":
         return Conv2D(layer.c_in, layer.c_out, k=layer.k, rng=rng, dtype=dtype)
     if kind == "bn":
         return InvBatchNorm(layer.c_in, dtype=dtype)
     if kind == "lrelu":
-        return InvLeakyReLU(DEFAULT_SLOPE)
+        return InvLeakyReLU(slope)
     if kind == "invconv":
         return InvConv(layer.c_in, k=layer.k, rng=rng, dtype=dtype)
     if kind == "pool_c":
@@ -223,25 +254,26 @@ def _build_layer(layer, rng, dtype):
     raise ConfigError(f"cannot build a {kind!r} layer")
 
 
-def _build_item(item, rng, dtype):
+def _build_item(item, rng, dtype, slope):
     """One live item: a layer, or a ReversibleBlock from a block's F then G
     layers.  Layers are built in spec order, which fixes the weight draws."""
-    built = [_build_layer(pl.layer, rng, dtype) for pl in item.placed]
+    built = [_build_layer(pl.layer, rng, dtype, slope) for pl in item.placed]
     if item.standalone:
         return built[0]
     n_f = len(item.branch("f"))
     return ReversibleBlock(Module(built[:n_f]), Module(built[n_f:]))
 
 
-def build_model(spec, seed=0, dtype=np.float32):
+def build_model(spec, seed=0, dtype=np.float32, slope=DEFAULT_SLOPE):
     """Construct a live SequentialModel from an architecture spec.
 
     Each item of `memory_model.place(spec)` becomes one model item; the
-    head's group size is the head item's batch multiplier.
+    head's group size is the head item's batch multiplier.  Every lrelu
+    layer gets the negative-slope divisor `slope`.
     """
     rng = default_rng(seed)
     *items, head = mm.place(spec)
-    body = [_build_item(item, rng, dtype) for item in items]
+    body = [_build_item(item, rng, dtype, slope) for item in items]
     top = head.placed[0]
     classifier = ClassifierHead(
         top.layer.c_in, top.layer.c_out, group_size=top.b, rng=rng, dtype=dtype

@@ -345,6 +345,21 @@ def test_pool_shape_validation():
         ops.unpool_batch(np.zeros((3, 1, 2, 2), dtype=np.float32))
 
 
+# each shape is one where a reshape alone could permute without copying
+@pytest.mark.parametrize("op, shape", [
+    ("pool_channels", (2, 3, 2, 2)),
+    ("unpool_channels", (2, 12, 1, 1)),
+    ("pool_batch", (2, 1, 2, 2)),
+    ("unpool_batch", (8, 1, 1, 1)),
+])
+def test_pool_permutations_own_their_output(op, shape):
+    x = memtrack.track(np.arange(np.prod(shape), dtype=np.float32).reshape(shape))
+    live = memtrack.live_bytes()
+    y = getattr(ops, op)(x)
+    assert not np.shares_memory(x, y)
+    assert memtrack.live_bytes() == live + y.nbytes
+
+
 def test_gaussian_deterministic_per_seed():
     a = ops.gaussian((5, 5), seed=123)
     b = ops.gaussian((5, 5), seed=123)

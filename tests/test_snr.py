@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revtrain import ops, snr
+from revtrain import ops, snr, zoo
 from revtrain.errors import ConfigError
 from revtrain.layers import InvBatchNorm, InvConv
 
@@ -194,7 +194,7 @@ def test_hybrid_family_is_far_more_stable():
 
 
 def test_block_inputs_beat_block_internals():
-    model = snr.hybrid_family(4, slope=2.0, seed=3)
+    model = zoo.build_model(zoo.hybrid_family(4), seed=3, slope=2.0)
     x = ops.gaussian((4, 3, 8, 8), seed=4)
     trace = snr.traced_backward(model, x, "hybrid", seed=5)
     rows = snr.block_trace_summary(trace)
@@ -204,7 +204,7 @@ def test_block_inputs_beat_block_internals():
 
 
 def test_trace_records_cover_the_walk():
-    model = snr.layerwise_family(3, slope=2.0, seed=6)
+    model = zoo.build_model(zoo.layerwise_family(3), seed=6, slope=2.0)
     x = ops.gaussian((4, 3, 8, 8), seed=7)
     trace = snr.traced_backward(model, x, "layerwise", seed=8)
     # 3 triples, all but the stem reconstructed
@@ -215,11 +215,40 @@ def test_trace_records_cover_the_walk():
 
 def test_family_builders_validate():
     with pytest.raises(ConfigError):
-        snr.layerwise_family(0)
+        zoo.layerwise_family(0)
     with pytest.raises(ConfigError):
-        snr.hybrid_family(2, width=6)
+        zoo.hybrid_family(2, width=6)
     with pytest.raises(ConfigError, match="unknown family"):
         snr.snr_depth_sweep("plain", [2], [2.0])
+
+
+def test_build_model_gives_every_activation_the_slope():
+    model = zoo.build_model(zoo.hybrid_family(2), slope=5.0)
+    slopes = [layer.n for _, layer in model.named_layers() if layer.kind == "lrelu"]
+    assert slopes == [5.0] * 4
+
+
+# ---------------------------------------------------------------------------
+# the paper's depth claim: fixed cost per pixel, slow SNR loss for hybrid nets
+
+
+@pytest.fixture(scope="module")
+def depth_sweep_db():
+    """Deepest-record SNR in dB per family and depth (f32, slope 2, seed 0)."""
+    depths = [2, 4, 8, 16, 32]
+    return {
+        family: {d: 10 * np.log10(v) for d, _, v in snr.snr_depth_sweep(family, depths, [2.0])}
+        for family in zoo.FAMILIES
+    }
+
+
+def test_hybrid_loses_under_two_db_per_block(depth_sweep_db):
+    hybrid = depth_sweep_db["hybrid"]
+    assert (hybrid[2] - hybrid[32]) / 30 < 2.0  # measured about 1.42
+
+
+def test_layerwise_is_pure_noise_by_depth_16(depth_sweep_db):
+    assert depth_sweep_db["layerwise"][16] < 0  # measured about -89.9
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +273,7 @@ def test_depth_sweep_csv_shape():
 
 
 def test_trace_csv_shape():
-    model = snr.layerwise_family(2, seed=11)
+    model = zoo.build_model(zoo.layerwise_family(2), seed=11)
     x = ops.gaussian((4, 3, 8, 8), seed=12)
     trace = snr.traced_backward(model, x, "layerwise", seed=13)
     lines = snr.trace_csv(trace).strip().splitlines()

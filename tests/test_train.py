@@ -3,7 +3,7 @@ import gc
 import numpy as np
 import pytest
 
-from revtrain import data, ops, train, zoo
+from revtrain import data, memtrack, ops, train, zoo
 from revtrain.errors import ConfigError, TrainDivergence
 from revtrain.memory_model import ArchSpec, LayerSpec
 from revtrain.model import BackpropMode
@@ -402,6 +402,16 @@ def test_checkpoint_restores_model(tmp_path, dataset):
     want, _ = trained.forward(x, BackpropMode.STORED, train=False)
     got, _ = fresh.forward(x, BackpropMode.STORED, train=False)
     assert np.array_equal(want, got)
+
+
+def test_checkpoint_load_keeps_tracked_bytes(tmp_path):
+    # the restored running statistics replace tracked arrays of the same size
+    model = zoo.build_model(zoo.small_hybrid_spec(), seed=0)
+    path = tmp_path / "small.rvtn"
+    train.save_checkpoint(path, train.model_state(model))
+    live = memtrack.live_bytes()
+    train.load_checkpoint_into(model, path)
+    assert memtrack.live_bytes() == live
 
 
 def test_checkpoint_into_rejects_mismatched_names(tmp_path, dataset):
