@@ -32,7 +32,7 @@ GOLDEN_BYTES_PER_PIXEL = {
     ("resnet", "stored"): 1928,
     ("revnet", "block"): 640,
     ("irevnet", "block"): 640,
-    ("layerwise", "layerwise"): 320,
+    ("layerwise", "hybrid"): 320,
     ("hybrid", "hybrid"): 352,
 }
 GOLDEN_SIZE = (240, 240, 32)
@@ -40,7 +40,7 @@ GOLDEN_SIZE = (240, 240, 32)
 # (per-pixel budget alone); tolerance is relative
 GOLDEN_TOTALS = {
     ("resnet", "stored"): ("budget_total", 3.81e9, 0.02),
-    ("layerwise", "layerwise"): ("pixel_term", 590e6, 0.02),
+    ("layerwise", "hybrid"): ("pixel_term", 590e6, 0.02),
     ("hybrid", "hybrid"): ("pixel_term", 648e6, 0.02),
 }
 
@@ -104,7 +104,6 @@ def cmd_train(args):
 def cmd_memcost(args):
     spec = resolve_spec(args.config)
     mode = args.mode or spec.mode
-    mm.validate_mode(spec, mode)
     report = mm.memory_report(spec, mode, args.height, args.width, args.batch)
     sys.stdout.write(mm.report_csv(report))
     if not args.golden:
@@ -170,7 +169,6 @@ def cmd_snr_profile(args):
         spec = resolve_spec(args.config)
         mode = args.mode or spec.mode
         model = zoo.build_model(spec, seed=args.seed, dtype=np.float64)
-        model.validate_mode(BackpropMode.parse(mode))
         x = ops.gaussian((args.batch, spec.input_channels, args.height, args.width),
                          seed=args.seed + 1, dtype=np.float64)
         trace = snr.traced_backward(model, x, mode, seed=args.seed + 2)
@@ -196,11 +194,10 @@ def _tensor_rel_error(got, want, floor):
 
 def cmd_gradcheck(args):
     spec = resolve_spec(args.config)
-    mode = BackpropMode.parse(args.mode or spec.mode)
     dtype = np.float64 if args.dtype == "f64" else np.float32
     floor = 1e-8 if dtype is np.float64 else 1e-4
     model = zoo.build_model(spec, seed=args.seed, dtype=dtype)
-    model.validate_mode(mode)
+    mode = model.validate_mode(args.mode or spec.mode)
     x = ops.gaussian((args.batch, spec.input_channels, args.height, args.width),
                      seed=args.seed + 1, dtype=dtype)
     rng = ops.default_rng(args.seed + 2)

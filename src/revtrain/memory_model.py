@@ -18,8 +18,10 @@ The executor in `model.py` allocates fresh buffers for the former; that gap
 is a separate `overhead_bytes` line item, never folded into the budget.
 
 The mode policy lives here once, for the replay and for the executor:
-`check_mode` decides which backprop modes a chain of items admits, and
-`keeps_input` which item inputs each mode's forward keeps.
+`BackpropMode` names the three modes (stored, block, hybrid; see `model.py`)
+and its `parse` is the one check of a mode name, `check_mode` decides which
+modes a chain of items admits, and `keeps_input` which item inputs each
+mode's forward keeps.
 
 Conventions that the budgets rely on:
   * The input batch is owned by the caller, so the first standalone layer
@@ -32,6 +34,7 @@ Conventions that the budgets rely on:
 """
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,7 +46,25 @@ KINDS = ("conv", "bn", "lrelu", "invconv", "pool_c", "pool_b", "maxpool", "head"
 PARAM_KINDS = ("conv", "bn", "invconv", "head")
 POOL_KINDS = ("pool_c", "pool_b", "maxpool")
 INVERTIBLE_KINDS = ("bn", "lrelu", "invconv", "pool_c", "pool_b")
-MODES = ("stored", "block", "layerwise", "hybrid")
+
+
+class BackpropMode(Enum):
+    STORED = "stored"
+    BLOCK_REVERSIBLE = "block"
+    HYBRID = "hybrid"
+
+    @classmethod
+    def parse(cls, mode):
+        """The member for `mode`, given as a member or by name."""
+        try:
+            return cls(mode)
+        except ValueError:
+            raise ConfigError(
+                f"unknown backprop mode {mode!r} (expected one of: {', '.join(MODES)})"
+            ) from None
+
+
+MODES = tuple(mode.value for mode in BackpropMode)
 
 
 @dataclass(frozen=True)
@@ -107,10 +128,7 @@ class ArchSpec:
     # -- structural validation ----------------------------------------------
 
     def validate(self):
-        if self.mode not in MODES:
-            raise ConfigError(
-                f"unknown mode {self.mode!r} (expected one of: {', '.join(MODES)})"
-            )
+        self.mode = BackpropMode.parse(self.mode).value
         if self.bpe <= 0:
             raise ConfigError(f"bytes per element (bpe) must be positive, got {self.bpe}")
         if not self.layers:
@@ -294,32 +312,26 @@ def place(spec):
 
 
 def check_mode(mode, items):
-    """Raise ConfigError unless `mode` can train the chain `items`.
+    """The BackpropMode for `mode`; raises ConfigError unless it can train
+    the chain `items`.
 
     items holds one (kind, layer_kinds) pair per schedule item before the
     head: kind is a layer kind or "block", layer_kinds the kinds of the
     layers the item holds (the layer itself, or a block's F and G layers).
     """
-    if mode == "stored":
-        return
+    mode = BackpropMode.parse(mode)
     blocks = [i for i, (kind, _) in enumerate(items) if kind == "block"]
-    if mode == "layerwise" and blocks:
-        raise ConfigError(
-            f"layerwise mode needs a plain chain but item {blocks[0]} (block) "
-            "is a reversible block"
-        )
-    if mode in ("block", "hybrid") and not blocks:
-        raise ConfigError(f"{mode} mode needs at least one reversible block")
-    if mode in ("layerwise", "hybrid"):
+    if mode is BackpropMode.BLOCK_REVERSIBLE and not blocks:
+        raise ConfigError("block mode needs at least one reversible block")
+    if mode is BackpropMode.HYBRID:
         # A non-invertible stem at position 0 is fine: its input is the
         # caller-owned batch, so the walk needs nothing saved for it.
         for i, (kind, _) in enumerate(items):
             if i > 0 and kind != "block" and kind not in INVERTIBLE_KINDS:
                 raise ConfigError(
-                    f"{mode} mode needs invertible layers past the stem but "
+                    f"hybrid mode needs invertible layers past the stem but "
                     f"item {i} ({kind}) is not invertible"
                 )
-    if mode == "hybrid":
         for i in blocks:
             bad = [kind for kind in items[i][1] if kind not in INVERTIBLE_KINDS]
             if bad:
@@ -327,6 +339,7 @@ def check_mode(mode, items):
                     f"hybrid mode needs invertible block internals but "
                     f"item {i} (block) contains a {bad[0]} layer"
                 )
+    return mode
 
 
 def keeps_input(mode, kind, index):
@@ -334,23 +347,24 @@ def keeps_input(mode, kind, index):
 
     Item 0's input is the caller's batch and the head keeps only its pooled
     features.  Stored mode keeps the inputs of parameterised layers, block
-    mode those of every layer it cannot invert; the walk modes keep nothing,
+    mode those of every layer it cannot invert; hybrid mode keeps nothing,
     as check_mode admits only invertible layers past the stem there.  A block
     record keeps what stored mode keeps inside each branch, plus the branch
-    input.
+    input.  `mode` is a BackpropMode.
     """
     if index == 0 or kind == "head":
         return False
-    if mode == "stored":
+    if mode is BackpropMode.STORED:
         return kind in PARAM_KINDS
-    if mode == "block":
+    if mode is BackpropMode.BLOCK_REVERSIBLE:
         return kind in PARAM_KINDS or kind == "maxpool"
     return False
 
 
 def validate_mode(spec, mode):
+    """The BackpropMode for `mode`, once check_mode admits it for spec."""
     items = place(spec)[:-1]
-    check_mode(mode, [(it.kind, [pl.layer.kind for pl in it.placed]) for it in items])
+    return check_mode(mode, [(it.kind, [pl.layer.kind for pl in it.placed]) for it in items])
 
 
 # -- costing helpers -----------------------------------------------------------
@@ -366,7 +380,7 @@ def _kept_internals(item):
     total = Fraction(0)
     for name in ("f", "g"):
         for j, pl in enumerate(item.branch(name)):
-            if j == 0 or keeps_input("stored", pl.layer.kind, j):
+            if j == 0 or keeps_input(BackpropMode.STORED, pl.layer.kind, j):
                 total += pl.a
     return total
 
@@ -394,7 +408,7 @@ def stored_saved_bytes(spec, h, w, bs):
     for it in place(spec):
         if not it.standalone:
             kept += _kept_internals(it)
-        elif keeps_input("stored", it.kind, it.index):
+        elif keeps_input(BackpropMode.STORED, it.kind, it.index):
             kept += it.placed[0].a
     cached = sum(2 * l.c_in * spec.bpe for l in spec.layers if l.kind == "bn")
     total = kept * px * spec.bpe + cached + bs * spec.head().c_in * spec.bpe
@@ -416,20 +430,21 @@ def max_volume_elems(spec):
 # Executor concurrency allowance per mode, in units of the largest
 # activation volume: mostly the fresh buffers of elementwise inverses and
 # gradients.  Fitted to tracked peaks of the small-hybrid, pure-block, hybrid,
-# revnet and layerwise specs at 8/16/32 px, batch 8.  Errors: stored -5.0% to
-# +0.5% on small-hybrid and pure-block (the replay overestimates hybrid by
-# 4-21%, revnet and layerwise by 2-13%); block -9.5% to +8.9%, negative as the
-# executor holds one branch record at a time while the replay charges both at
-# its coupling step, the event that sets revnet's 640 B/px budget; layerwise
-# within 0.03%; hybrid -2.6% to +2.2%.
-OVERHEAD_FACTORS = {"stored": 0.7, "block": -0.63, "layerwise": 2.0, "hybrid": 1.4}
+# revnet and layerwise specs, plus zoo.layerwise_family(8) for hybrid, at
+# 8/16/32 px, batch 8.  Errors: stored -5.0% to +0.5% on small-hybrid and
+# pure-block (the replay overestimates hybrid by 4-21%, revnet and layerwise
+# by 2-13%); block -9.5% to +8.9%, negative as the executor holds one branch
+# record at a time while the replay charges both at its coupling step, the
+# event that sets revnet's 640 B/px budget; hybrid -7.6% (pure-block, 32 px)
+# to +6.6% (layerwise-d8, 32 px).
+OVERHEAD_FACTORS = {"stored": 0.7, "block": -0.63, "hybrid": 1.7}
 
 
 def overhead_bytes(spec, mode, h, w, bs):
     # parameter gradient buffers (one weight-sized set, live by the end of
     # backward) plus the per-mode concurrency allowance
     v = max_volume_elems(spec) * h * w * bs * spec.bpe
-    return float(weight_bytes(spec) + OVERHEAD_FACTORS[mode] * v)
+    return float(weight_bytes(spec) + OVERHEAD_FACTORS[BackpropMode.parse(mode).value] * v)
 
 
 # -- schedule replay ----------------------------------------------------------
@@ -469,7 +484,8 @@ def _replay(spec, mode, bs):
     statistics, activations, gradients and the head's buffers.  The input
     batch, optimizer momentum and executor overhead are separate line items.
     """
-    validate_mode(spec, mode)
+    mode = validate_mode(spec, mode)
+    stored = mode is BackpropMode.STORED
     items = place(spec)
     bpe = spec.bpe
 
@@ -491,7 +507,7 @@ def _replay(spec, mode, bs):
     for it in items[:-1]:
         label = f"fwd {it.index}"
         if not it.standalone:
-            if mode == "stored":
+            if stored:
                 kept[it.index] = _kept_internals(it)
                 led.alloc(f"{label} record", ACT, kept[it.index])
             bn_cached(it.index, it.placed)
@@ -516,7 +532,7 @@ def _replay(spec, mode, bs):
     head = spec.head()
     led.alloc("fwd head pooled", FIXED, bs * head.c_in * bpe)
     led.alloc("fwd head logits", FIXED, bs * head.c_out * bpe)
-    if mode == "stored":
+    if stored:
         led.free(ACT, prev)  # final feature map is not retained
 
     # backward
@@ -525,20 +541,20 @@ def _replay(spec, mode, bs):
     led.free(FIXED, 2 * bs * head.c_out * bpe)
     led.free(FIXED, bs * head.c_in * bpe)
     grad = _final_volume(items)
-    value = Fraction(0) if mode == "stored" else prev
+    value = Fraction(0) if stored else prev
 
     for it in reversed(items[:-1]):
         label = f"bwd {it.index}"
         if not it.standalone:
             internals = _kept_internals(it)
-            if mode == "stored":
+            if stored:
                 # Coupling gradients swap in place; branch value chains are
                 # a transient on top of the records kept since the forward.
                 led.bump(f"{label} replay", ACT, it.volume / 2)
                 led.note(label)
                 led.free(ACT, kept.pop(it.index))
                 grad = it.volume
-            elif mode == "block":
+            elif mode is BackpropMode.BLOCK_REVERSIBLE:
                 # Inverting re-records the internals.  The module inputs
                 # alias the activation pair while inverting, so less than
                 # the full record is ever new; at the coupling step all
@@ -574,7 +590,7 @@ def _replay(spec, mode, bs):
             else:
                 led.alloc(label, GRAD, pl.a)
                 led.free(GRAD, grad)
-            if mode == "stored":
+            if stored:
                 led.free(ACT, kept.pop(it.index))
                 grad = pl.a
             else:
@@ -582,7 +598,7 @@ def _replay(spec, mode, bs):
                 led.free(ACT, value)
                 kept.pop(it.index)
                 grad, value = pl.a, pl.a
-        elif mode == "stored":
+        elif stored:
             if kind in POOL_KINDS or kind in ("conv", "invconv"):
                 led.alloc(label, GRAD, pl.a)
                 led.free(GRAD, grad)

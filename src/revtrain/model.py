@@ -3,8 +3,8 @@
 A SequentialModel is a flat list of items (plain layers and reversible
 blocks) followed by a classifier head.  The forward pass is a single code
 path for every mode; only what gets saved differs, by the policy in
-`memory_model` (`keeps_input`, with `check_mode` deciding which modes a
-model admits):
+`memory_model` (`BackpropMode`, `keeps_input`, with `check_mode` deciding
+which modes a model admits):
 
 * stored          -- keep the input of every parameterised layer and
                      record every block's internals.
@@ -12,11 +12,10 @@ model admits):
                      reversible blocks are inverted during backward one
                      branch at a time, each rebuild re-recording that
                      branch's internals: one extra forward pass per block.
-* layerwise       -- keep only the final activation; every layer of the
-                     chain is inverted one at a time while gradients flow.
-* hybrid          -- blocks are inverted analytically like `block`, but
-                     their internals are rebuilt by layer inverses instead
-                     of being recorded.
+* hybrid          -- keep only the final activation; blocks are inverted
+                     analytically like `block`, but their internals, and
+                     every layer outside them, are rebuilt by layer
+                     inverses one at a time while gradients flow.
 
 Backward is one interpreter, `_backward_chain`, run over the model's items
 and over each block branch.  Walking last to first, it takes each input
@@ -34,7 +33,6 @@ F-branch layer 0, or ``"head.weight"``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import partial
 
 import numpy as np
@@ -42,6 +40,7 @@ import numpy as np
 from . import memory_model as mm
 from . import ops
 from .errors import ConfigError, StateError
+from .memory_model import BackpropMode
 from .memtrack import track
 from .layers import (
     ClassifierHead,
@@ -63,21 +62,6 @@ __all__ = [
     "SnrRecord",
     "SnrTrace",
 ]
-
-
-class BackpropMode(Enum):
-    STORED = "stored"
-    BLOCK_REVERSIBLE = "block"
-    LAYER_WISE = "layerwise"
-    HYBRID = "hybrid"
-
-    @classmethod
-    def parse(cls, name):
-        for mode in cls:
-            if mode.value == name:
-                return mode
-        valid = ", ".join(m.value for m in cls)
-        raise ConfigError(f"unknown backprop mode {name!r} (expected one of: {valid})")
 
 
 def _apply_layer(layer, x, train=True, update_running=True):
@@ -184,7 +168,7 @@ class Module:
         """
         rec = {0: x}
         for i, layer in enumerate(self.layers):
-            if mm.keeps_input("stored", layer.kind, i):
+            if mm.keeps_input(BackpropMode.STORED, layer.kind, i):
                 rec[i] = x
             x = _apply_layer(layer, x, train, update_running)
         return x, rec
@@ -335,7 +319,8 @@ class SnrTrace:
 
     Records appear in backward encounter order; for each block the internal
     records precede the block-input record.  snr = |x|^2 / |x_rec - x|^2
-    (inf when the reconstruction is exact).
+    (inf when the reconstruction is exact, 0 when its error is not finite:
+    no signal is left).
     """
 
     records: list = field(default_factory=list)
@@ -347,7 +332,7 @@ class SnrTrace:
             return
         err = ops.sum_sq_norm(np.asarray(reconstructed, dtype=np.float64) - true)
         sig = ops.sum_sq_norm(true)
-        snr = float("inf") if err == 0.0 else sig / err
+        snr = float("inf") if err == 0.0 else sig / err if np.isfinite(err) else 0.0
         self.records.append(SnrRecord(len(self.records), kind, snr, path))
 
     def min_snr(self):
@@ -419,8 +404,9 @@ class SequentialModel:
     # -- mode validation ---------------------------------------------------
 
     def validate_mode(self, mode):
-        mm.check_mode(
-            mode.value, [(item.kind, [l.kind for l in _layers(item)]) for item in self.items]
+        """The BackpropMode for `mode` (a member or its name) if admitted."""
+        return mm.check_mode(
+            mode, [(item.kind, [l.kind for l in _layers(item)]) for item in self.items]
         )
 
     def supported_modes(self):
@@ -441,7 +427,7 @@ class SequentialModel:
         The computation is identical for every mode; only the saved state
         differs, so logits match bitwise across modes.
         """
-        self.validate_mode(mode)
+        mode = self.validate_mode(mode)
         if not train:
             for item in self.items:
                 if isinstance(item, ReversibleBlock):
@@ -458,7 +444,7 @@ class SequentialModel:
                 else:
                     x = item.forward(x)
             else:
-                if mm.keeps_input(mode.value, item.kind, i):
+                if mm.keeps_input(mode, item.kind, i):
                     saved.stored[str(i)] = x
                 x = _apply_layer(item, x)
         if mode is not BackpropMode.STORED:

@@ -18,7 +18,6 @@ import numpy as np
 from . import ops, zoo
 from .errors import ConfigError, NumericError
 from .layers import InvBatchNorm, InvLeakyReLU
-from .model import BackpropMode
 
 __all__ = [
     "AlphaEstimate",
@@ -284,8 +283,7 @@ def sweep_csv(rows, x_name):
 
 
 def traced_backward(model, x, mode, seed=0):
-    """Run forward and a traced backward on x; returns the SnrTrace."""
-    mode = BackpropMode.parse(mode) if isinstance(mode, str) else mode
+    """Run forward and a traced backward on x in `mode`; returns the SnrTrace."""
     out, saved = model.forward(x, mode)
     grad = ops.gaussian(out.shape, seed=seed, dtype=out.dtype)
     _, trace = model.backward(saved, grad, x, trace=True)

@@ -178,9 +178,8 @@ def train_run(config, dataset=None, on_epoch=None):
     on_epoch, when given, is called with each EpochMetrics as it completes.
     """
     spec = config.spec()
-    mode = BackpropMode.parse(config.mode or spec.mode)
     model = zoo.build_model(spec, seed=config.seed)
-    model.validate_mode(mode)
+    mode = model.validate_mode(config.mode or spec.mode)
     if dataset is None:
         dataset = data_mod.load_cifar10(data_mod.data_root(config.data_dir))
 
@@ -329,7 +328,10 @@ def load_checkpoint(path):
         shape = unpack(f"<{ndim}I")
         dtype = _CODE_DTYPES[code]
         arr = np.frombuffer(take(math.prod(shape) * dtype.itemsize), dtype=dtype.newbyteorder("<"))
-        params[name] = arr.reshape(shape).astype(dtype)
+        try:
+            params[name] = arr.reshape(shape).astype(dtype)
+        except ValueError:  # e.g. zero-size dims beside dims numpy cannot index
+            raise ConfigError(f"{path}: corrupt shape {shape} for {name}") from None
     if offset != len(raw):
         raise ConfigError(f"{path}: {len(raw) - offset} trailing bytes after last tensor")
     return params

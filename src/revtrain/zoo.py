@@ -117,8 +117,8 @@ def _invertible_triple(c):
 
 def layerwise_spec():
     """Stem conv into a layer-wise invertible chain at 32-128-512-512
-    channels with two channel poolings and one batch pooling.  Layerwise
-    budget 320 B/px, weights 29.30 MB."""
+    channels with two channel poolings and one batch pooling, walked layer
+    by layer in hybrid mode.  Hybrid budget 320 B/px, weights 29.30 MB."""
     layers = [_L("conv", 3, 32, k=3)]
     for _ in range(2):
         layers += _invertible_triple(32)
@@ -132,7 +132,7 @@ def layerwise_spec():
     for _ in range(3):
         layers += _invertible_triple(512)
     layers += [_L("head", 512, 10)]
-    return mm.ArchSpec("layerwise", 3, layers, mode="layerwise")
+    return mm.ArchSpec("layerwise", 3, layers, mode="hybrid")
 
 
 def hybrid_spec():
@@ -182,16 +182,16 @@ def pure_block_spec():
     return mm.ArchSpec("pure-block", 3, layers, mode="hybrid")
 
 
-def _family(mode, depth, width, unit):
-    """Stem conv, then `depth` units from unit(i), then a head; `mode` also
-    names the family."""
+def _family(name, depth, width, unit):
+    """Family `name` at `depth`: stem conv, then `depth` units from
+    unit(i), then a head, trained in hybrid mode."""
     if depth < 1:
         raise ConfigError(f"depth must be at least 1, got {depth}")
     layers = [_L("conv", 3, width, k=3)]
     for i in range(depth):
         layers += unit(i)
     layers += [_L("head", width, 10)]
-    return mm.ArchSpec(f"{mode}-d{depth}", 3, layers, mode=mode)
+    return mm.ArchSpec(f"{name}-d{depth}", 3, layers, mode="hybrid")
 
 
 def layerwise_family(depth, width=16):

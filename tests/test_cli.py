@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from revtrain import cli, data
-from revtrain.memory_model import ArchSpec, LayerSpec, write_arch_file
+from revtrain import cli, data, zoo
+from revtrain.memory_model import ArchSpec, LayerSpec, format_arch, write_arch_file
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,7 @@ def deep_chain_cfg(tmp_path):
             LayerSpec(kind="lrelu", c_in=8, c_out=8),
         ]
     layers.append(LayerSpec(kind="head", c_in=8, c_out=10))
-    spec = ArchSpec(name="deep-chain", input_channels=3, mode="layerwise", layers=layers)
+    spec = ArchSpec(name="deep-chain", input_channels=3, mode="hybrid", layers=layers)
     path = tmp_path / "deep-chain.cfg"
     write_arch_file(spec, path)
     return str(path)
@@ -76,7 +76,7 @@ GOLDEN_RUNS = {
     ("resnet", "stored"): (1, "bytes_per_pixel,1928,1928,ok"),
     ("revnet", "block"): (0, "bytes_per_pixel,640,640,ok"),
     ("irevnet", "block"): (1, "bytes_per_pixel,512,640,FAIL"),
-    ("layerwise", "layerwise"): (0, "bytes_per_pixel,320,320,ok"),
+    ("layerwise", "hybrid"): (0, "bytes_per_pixel,320,320,ok"),
     ("hybrid", "hybrid"): (0, "bytes_per_pixel,352,352,ok"),
 }
 
@@ -104,6 +104,18 @@ def test_memcost_rejects_invalid_mode(capsys):
     rc = cli.main(["memcost", "--config", "revnet", "--mode", "hybrid"])
     assert rc == 2
     assert "maxpool" in capsys.readouterr().err
+
+
+def test_layerwise_is_a_net_not_a_mode(tmp_path, capsys):
+    assert cli.main(["memcost", "--config", "layerwise", "--mode", "layerwise"]) == 2
+    assert "invalid choice: 'layerwise'" in capsys.readouterr().err
+    path = tmp_path / "old.cfg"
+    path.write_text(format_arch(zoo.layerwise_spec()).replace("mode = hybrid", "mode = layerwise"))
+    assert cli.main(["memcost", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "unknown backprop mode 'layerwise'" in err[0]
+    assert cli.main(["memcost", "--config", "layerwise", "--mode", "hybrid"]) == 0
 
 
 @pytest.mark.parametrize("flag", ["--batch", "--height", "--width"])
@@ -214,6 +226,17 @@ def test_snr_profile_family_sweep_rows(capsys):
     assert len(lines) == 5
 
 
+def test_snr_profile_books_an_overflowed_walk_as_zero(capsys):
+    # the f32 layer-wise walk overflows by depth 64: no signal is left
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["snr-profile", "--family", "layerwise", "--depths", "16,32,64",
+                       "--slopes", "2"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-1] == "64,2,0"
+    assert all(float(line.split(",")[2]) > 0 for line in lines[1:-1])
+
+
 def test_snr_profile_needs_exactly_one_source(capsys):
     assert cli.main(["snr-profile"]) == 2
     assert cli.main(["snr-profile", "--config", "hybrid", "--family", "layerwise"]) == 2
@@ -247,7 +270,7 @@ def test_gradcheck_stored_against_finite_differences():
 
 
 def test_gradcheck_deep_layerwise_f32_exceeds_tolerance(deep_chain_cfg, capsys):
-    rc = cli.main(["gradcheck", "--config", deep_chain_cfg, "--mode", "layerwise",
+    rc = cli.main(["gradcheck", "--config", deep_chain_cfg, "--mode", "hybrid",
                    "--dtype", "f32", "--tol", "1e-4"])
     assert rc == 1
 

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revtrain import memory_model as mm
 from revtrain import ops, zoo
@@ -35,8 +37,8 @@ def test_hybrid_budget():
 
 def test_layerwise_budget():
     spec = zoo.layerwise_spec()
-    assert mm.bytes_per_pixel(spec, "layerwise") == 320
-    assert mm.activation_bytes_per_pixel(spec, "layerwise") == 192
+    assert mm.bytes_per_pixel(spec, "hybrid") == 320
+    assert mm.activation_bytes_per_pixel(spec, "hybrid") == 192
 
 
 def test_irevnet_block_budget():
@@ -54,7 +56,7 @@ def test_family_budgets_do_not_grow_with_depth():
         assert mm.bytes_per_pixel(hybrid, "hybrid") == 176
         assert mm.bytes_per_pixel(hybrid, "block") == 256
         assert mm.bytes_per_pixel(hybrid, "stored") == 224 + 128 * (depth - 1)
-        assert mm.bytes_per_pixel(zoo.layerwise_family(depth), "layerwise") == 160
+        assert mm.bytes_per_pixel(zoo.layerwise_family(depth), "hybrid") == 160
 
 
 def test_weight_footprints():
@@ -92,7 +94,7 @@ def test_activation_terms_at_reference_size():
 
 def test_mode_ordering_across_specs():
     vals = [
-        mm.bytes_per_pixel(zoo.layerwise_spec(), "layerwise"),
+        mm.bytes_per_pixel(zoo.layerwise_spec(), "hybrid"),
         mm.bytes_per_pixel(zoo.hybrid_spec(), "hybrid"),
         mm.bytes_per_pixel(zoo.revnet_spec(), "block"),
         mm.bytes_per_pixel(zoo.resnet_spec(), "stored"),
@@ -108,7 +110,7 @@ def test_mode_ordering_within_spec():
     assert hybrid < block < stored
 
     chain = zoo.layerwise_spec()
-    assert mm.bytes_per_pixel(chain, "layerwise") < mm.bytes_per_pixel(chain, "stored")
+    assert mm.bytes_per_pixel(chain, "hybrid") < mm.bytes_per_pixel(chain, "stored")
 
 
 # (activation, gradient) bytes per pixel of every zoo spec in every mode it
@@ -120,7 +122,7 @@ ZOO_BUDGETS = {
     ("irevnet", "stored"): (2880, 128),
     ("irevnet", "block"): (384, 128),
     ("layerwise", "stored"): (2816, 128),
-    ("layerwise", "layerwise"): (192, 128),
+    ("layerwise", "hybrid"): (192, 128),
     ("hybrid", "stored"): (3264, 128),
     ("hybrid", "block"): (512, 128),
     ("hybrid", "hybrid"): (224, 128),
@@ -170,7 +172,7 @@ SIM_CASES = [
     ("revnet", "block"),
     ("revnet", "stored"),
     ("irevnet", "block"),
-    ("layerwise", "layerwise"),
+    ("layerwise", "hybrid"),
     ("layerwise", "stored"),
     ("hybrid", "hybrid"),
     ("hybrid", "block"),
@@ -407,12 +409,45 @@ def test_bpe_must_be_positive(bpe):
         mm.parse_arch_text(text, source="bad.cfg")
 
 
+# Every entry point that takes a mode name, called with an unknown one.
+UNKNOWN_MODE_CALLS = {
+    "parse": lambda spec, model, x: BackpropMode.parse("bogus"),
+    "ArchSpec": lambda spec, model, x: mm.ArchSpec("bad", 3, spec.layers, mode="bogus"),
+    "check_mode": lambda spec, model, x: mm.check_mode("bogus", []),
+    "validate_mode": lambda spec, model, x: mm.validate_mode(spec, "bogus"),
+    "simulate_schedule": lambda spec, model, x: mm.simulate_schedule(spec, "bogus", 32, 32, 8),
+    "bytes_per_pixel": lambda spec, model, x: mm.bytes_per_pixel(spec, "bogus"),
+    "memory_report": lambda spec, model, x: mm.memory_report(spec, "bogus", 32, 32, 8),
+    "overhead_bytes": lambda spec, model, x: mm.overhead_bytes(spec, "bogus", 32, 32, 8),
+    "model.validate_mode": lambda spec, model, x: model.validate_mode("bogus"),
+    "model.forward": lambda spec, model, x: model.forward(x, "bogus"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNKNOWN_MODE_CALLS))
+def test_unknown_mode_is_rejected_by_one_check(entry):
+    spec = zoo.small_hybrid_spec()
+    model = zoo.build_model(spec, seed=0)
+    x = ops.gaussian((2, 3, 8, 8), seed=1)
+    with pytest.raises(ConfigError) as err:
+        UNKNOWN_MODE_CALLS[entry](spec, model, x)
+    assert str(err.value) == (
+        "unknown backprop mode 'bogus' (expected one of: stored, block, hybrid)"
+    )
+
+
+def test_modes_are_the_backprop_mode_names():
+    assert mm.MODES == ("stored", "block", "hybrid")
+    assert [BackpropMode.parse(name).value for name in mm.MODES] == list(mm.MODES)
+    assert BackpropMode.parse(BackpropMode.HYBRID) is BackpropMode.HYBRID
+
+
 def test_validate_mode_messages():
     bad = mm.ArchSpec(
         "bad", 3, [mm.LayerSpec("conv", 3, 8), mm.LayerSpec("conv", 8, 8), _head(8)]
     )
     with pytest.raises(ConfigError, match="past the stem"):
-        mm.validate_mode(bad, "layerwise")
+        mm.validate_mode(bad, "hybrid")
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +516,46 @@ def test_kernel_size_only_on_conv_layers(kind):
         layers = [mm.LayerSpec("conv", 3, 8, k=3), mm.LayerSpec(kind, 8, c_out, k=5), _head(c_out)]
     with pytest.raises(ConfigError, match=rf"layer 1 \({kind}\): only conv and invconv .* k = 5"):
         mm.ArchSpec("bad", 3, layers)
+
+
+# Line edits of a zoo config for fuzzing: blank lines, lines moved from
+# elsewhere in it, section headers, key = value pairs and free text.
+FUZZ_BASE = mm.format_arch(zoo.pure_block_spec()).splitlines()
+FUZZ_KEYS = ["name", "mode", "input_channels", "classes", "bpe", "kind", "c_in", "c_out",
+             "k", "pool", "block", "branch"]
+FUZZ_LINES = st.one_of(
+    st.just(""),
+    st.sampled_from(FUZZ_BASE),
+    st.sampled_from(["[meta]", "[layer]", "[", "[layers]"]),
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(FUZZ_KEYS),
+        st.one_of(st.integers(-3, 64).map(str),
+                  st.sampled_from([*mm.KINDS, *mm.MODES, "f", "g", "layerwise", ""]),
+                  st.text(max_size=6)),
+    ),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_arch_files_fail_only_as_config_errors(data):
+    lines = list(FUZZ_BASE)
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        pos = data.draw(st.integers(0, len(lines)))
+        op = data.draw(st.sampled_from(["insert", "replace", "delete"]))
+        if op == "insert" or pos == len(lines):
+            lines.insert(pos, data.draw(FUZZ_LINES))
+        elif op == "replace":
+            lines[pos] = data.draw(FUZZ_LINES)
+        else:
+            del lines[pos]
+    try:
+        spec = mm.parse_arch_text("\n".join(lines) + "\n", source="fuzz.cfg")
+        mm.memory_report(spec, spec.mode, 8, 8, 2)
+    except ConfigError:
+        pass
 
 
 def test_parse_missing_required_key():

@@ -22,7 +22,6 @@ from oracles import fd_grad, rel_err
 
 STORED = BackpropMode.STORED
 BLOCK = BackpropMode.BLOCK_REVERSIBLE
-LAYERWISE = BackpropMode.LAYER_WISE
 HYBRID = BackpropMode.HYBRID
 
 
@@ -120,7 +119,7 @@ def test_logits_bitwise_identical_stored_vs_layerwise():
     model = chain_model(c=8, depth=2, seed=5)
     x = ops.gaussian((4, 8, 6, 6), seed=11)
     a, _ = model.forward(x, STORED)
-    b, _ = model.forward(x, LAYERWISE)
+    b, _ = model.forward(x, HYBRID)
     assert np.array_equal(a, b)
 
 
@@ -257,7 +256,7 @@ def test_layerwise_gradients_match_stored():
     x = ops.gaussian((2, 8, 6, 6), seed=28, dtype=np.float64)
     probe = ops.gaussian((2, 5), seed=29, dtype=np.float64)
     _, ref = linear_loss_grads(model, x, STORED, probe)
-    _, via_walk = linear_loss_grads(model, x, LAYERWISE, probe)
+    _, via_walk = linear_loss_grads(model, x, HYBRID, probe)
     assert max_param_rel_err(ref, via_walk) < 1e-6
 
 
@@ -368,7 +367,7 @@ def test_layerwise_trace_snr_decays_with_depth():
     model = chain_model(c=8, depth=6, seed=57)
     x = ops.gaussian((4, 8, 8, 8), seed=58)
     probe = ops.gaussian((4, 5), seed=59)
-    logits, saved = model.forward(x, LAYERWISE)
+    logits, saved = model.forward(x, HYBRID)
     _, trace = model.backward(saved, probe, x, trace=True)
 
     # One record per walked layer; item 0 takes the caller's input instead.
@@ -390,12 +389,6 @@ def test_trace_requires_reversible_mode():
 # mode validation
 
 
-def test_layerwise_rejects_blocks():
-    model = hybrid_model(c=8, depth=1)
-    with pytest.raises(ConfigError, match="block"):
-        model.validate_mode(LAYERWISE)
-
-
 def test_layerwise_rejects_non_invertible_layers_past_the_stem():
     rng = ops.default_rng(1)
     model = SequentialModel(
@@ -403,7 +396,7 @@ def test_layerwise_rejects_non_invertible_layers_past_the_stem():
         ClassifierHead(8, 4, rng=rng),
     )
     with pytest.raises(ConfigError, match="item 2"):
-        model.validate_mode(LAYERWISE)
+        model.validate_mode(HYBRID)
 
 
 def test_walk_modes_allow_a_stem_conv():
@@ -412,13 +405,13 @@ def test_walk_modes_allow_a_stem_conv():
         [Conv2D(3, 8, rng=rng), InvBatchNorm(8), InvLeakyReLU(2.0)],
         ClassifierHead(8, 4, rng=rng),
     )
-    model.validate_mode(LAYERWISE)
+    model.validate_mode(HYBRID)
 
     x = ops.gaussian((2, 3, 6, 6), seed=3, dtype=np.float64)
     probe = ops.gaussian((2, 4), seed=4, dtype=np.float64)
     ref_logits, ref_saved = model.forward(x, STORED)
     ref_grads, _ = model.backward(ref_saved, probe, x)
-    logits, saved = model.forward(x, LAYERWISE)
+    logits, saved = model.forward(x, HYBRID)
     grads, _ = model.backward(saved, probe, x)
     assert np.array_equal(ref_logits, logits)
     assert max_param_rel_err(grads, ref_grads) < 1e-12
@@ -426,9 +419,8 @@ def test_walk_modes_allow_a_stem_conv():
 
 def test_block_modes_need_a_block():
     model = chain_model(depth=1)
-    for mode in (BLOCK, HYBRID):
-        with pytest.raises(ConfigError, match="reversible block"):
-            model.validate_mode(mode)
+    with pytest.raises(ConfigError, match="reversible block"):
+        model.validate_mode(BLOCK)
 
 
 def test_hybrid_rejects_non_invertible_block_internals():
@@ -442,7 +434,7 @@ def test_hybrid_rejects_non_invertible_block_internals():
 def test_supported_modes_lists():
     assert BackpropMode.STORED in revnet_model().supported_modes()
     assert set(hybrid_model().supported_modes()) == {STORED, BLOCK, HYBRID}
-    assert set(chain_model().supported_modes()) == {STORED, LAYERWISE}
+    assert set(chain_model().supported_modes()) == {STORED, HYBRID}
 
 
 def test_mode_parse_round_trip():
@@ -570,7 +562,7 @@ LIFETIME_PEAK_BOUNDS = {
     ("irevnet", "stored"): 173_421_000,
     ("irevnet", "block"): 171_979_000,
     ("layerwise", "stored"): 32_215_000,
-    ("layerwise", "layerwise"): 30_521_000,
+    ("layerwise", "hybrid"): 30_521_000,
     ("hybrid", "stored"): 18_520_000,
     ("hybrid", "block"): 16_120_000,
     ("hybrid", "hybrid"): 15_989_000,

@@ -206,7 +206,7 @@ def test_block_inputs_beat_block_internals():
 def test_trace_records_cover_the_walk():
     model = zoo.build_model(zoo.layerwise_family(3), seed=6, slope=2.0)
     x = ops.gaussian((4, 3, 8, 8), seed=7)
-    trace = snr.traced_backward(model, x, "layerwise", seed=8)
+    trace = snr.traced_backward(model, x, "hybrid", seed=8)
     # 3 triples, all but the stem reconstructed
     assert len(trace.records) == 9
     assert trace.records[-1].path == "1"
@@ -275,7 +275,7 @@ def test_depth_sweep_csv_shape():
 def test_trace_csv_shape():
     model = zoo.build_model(zoo.layerwise_family(2), seed=11)
     x = ops.gaussian((4, 3, 8, 8), seed=12)
-    trace = snr.traced_backward(model, x, "layerwise", seed=13)
+    trace = snr.traced_backward(model, x, "hybrid", seed=13)
     lines = snr.trace_csv(trace).strip().splitlines()
     assert lines[0] == "layer_index,kind,snr"
     assert len(lines) == 1 + len(trace.records)

@@ -2,6 +2,8 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revtrain import data, memtrack, ops, train, zoo
 from revtrain.errors import ConfigError, TrainDivergence
@@ -14,7 +16,7 @@ def dataset(tmp_path_factory):
     return data.ensure_dataset(tmp_path_factory.mktemp("ds"))
 
 
-def chain_spec(mode="layerwise", width=8):
+def chain_spec(mode="hybrid", width=8):
     return ArchSpec(name="tiny-chain", input_channels=3, mode=mode, layers=[
         LayerSpec(kind="conv", c_in=3, c_out=width),
         LayerSpec(kind="invconv", c_in=width, c_out=width),
@@ -375,6 +377,40 @@ def test_checkpoint_corrupt_name_and_missing_file_are_config_errors(tmp_path):
         train.load_checkpoint(path)
     with pytest.raises(ConfigError, match="absent.rvtn"):
         train.load_checkpoint(tmp_path / "absent.rvtn")
+
+
+def test_checkpoint_corrupt_rank_is_a_config_error(tmp_path):
+    path = tmp_path / "rank.rvtn"
+    train.save_checkpoint(path, {"a.w": np.ones((2, 3), np.float32), "b": np.zeros(4)})
+    raw = bytearray(path.read_bytes())
+    assert raw[18] == 2  # the first tensor's rank
+    # rank 11 reads the float payload as dims, one of them 0, so the byte
+    # count is 0 and only the reshape can tell
+    raw[18] = 11
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ConfigError, match="rank.rvtn"):
+        train.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.rvtn"
+    train.save_checkpoint(path, {"a.w": np.ones((2, 3), np.float32), "b": np.zeros(4)})
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_corrupt_checkpoints_fail_only_as_config_errors(fuzz_checkpoint, data):
+    path, valid = fuzz_checkpoint
+    raw = bytearray(valid)
+    for _ in range(data.draw(st.integers(0, 4), label="edits")):
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    path.write_bytes(bytes(raw[: data.draw(st.integers(0, len(raw)), label="length")]))
+    try:
+        train.load_checkpoint(path)
+    except ConfigError:
+        pass
 
 
 def test_failed_checkpoint_save_keeps_the_existing_file(tmp_path):
