@@ -263,23 +263,25 @@ class InvLeakyReLU:
 
     def forward(self, x):
         ops.check_tensor(x, "x")
-        return track(np.where(x > 0, x, x / self.n))
+        return track(np.maximum(x, x / self.n))
 
     def inverse(self, y):
         ops.check_tensor(y, "y")
-        return track(np.where(y > 0, y, y * self.n))
+        return track(np.minimum(y, y * self.n))
 
     def backward(self, grad_out, x=None, y=None):
-        """Scale gradients by 1 or 1/n; the branch comes from the sign of x, or
+        """Divide gradients by n or 1; the branch comes from the sign of x, or
         of y when x is not given.
 
         Input and output have the same sign on both sides of the kink, so
-        either works.
+        either works.  The divisor is looked up by the sign mask's bytes, so
+        the division runs without a branch.
         """
         sign_source = y if x is None else x
         if grad_out.shape != sign_source.shape:
             raise ShapeError(f"grad {grad_out.shape} vs sign source {sign_source.shape}")
-        return track(np.where(sign_source > 0, grad_out, grad_out / self.n)), {}
+        divisor = np.array([self.n, 1.0], dtype=grad_out.dtype)
+        return track(grad_out / divisor.take((sign_source > 0).view(np.uint8))), {}
 
 
 class InvConv:

@@ -15,7 +15,11 @@ which modes a model admits):
 * hybrid          -- keep only the final activation; blocks are inverted
                      analytically like `block`, but their internals, and
                      every layer outside them, are rebuilt by layer
-                     inverses one at a time while gradients flow.
+                     inverses one at a time while gradients flow.  A
+                     branch walk starts from the branch input the coupling
+                     has just rebuilt, so its first layer is never
+                     inverted: a walk costs what `block` costs plus two
+                     convolutions per InvConv past a branch's first layer.
 
 Backward is one interpreter, `_backward_chain`, run over the model's items
 and over each block branch.  Walking last to first, it takes each input
@@ -104,7 +108,7 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, pr
     interpreter consumes it.  At step i, y is the value above; the input x
     is an anchor, else the layer's inverse of y (walk), else a replay from
     below.  A layer gets only what its backward reads, the rest released
-    first; in a walk an anchor restarts the walk, releasing y.
+    first, so an anchor in a walk keeps y for a layer that reads it.
     block_backward(i, block, y, grad) takes y and grad in cells and returns
     (x or None, grad_in, param_grads).  grad may be a cell.
 
@@ -134,8 +138,6 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, pr
                 # only repeat the one above
                 if trace is not None and "x" in reads:
                     trace.record(f"{prefix}{i}", step.kind, x)
-            elif walk:
-                y = None
             if "y" not in reads:
                 y = None
             if not walk and "x" in reads:
@@ -180,13 +182,15 @@ class Module:
         """
         return _backward_chain(self.layers, grad, rec, walk=False)[::2]
 
-    def walk_backward(self, grad, output, trace=None, prefix=""):
-        """Layer-wise inverse walk: rebuild each input while gradients flow.
+    def walk_backward(self, grad, x, y, trace=None, prefix=""):
+        """Layer-wise inverse walk from the output y down to the input x:
+        rebuild each layer's input while gradients flow.
 
-        Every layer must be invertible.  output may be a cell.  Returns
-        (grad_in, reconstructed_input, param_grads).
+        Every layer past the first must be invertible; the first is never
+        inverted, its input being x.  y may be a cell.  Returns (grad_in, x,
+        param_grads).
         """
-        vals = {len(self.layers): _take(output)}
+        vals = {0: x, len(self.layers): _take(y)}
         return _backward_chain(self.layers, grad, vals, walk=True, trace=trace, prefix=prefix)
 
 
@@ -204,8 +208,9 @@ class ReversibleBlock:
         """(f, g, kept): branch callables for the coupling helpers.
 
         keep="record" appends each branch's apply_record record to kept,
-        keep="output" each branch's output in a cell, to seed a walk; kept
-        fills in call order, F then G forward and G then F inverting.
+        keep="walk" each branch's (input, output in a cell), to seed a walk
+        at both ends; kept fills in call order, F then G forward and G then
+        F inverting.
         """
         kept = []
 
@@ -216,8 +221,8 @@ class ReversibleBlock:
                     kept.append(rec)
                     return v
                 v = module.apply(t, train, update_running)
-                if keep == "output":
-                    kept.append(_Cell(v))
+                if keep == "walk":
+                    kept.append((t, _Cell(v)))
                 return v
 
             return run
@@ -248,10 +253,10 @@ class ReversibleBlock:
     @staticmethod
     def _branch_backward(module, grad, src, trace, prefix):
         """(grad_in, param_grads) of a branch replayed from a record or
-        walked from its output."""
+        walked between its (input, output)."""
         if isinstance(src, dict):
             return module.backward_from_record(grad, src)
-        return module.walk_backward(grad, src, trace, prefix)[::2]
+        return module.walk_backward(grad, *src, trace, prefix)[::2]
 
     def _backward(self, grad, rec=None, y=None, walk=False, trace=None, prefix=""):
         """The one coupling backward; returns (x or None, grad_in, param_grads).
@@ -261,11 +266,14 @@ class ReversibleBlock:
         each just before its own backward (x2 = y2 - G(y1) before G's,
         x1 = y1 - F(x2) before F's), so F's values are never held through
         G's backward.  Rebuilding re-records the branch, or for a walk keeps
-        its output to seed the walk; nothing is kept beyond the block.
+        its input and output to seed the walk at both ends, so no walk
+        inverts a branch's first layer: G's input y1 stays untouched until
+        G's walk ends, and F's is the rebuilt x2.  Nothing is kept beyond
+        the block.
         """
         if rec is None:
             x = _own(y)
-            f, g, kept = self._branches(True, False, "output" if walk else "record")
+            f, g, kept = self._branches(True, False, "walk" if walk else "record")
             steps = _uncouple(x, f, g)
         else:
             x, kept, steps = None, list(rec), iter(())

@@ -27,7 +27,9 @@ Convolution-application accounting: conv2d_forward and conv2d_backward_input
 each count as one application; conv2d_backward_weight rides along with the
 input-gradient sweep of the same layer and does not increment the counter.
 Under this convention a plain backward costs ~1x the forward application
-count, block-reversible ~2x and hybrid ~3x (reconstruction sweeps included).
+count, block-reversible and hybrid ~2x (reconstruction sweeps included).
+Hybrid adds two per InvConv past a branch's first layer: rebuilding the
+coupling runs the whole branch forward, and the walk then inverts it.
 
 Random sampling uses numpy's PCG64 (permuted congruential generator, XSL-RR
 128/64 variant) seeded through SeedSequence, so sampled tensors are

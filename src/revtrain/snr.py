@@ -301,8 +301,11 @@ def block_trace_summary(trace):
     """Per-block reconstruction quality: (block path, min internal snr, input snr).
 
     The input of each reversible block is rebuilt through the additive
-    shortcut, which is far more stable than the layer-by-layer walk used
-    inside the block; a healthy profile has input_snr > min_internal_snr.
+    shortcut from its output, and each branch walk inside it starts
+    from the branch input so rebuilt; the internals record only the walked
+    layers past each branch's first.  A healthy profile loses input_snr
+    steadily with depth, a few dB per block, and min_internal_snr follows it
+    down; a sudden drop in either marks an inverse that amplifies error.
     """
     internals = {}
     inputs = {}

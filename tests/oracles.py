@@ -118,3 +118,20 @@ def im2col_conv2d_backward_weight(x, grad_out, stride, padding, kernel_hw):
     g_mat = grad_out.transpose(0, 2, 3, 1).reshape(bs * oh * ow, cout)
     gk = (col.T @ g_mat).reshape(cin, kh, kw, cout).transpose(3, 0, 1, 2)
     return np.ascontiguousarray(gk), grad_out.sum(axis=(0, 2, 3))
+
+
+# -- leaky ReLU with a sign mask ---------------------------------------------------
+# Masked-select forms of InvLeakyReLU. The layer's max/min and divisor lookup
+# must reproduce them bit for bit, signed zeros and NaN included.
+
+
+def where_lrelu_forward(x, n):
+    return np.where(x > 0, x, x / n)
+
+
+def where_lrelu_inverse(y, n):
+    return np.where(y > 0, y, y * n)
+
+
+def where_lrelu_backward(grad, sign_source, n):
+    return np.where(sign_source > 0, grad, grad / n)

@@ -17,7 +17,13 @@ from revtrain.layers import (
     MaxPool2x2,
 )
 
-from oracles import fd_grad, rel_err
+from oracles import (
+    fd_grad,
+    rel_err,
+    where_lrelu_backward,
+    where_lrelu_forward,
+    where_lrelu_inverse,
+)
 
 
 def _loss_weight(shape, seed):
@@ -209,6 +215,27 @@ def test_lrelu_backward_matches_finite_differences():
     assert rel_err(g, fd_grad(loss, x.copy())) < 1e-8
     g_from_y, _ = lr.backward(r, lr.forward(x))
     assert_array_equal(g, g_from_y)  # output sign carries the same branch
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1.25, 2.0, 3.7])
+def test_lrelu_matches_masked_select_bitwise(dtype, n):
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, info.tiny / 4, -info.tiny / 4, info.max, -info.max]
+    x = np.concatenate([ops.gaussian((2, 3, 4, 4), seed=17, dtype=dtype).ravel(), special])
+    x = x.astype(dtype).reshape(1, 1, 1, -1)
+    grad = ops.gaussian(x.shape, seed=18, dtype=dtype)
+    lr = InvLeakyReLU(n)
+    with np.errstate(over="ignore"):  # the inverse takes -max to -inf, as it should
+        pairs = [
+            (lr.forward(x), where_lrelu_forward(x, lr.n)),
+            (lr.inverse(x), where_lrelu_inverse(x, lr.n)),
+            (lr.backward(grad, x)[0], where_lrelu_backward(grad, x, lr.n)),
+            (lr.backward(x, y=grad)[0], where_lrelu_backward(x, grad, lr.n)),
+        ]
+    for got, want in pairs:
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # --- InvConv ---------------------------------------------------------------

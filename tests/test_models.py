@@ -292,7 +292,55 @@ def test_conv_apply_ratios_per_mode():
     assert fwd == 8  # 2 blocks x 2 branches x 2 couplings each
     assert counts[STORED][1] == 2 * fwd
     assert counts[BLOCK][1] == 3 * fwd
-    assert counts[HYBRID][1] == 4 * fwd
+    # a branch walk starts from the branch input the coupling rebuilt, so it
+    # never inverts its first layer, here the branch's only InvConv
+    assert counts[HYBRID][1] == 3 * fwd
+
+
+def _branch_layers(model):
+    """{path: layer} of every layer inside a block branch."""
+    return {path: layer for path, layer in model.named_layers() if path.count(".") == 2}
+
+
+@pytest.mark.parametrize("name", ["small-hybrid", "pure-block", "hybrid"])
+def test_hybrid_walk_costs_block_plus_deeper_invconv_inverses(name):
+    spec = zoo.get_spec(name)
+    model = zoo.build_model(spec, seed=0)
+    x = ops.gaussian((2, spec.input_channels, 16, 16), seed=1)
+    applies = {}
+    for mode in (BLOCK, HYBRID):
+        ops.reset_conv_applies()
+        logits, saved = model.forward(x, mode)
+        model.backward(saved, ops.gaussian(logits.shape, seed=2), x)
+        applies[mode] = ops.conv_applies()
+    deeper = [
+        path
+        for path, layer in _branch_layers(model).items()
+        if layer.kind == "invconv" and not path.endswith(".0")
+    ]
+    # both modes run each branch forward to rebuild the coupling; a walk then
+    # inverts every InvConv past the branch's first layer (two convs), whose
+    # input block mode reads from its record
+    assert applies[HYBRID] - applies[BLOCK] == 2 * len(deeper)
+    assert len(deeper) == {"small-hybrid": 8, "pure-block": 0, "hybrid": 0}[name]
+
+
+def test_hybrid_never_inverts_a_branch_first_layer(monkeypatch):
+    spec = zoo.small_hybrid_spec()
+    model = zoo.build_model(spec, seed=0)
+    branch_layers = _branch_layers(model)
+    inverted = []
+    for path, layer in branch_layers.items():
+
+        def spy(y, path=path, inverse=layer.inverse):
+            inverted.append(path)
+            return inverse(y)
+
+        monkeypatch.setattr(layer, "inverse", spy)
+    x = ops.gaussian((2, spec.input_channels, 16, 16), seed=1)
+    logits, saved = model.forward(x, HYBRID)
+    model.backward(saved, ops.gaussian(logits.shape, seed=2), x)
+    assert sorted(inverted) == sorted(p for p in branch_layers if not p.endswith(".0"))
 
 
 def test_peak_memory_ordering_across_modes():
@@ -348,19 +396,18 @@ def test_hybrid_trace_is_sawtooth_per_block():
     logits, saved = model.forward(x, HYBRID)
     _, trace = model.backward(saved, probe, x, trace=True)
 
-    # Records arrive per block: six internals then the block input.
-    assert len(trace.records) == 4 * 7
-    internals = []
-    blocks_checked = 0
-    for record in trace.records:
-        if record.kind == "block_input":
-            assert internals, "block input record arrived before internals"
-            assert record.snr > min(internals)
-            internals = []
-            blocks_checked += 1
-        else:
-            internals.append(record.snr)
-    assert blocks_checked == 4
+    # Records arrive per block, top block first: G's walked layers, then
+    # F's, each top down, then the block input.  A walk starts from the
+    # branch input the coupling rebuilt, so no branch's layer 0 is recorded.
+    expected = []
+    for block in reversed(range(4)):
+        expected += [f"{block}.{branch}.{j}" for branch in "GF" for j in (2, 1)]
+        expected.append(str(block))
+    assert [r.path for r in trace.records] == expected
+    # the teeth: each block's input is rebuilt from the one above, so the
+    # block-input SNR falls with every block down the stack
+    inputs = [r.snr for r in trace.records if r.kind == "block_input"]
+    assert all(upper > lower for upper, lower in zip(inputs, inputs[1:]))
 
 
 def test_layerwise_trace_snr_decays_with_depth():
