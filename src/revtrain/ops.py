@@ -15,6 +15,17 @@ slice's zero-padded input and GEMM result, not the whole-batch column matrix
 dilated by the stride and padded by k-1-p, so it computes exactly the input
 frame rather than the full correlation.
 
+Column pixels are ordered (b, i, j), except in forward and input-gradient
+batch slices of kernels larger than 1x1 whose output rows are shorter than
+SHORT_ROW pixels: those build their zero-padded (and, for the input gradient,
+dilated) frame with the batch innermost and order pixels (i, j, b), so a tap
+copy moves runs of ow*n elements instead of ow. The weight gradient keeps
+(b, i, j), because its pixels are the reduction axis and reordering them would
+change the sums; so do the small GEMMs issued in the im2col layout (see
+SMALL_GEMM_MACS). The order changes no bits: each output still reduces over
+the same (channel, ky, kx) order on BLAS's packed path with the same
+PIXEL_TILE padding, and only its column moves.
+
 Results equal the whole-batch im2col formulation bit for bit (see
 SMALL_GEMM_MACS), except where BLAS rounds by an output's position rather than
 its layout: matrix-vector products (one output channel, or one input channel
@@ -107,6 +118,13 @@ WORKSPACE_FLOOR_BYTES = 4 << 20
 SMALL_GEMM_MACS = 1 << 20
 PIXEL_TILE = 16
 
+# In (b, i, j) order a tap copy moves one output row per run, which is mostly
+# loop overhead on short rows. Convs with rows shorter than this order pixels
+# (i, j, b) instead, for runs of ow*n; on longer rows the two transposes that
+# needs (into the frame and out of the GEMM) cost more than they save. So they
+# do for 1x1 kernels, whose columns are one copy of the input.
+SHORT_ROW = 32
+
 
 def _workspace_budget(src) -> int:
     return max(src.nbytes, WORKSPACE_FLOOR_BYTES)
@@ -128,37 +146,45 @@ def _packed_width(npix: int, macs_per_pixel: int) -> int:
     return -(-need // PIXEL_TILE) * PIXEL_TILE
 
 
-def _frame(src, top: int, left: int, fh: int, fw: int, dilation: int = 1):
-    """(n, c, fh, fw) zero canvas holding src[:, :, a, b] at row top + a*dilation,
-    column left + b*dilation; pixels outside the canvas are dropped. Returns a
-    view of src when no padding, dilation or offset is involved."""
+def _frame(src, top: int, left: int, fh: int, fw: int, dilation: int = 1,
+           batch_last: bool = False):
+    """Zero canvas indexed (c, fh, fw, n) that holds src[b, ci, a, e] at row
+    top + a*dilation, column left + e*dilation; pixels outside the canvas are
+    dropped. Its memory keeps src's (n, c) order, or with batch_last puts the
+    batch innermost. Returns a view of src when no padding, dilation or offset
+    is involved."""
     n, c, h, w = src.shape
     if dilation == 1 and top == 0 and left == 0 and fh <= h and fw <= w:
-        return src[:, :, :fh, :fw]
-    canvas = np.zeros((n, c, fh, fw), dtype=src.dtype)
+        return src[:, :, :fh, :fw].transpose(1, 2, 3, 0)
+    canvas = np.zeros((c, fh, fw, n) if batch_last else (n, c, fh, fw), dtype=src.dtype)
+    frame = canvas if batch_last else canvas.transpose(1, 2, 3, 0)
     a0, a1 = max(0, -(top // dilation)), min(h, -((top - fh) // dilation))
     b0, b1 = max(0, -(left // dilation)), min(w, -((left - fw) // dilation))
     if a0 < a1 and b0 < b1:
         rows = slice(top + a0 * dilation, top + (a1 - 1) * dilation + 1, dilation)
         cols = slice(left + b0 * dilation, left + (b1 - 1) * dilation + 1, dilation)
-        canvas[:, :, rows, cols] = src[:, :, a0:a1, b0:b1]
-    return canvas
+        frame[:, rows, cols] = src[:, :, a0:a1, b0:b1].transpose(1, 2, 3, 0)
+    return frame
 
 
-def _columns(frame, kh: int, kw: int, stride: int, oh: int, ow: int, width=None):
-    """(c*kh*kw, width) column matrix of frame (n, c, fh, fw): row (ci, ky, kx),
-    column (b, i, j) holds frame[b, ci, i*stride + ky, j*stride + kx]; columns
-    past n*oh*ow (the default width) are zero. One strided copy per kernel tap."""
-    n, c = frame.shape[:2]
+def _columns(frame, kh: int, kw: int, stride: int, oh: int, ow: int, width=None,
+             batch_last: bool = False):
+    """(c*kh*kw, width) column matrix of frame (c, fh, fw, n): row (ci, ky, kx),
+    column (b, i, j), or (i, j, b) with batch_last, holds
+    frame[ci, i*stride + ky, j*stride + kx, b]; columns past n*oh*ow (the
+    default width) are zero. One strided copy per kernel tap."""
+    c, n = frame.shape[0], frame.shape[3]
     npix = n * oh * ow
     cols = np.empty((c * kh * kw, width or npix), dtype=frame.dtype)
     cols[:, npix:] = 0
-    taps = cols[:, :npix].reshape(c, kh, kw, n, oh, ow)
-    src = frame.transpose(1, 0, 2, 3)
+    if batch_last:
+        taps = cols[:, :npix].reshape(c, kh, kw, oh, ow, n)
+    else:
+        taps = cols[:, :npix].reshape(c, kh, kw, n, oh, ow).transpose(0, 1, 2, 4, 5, 3)
     for ky in range(kh):
         for kx in range(kw):
-            taps[:, ky, kx] = src[:, :, ky : ky + (oh - 1) * stride + 1 : stride,
-                                  kx : kx + (ow - 1) * stride + 1 : stride]
+            taps[:, ky, kx] = frame[:, ky : ky + (oh - 1) * stride + 1 : stride,
+                                    kx : kx + (ow - 1) * stride + 1 : stride]
     return cols
 
 
@@ -167,22 +193,30 @@ def _correlate(src, kmat, kh: int, kw: int, out, stride: int, top: int, left: in
     """Column core: out[b, o, i, j] = kmat[o] . column(b, i, j), written in place,
     where the columns are those of src placed on _frame(top, left, dilation).
     Batch slices bound the workspace; im2col issues one whole-batch GEMM in the
-    im2col layout instead (see SMALL_GEMM_MACS)."""
+    im2col layout instead (see SMALL_GEMM_MACS). Batch slices of outputs
+    narrower than SHORT_ROW under kernels larger than 1x1 order their pixels
+    (i, j, b)."""
     bs = src.shape[0]
     rows, k = kmat.shape
     oh, ow = out.shape[2:]
     fh, fw = (oh - 1) * stride + kh, (ow - 1) * stride + kw
     macs = rows * k * bs * oh * ow
+    batch_last = not im2col and kh * kw > 1 and ow < SHORT_ROW
     for sl in [slice(0, bs)] if im2col else _slices(bs, k * oh * ow * src.itemsize, src, macs):
-        frame = _frame(src[sl], top, left, fh, fw, dilation)
-        npix = frame.shape[0] * oh * ow
+        frame = _frame(src[sl], top, left, fh, fw, dilation, batch_last)
+        n = frame.shape[3]
+        npix = n * oh * ow
         if im2col:
             cols = np.ascontiguousarray(_columns(frame, kh, kw, stride, oh, ow).T)
             res = (cols @ kmat.T).T
         else:
-            cols = _columns(frame, kh, kw, stride, oh, ow, _packed_width(npix, rows * k))
+            cols = _columns(frame, kh, kw, stride, oh, ow, _packed_width(npix, rows * k),
+                            batch_last)
             res = (kmat @ cols)[:, :npix]
-        out[sl] = res.reshape(rows, -1, oh, ow).transpose(1, 0, 2, 3)
+        if batch_last:
+            out[sl] = res.reshape(rows, oh, ow, n).transpose(3, 0, 1, 2)
+        else:
+            out[sl] = res.reshape(rows, n, oh, ow).transpose(1, 0, 2, 3)
         del frame, cols, res  # free this slice's scratch before the next is built
     return out
 

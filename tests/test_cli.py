@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -227,8 +229,10 @@ def test_snr_profile_family_sweep_rows(capsys):
 
 
 def test_snr_profile_books_an_overflowed_walk_as_zero(capsys):
-    # the f32 layer-wise walk overflows by depth 64: no signal is left
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the f32 layer-wise walk overflows by depth 64: no signal is left, and
+    # the sweep says so without floating-point warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         rc = cli.main(["snr-profile", "--family", "layerwise", "--depths", "16,32,64",
                        "--slopes", "2"])
     assert rc == 0

@@ -11,6 +11,7 @@ from revtrain.errors import ShapeError
 
 from oracles import (
     fd_grad,
+    im2col,
     im2col_conv2d,
     im2col_conv2d_backward_input,
     im2col_conv2d_backward_weight,
@@ -171,6 +172,49 @@ def test_conv_kernels_bitwise_equal_im2col_reference_across_slices(f32_shape, co
     _check_against_im2col(x, kernel, bias, stride, padding, _bitwise)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("f32_shape,cout,k,stride,padding", [
+    ((64, 128, 4, 4), 128, 3, 1, 1),   # the 4x4 stage after batch pooling
+    ((16, 128, 8, 8), 128, 3, 1, 1),
+    ((64, 128, 9, 9), 128, 3, 2, 1),   # odd size: the input gradient's frame is dilated
+])
+def test_conv_kernels_bitwise_equal_im2col_reference_at_wide_small_maps(f32_shape, cout, k, stride, padding, dtype):
+    # the batch-innermost columns reorder pixels, never a reduction
+    bs, cin, h, w = f32_shape
+    cin = cin * 4 // np.dtype(dtype).itemsize
+    x, kernel, bias = _conv_case((bs, cin, h, w), cout, k, dtype)
+    oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    macs = cout * cin * k * k * bs * oh * ow
+    assert len(ops._slices(bs, cin * k * k * oh * ow * x.itemsize, x, macs)) > 1
+    g = np.empty((bs, cout, oh, ow), dtype)
+    assert len(ops._slices(bs, cout * k * k * h * w * x.itemsize, g, cin * cout * k * k * bs * h * w)) > 1
+    _check_against_im2col(x, kernel, bias, stride, padding, _bitwise)
+
+
+@pytest.mark.parametrize("shape,k,stride,padding", [
+    ((3, 4, 9, 7), 3, 1, 1),
+    ((5, 2, 8, 8), 3, 2, 1),
+    ((2, 3, 6, 5), 1, 1, 0),
+    ((4, 3, 7, 6), 3, 1, 0),
+])
+def test_packed_columns_are_im2col_columns_with_pixels_ordered_ijb(shape, k, stride, padding):
+    x = ops.gaussian(shape, seed=4, dtype=np.float64)
+    bs, cin, h, w = shape
+    want, oh, ow = im2col(np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)), k, k, stride)
+    fh, fw = (oh - 1) * stride + k, (ow - 1) * stride + k
+    npix = bs * oh * ow
+    frame = ops._frame(x, padding, padding, fh, fw, batch_last=True)
+    # an unpadded frame is a view, never a copy of the input
+    assert np.shares_memory(frame, x) == (padding == 0)
+    cols = ops._columns(frame, k, k, stride, oh, ow, npix + 7, batch_last=True)
+    ijb = want.reshape(bs, oh, ow, -1).transpose(3, 1, 2, 0).reshape(-1, npix)
+    assert_array_equal(cols[:, :npix], ijb)
+    assert not cols[:, npix:].any()
+    # the im2col path and the weight gradient keep the (b, i, j) order
+    frame = ops._frame(x, padding, padding, fh, fw)
+    assert_array_equal(ops._columns(frame, k, k, stride, oh, ow), want.T)
+
+
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-14)])
 @pytest.mark.parametrize("shape,cout,k", [
     ((16, 8, 24, 20), 1, 3),   # one output channel: matrix-vector products
@@ -188,29 +232,33 @@ def test_conv_kernels_match_im2col_reference_to_rounding_in_matrix_vector_cases(
 
 
 def test_conv_workspace_stays_within_the_slice_budget():
-    # hot narrow-conv shape; its whole-batch im2col matrix alone is 9x the input
-    x = ops.gaussian((32, 8, 32, 32), seed=1)
-    g = ops.gaussian((32, 8, 32, 32), seed=2)
-    kernel = ops.gaussian((8, 8, 3, 3), seed=3, std=0.1)
-    padded = x.nbytes * 34 * 34 // (32 * 32)
-    # one budget of columns, plus the output (for the weight gradient, its
-    # grad_out copy) and one slice's padded input and GEMM result, neither
-    # larger than the padded input
-    bound = max(x.nbytes, ops.WORKSPACE_FLOOR_BYTES) + 2 * padded
-    assert 9 * x.nbytes > bound
-    calls = {
-        "forward": lambda: ops.conv2d_forward(x, kernel, None, 1, 1),
-        "backward_input": lambda: ops.conv2d_backward_input(g, kernel, 1, 1, input_hw=(32, 32)),
-        "backward_weight": lambda: ops.conv2d_backward_weight(x, g, 1, 1, kernel_hw=(3, 3)),
-    }
-    for name, call in calls.items():
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound, (name, peak, bound)
+    # hot narrow-conv shape, whose whole-batch im2col matrix alone is 9x the
+    # input; and a 1x1 projection, whose frames are views of the input
+    for shape, k, padding in [((32, 8, 32, 32), 3, 1), ((32, 64, 16, 16), 1, 0)]:
+        c, h, w = shape[1:]
+        x = ops.gaussian(shape, seed=1)
+        g = ops.gaussian(shape, seed=2)
+        kernel = ops.gaussian((c, c, k, k), seed=3, std=0.1)
+        padded = x.nbytes * (h + 2 * padding) * (w + 2 * padding) // (h * w)
+        # one budget of columns, plus the output (for the weight gradient, its
+        # grad_out copy) and one slice's padded input and GEMM result, neither
+        # larger than the padded input
+        bound = max(x.nbytes, ops.WORKSPACE_FLOOR_BYTES) + 2 * padded
+        if k == 3:
+            assert 9 * x.nbytes > bound
+        calls = {
+            "forward": lambda: ops.conv2d_forward(x, kernel, None, 1, padding),
+            "backward_input": lambda: ops.conv2d_backward_input(g, kernel, 1, padding, input_hw=(h, w)),
+            "backward_weight": lambda: ops.conv2d_backward_weight(x, g, 1, padding, kernel_hw=(k, k)),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (shape, name, peak, bound)
 
 
 def test_check_tensor_rejects_bad_inputs():
