@@ -18,9 +18,19 @@ InvConv and model.ReversibleBlock share one additive coupling,
 y1 = x1 + F(x2), y2 = x2 + G(y1), over the channel halves (views) of one
 buffer (RevNet, Gomez et al., arXiv 1707.04585; i-RevNet, Jacobsen et al.,
 arXiv 1802.07088): the _coupling_* and _uncouple helpers below hold its
-arithmetic, with the branches passed in. Only a buffer handed over in a _Cell
-is written in place: public forward, inverse and backward never mutate their
-arguments.
+arithmetic, with the branches passed in.
+
+Only a buffer handed over in a _Cell is written in place: public forward,
+inverse and backward never mutate their arguments. The backward interpreter
+(model._backward_chain) hands over what it owns: a layer's output gradient
+once the chain owns it, and during a walk the output y of a layer whose
+backward does not read y. Given a cell, InvBatchNorm and InvLeakyReLU rebuild
+the input in y's buffer and build the input gradient in the output gradient's
+buffer, and InvConv adds its branch gradients into that buffer; Conv2D, the
+pools and MaxPool2x2 take the buffer so it is freed as soon as it is read.
+The elementwise kernels allocate their result plus bounded scratch: leaky
+ReLU one batch element's slice and its mask, InvBatchNorm.backward two
+volumes (u and one product scratch) besides the gradient it builds.
 
 Normalization uses scale = |gamma| + eps_i rather than |gamma + eps_i|: the
 floor keeps the per-channel scale away from zero for every gamma value, so the
@@ -70,6 +80,16 @@ def _take(x):
 def _own(x):
     """A buffer to write in place: a _Cell's, or a tracked copy of a bare array."""
     return x.take() if isinstance(x, _Cell) else track(x.copy())
+
+
+def _dest(x):
+    """(x's array, a buffer for an elementwise result of x's shape): a
+    _Cell's buffer serves as both, a bare array gets a new tracked buffer
+    laid out like it."""
+    if isinstance(x, _Cell):
+        v = x.take()
+        return v, v
+    return x, track(np.empty_like(x))
 
 
 def _coupling_forward(x, f, g):
@@ -141,6 +161,7 @@ class Conv2D:
         return ops.conv2d_forward(x, self.kernel, self.bias, self.stride, self.padding)
 
     def backward(self, grad_out, x=None, y=None):
+        grad_out = _take(grad_out)
         gx = ops.conv2d_backward_input(
             grad_out, self.kernel, self.stride, self.padding, input_hw=x.shape[2:]
         )
@@ -200,10 +221,14 @@ class InvBatchNorm:
         return self._affine(x, mean, var)
 
     def _affine(self, x, mean, var):
-        denom = np.sqrt(var) + self.eps
+        # scale * (x - mean) / denom + beta, one operation at a time in one
+        # buffer (the product commutes bit for bit)
         col = lambda v: v.reshape(1, -1, 1, 1)
-        y = col(self._scale()) * (x - col(mean)) / col(denom) + col(self.beta)
-        return track(y)
+        y = track(np.subtract(x, col(mean)))
+        np.multiply(col(self._scale()), y, out=y)
+        y /= col(np.sqrt(var) + self.eps)
+        y += col(self.beta)
+        return y
 
     def forward_cached(self, x):
         """Re-apply the affine map with the cached batch stats, no side effects."""
@@ -213,39 +238,60 @@ class InvBatchNorm:
         return self._affine(x, *self.cached_stats)
 
     def inverse(self, y):
-        """Undo forward using the cached batch stats."""
+        """Undo forward using the cached batch stats, in y's buffer if y is a
+        _Cell."""
+        y, x = _dest(y)
         self._check(y)
         if self.cached_stats is None:
             raise StateError("inverse needs cached batch statistics; run forward(train=True) first")
         mean, var = self.cached_stats
-        denom = np.sqrt(var) + self.eps
         col = lambda v: v.reshape(1, -1, 1, 1)
-        x = (y - col(self.beta)) / col(self._scale()) * col(denom) + col(mean)
-        return track(x)
+        # (y - beta) / scale * denom + mean
+        np.subtract(y, col(self.beta), out=x)
+        x /= col(self._scale())
+        x *= col(np.sqrt(var) + self.eps)
+        x += col(mean)
+        return x
 
     def backward(self, grad_out, x=None, y=None):
-        """Gradients of the train-mode forward, treating batch stats as functions of x."""
+        """Gradients of the train-mode forward, treating batch stats as functions of x.
+
+        The input gradient is built in grad_out's buffer if grad_out is a
+        _Cell.  Besides it, the only full-size buffers are u and one scratch
+        for the two grad * u reductions.
+        """
+        g, gu = _dest(grad_out)
         self._check(x)
-        if grad_out.shape != x.shape:
-            raise ShapeError(f"grad_out {grad_out.shape} does not match x {x.shape}")
+        if g.shape != x.shape:
+            raise ShapeError(f"grad_out {g.shape} does not match x {x.shape}")
         axes = (0, 2, 3)
+        col = lambda v: v.reshape(1, -1, 1, 1)
         mean = x.mean(axis=axes, keepdims=True)
         var = x.var(axis=axes, keepdims=True)
         sqrt_v = np.sqrt(var)
         denom = sqrt_v + self.eps
-        u = (x - mean) / denom
-        grad_beta = track(grad_out.sum(axis=axes))
+        u = np.subtract(x, mean)
+        u /= denom
+        grad_beta = track(g.sum(axis=axes))
         sign = np.where(self.gamma >= 0, 1.0, -1.0).astype(x.dtype)
-        grad_gamma = track(sign * (grad_out * u).sum(axis=axes))
-        gu = grad_out * self._scale().reshape(1, -1, 1, 1)
+        scratch = np.multiply(g, u)
+        grad_gamma = track(sign * scratch.sum(axis=axes))
+        np.multiply(g, col(self._scale()), out=gu)
+        del g
         # d(sqrt(var))/dvar = 1/(2 sqrt(var)); when var == 0, u == 0 and the
         # statistics term vanishes, so the guarded reciprocal is exact
         inv_sqrt_v = np.zeros_like(sqrt_v)
         np.divide(1.0, sqrt_v, out=inv_sqrt_v, where=sqrt_v > 0)
         gu_mean = gu.mean(axis=axes, keepdims=True)
-        guu_mean = (gu * u).mean(axis=axes, keepdims=True)
-        gx = (gu - gu_mean) / denom - u * guu_mean * inv_sqrt_v
-        return track(np.ascontiguousarray(gx)), {"gamma": grad_gamma, "beta": grad_beta}
+        guu_mean = np.multiply(gu, u, out=scratch).mean(axis=axes, keepdims=True)
+        del scratch
+        # gx = (gu - gu_mean) / denom - u * guu_mean * inv_sqrt_v, built in gu
+        gu -= gu_mean
+        gu /= denom
+        u *= guu_mean
+        u *= inv_sqrt_v
+        gu -= u
+        return gu, {"gamma": grad_gamma, "beta": grad_beta}
 
 
 class InvLeakyReLU:
@@ -263,25 +309,40 @@ class InvLeakyReLU:
 
     def forward(self, x):
         ops.check_tensor(x, "x")
-        return track(np.maximum(x, x / self.n))
+        y = track(np.divide(x, self.n))
+        return np.maximum(x, y, out=y)
+
+    # The inverse and the gradient differ from their input only where the
+    # sign is negative.  A where= mask on the whole tensor would skip the
+    # positive half but runs several times slower than a plain ufunc, so
+    # both loop over batch elements: each step's scratch is one element's
+    # slice, and its mask for the gradient.
 
     def inverse(self, y):
+        """min(y, y * n), in y's buffer if y is a _Cell."""
+        y, x = _dest(y)
         ops.check_tensor(y, "y")
-        return track(np.minimum(y, y * self.n))
+        for yb, xb in zip(y, x):
+            np.minimum(yb, yb * self.n, out=xb)
+        return x
 
     def backward(self, grad_out, x=None, y=None):
         """Divide gradients by n or 1; the branch comes from the sign of x, or
-        of y when x is not given.
+        of y when x is not given.  Built in grad_out's buffer if grad_out is a
+        _Cell.
 
         Input and output have the same sign on both sides of the kink, so
         either works.  The divisor is looked up by the sign mask's bytes, so
         the division runs without a branch.
         """
+        g, gx = _dest(grad_out)
         sign_source = y if x is None else x
-        if grad_out.shape != sign_source.shape:
-            raise ShapeError(f"grad {grad_out.shape} vs sign source {sign_source.shape}")
-        divisor = np.array([self.n, 1.0], dtype=grad_out.dtype)
-        return track(grad_out / divisor.take((sign_source > 0).view(np.uint8))), {}
+        if g.shape != sign_source.shape:
+            raise ShapeError(f"grad {g.shape} vs sign source {sign_source.shape}")
+        divisor = np.array([self.n, 1.0], dtype=g.dtype)
+        for gb, sb, out in zip(g, sign_source, gx):
+            np.divide(gb, divisor.take((sb > 0).view(np.uint8)), out=out)
+        return gx, {}
 
 
 class InvConv:
@@ -360,10 +421,10 @@ class ChannelPool:
         return ops.pool_channels(x)
 
     def inverse(self, y):
-        return ops.unpool_channels(y)
+        return ops.unpool_channels(_take(y))
 
     def backward(self, grad_out, x=None, y=None):
-        return ops.unpool_channels(grad_out), {}
+        return ops.unpool_channels(_take(grad_out)), {}
 
 
 class BatchPool:
@@ -380,10 +441,10 @@ class BatchPool:
         return ops.pool_batch(x)
 
     def inverse(self, y):
-        return ops.unpool_batch(y)
+        return ops.unpool_batch(_take(y))
 
     def backward(self, grad_out, x=None, y=None):
-        return ops.unpool_batch(grad_out), {}
+        return ops.unpool_batch(_take(grad_out)), {}
 
 
 class MaxPool2x2:
@@ -408,6 +469,7 @@ class MaxPool2x2:
 
     def backward(self, grad_out, x=None, y=None):
         """Route gradients to each window's argmax, recomputed from the stored input."""
+        grad_out = _take(grad_out)
         ops.check_tensor(x, "x")
         bs, c, h, w = x.shape
         win = self._windows(x)

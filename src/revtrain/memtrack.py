@@ -8,6 +8,13 @@ of scope and the reported overhead line item covers concurrent operands
 instead. The conv kernels build their column workspace in slices of at most
 max(input bytes, ops.WORKSPACE_FLOOR_BYTES), so one conv call's untracked
 scratch stays near that budget plus one slice's padded input and GEMM result.
+The elementwise layers' scratch is bounded too: InvBatchNorm.backward holds
+two untracked volumes (u and one product scratch) besides the gradient it
+returns, and InvLeakyReLU's inverse and gradient one batch element's slice
+and its sign mask. Calls handed a buffer in a layers._Cell (the batch-norm
+and leaky-ReLU inverses and gradients, the coupling inverse and gradient)
+write their result into it; it stays one tracked buffer, so an in-place step
+adds no tracked bytes.
 """
 
 from __future__ import annotations

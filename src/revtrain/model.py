@@ -109,23 +109,35 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, pr
     is an anchor, else the layer's inverse of y (walk), else a replay from
     below.  A layer gets only what its backward reads, the rest released
     first, so an anchor in a walk keeps y for a layer that reads it.
-    block_backward(i, block, y, grad) takes y and grad in cells and returns
-    (x or None, grad_in, param_grads).  grad may be a cell.
+    block_backward(i, block, y, grad) takes y in a cell and returns
+    (x or None, grad_in, param_grads).
+
+    The interpreter owns every value in vals above position 0, so it hands
+    y over in a cell to a block, and to a layer whose backward does not
+    read y; a walk's inverse rebuilds x in that buffer.  grad may be a
+    cell: the chain owns it then, and always after the first step, and
+    hands it over in a cell to every step while it owns it.  A bare grad is
+    the caller's (a branch's entry gradient is a view of its coupling's
+    gradient buffer) and is never written.
 
     Returns (grad_in, input, param_grads), keys "<position>.<name>".
     """
+    owned = isinstance(grad, _Cell)
     grad = _take(grad)
     grads = {}
     for i in reversed(range(len(steps))):
         step = steps[i]
         y = vals.pop(i + 1, None)
+        if owned:
+            grad = _Cell(grad)
         if isinstance(step, ReversibleBlock):
-            y, grad = _Cell(y), _Cell(grad)
-            x, grad, pg = block_backward(i, step, y, grad)
+            x, grad, pg = block_backward(i, step, _Cell(y), grad)
             if trace is not None:
                 trace.record(f"{prefix}{i}", "block_input", x)
         else:
             reads = step.backward_reads
+            if "y" not in reads:
+                y = _Cell(y)
             x = vals.get(i) if walk else None
             if walk and x is None:
                 if not step.invertible:
@@ -143,6 +155,7 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, pr
             if not walk and "x" in reads:
                 x = _replay(steps, vals, i)
             grad, pg = step.backward(grad, x, y)
+        owned = True
         if x is not None:
             vals[i] = x
         for name, g in pg.items():
@@ -187,10 +200,10 @@ class Module:
         rebuild each layer's input while gradients flow.
 
         Every layer past the first must be invertible; the first is never
-        inverted, its input being x.  y may be a cell.  Returns (grad_in, x,
-        param_grads).
+        inverted, its input being x.  The walk rebuilds values in y's buffer
+        if y is a cell, else in a copy.  Returns (grad_in, x, param_grads).
         """
-        vals = {0: x, len(self.layers): _take(y)}
+        vals = {0: x, len(self.layers): _own(y)}
         return _backward_chain(self.layers, grad, vals, walk=True, trace=trace, prefix=prefix)
 
 

@@ -135,3 +135,45 @@ def where_lrelu_inverse(y, n):
 
 def where_lrelu_backward(grad, sign_source, n):
     return np.where(sign_source > 0, grad, grad / n)
+
+
+# -- batch norm as whole-tensor expressions ----------------------------------------
+# The textbook forms of InvBatchNorm, one numpy expression per map. The layer
+# evaluates the same operations in the same order into reused buffers, so it
+# must reproduce these bit for bit. scale = |gamma| + eps_i.
+
+
+def _col(v):
+    return v.reshape(1, -1, 1, 1)
+
+
+def textbook_bn_affine(x, mean, var, gamma, beta, eps, eps_i):
+    denom = np.sqrt(var) + eps
+    scale = np.abs(gamma) + eps_i
+    return _col(scale) * (x - _col(mean)) / _col(denom) + _col(beta)
+
+
+def textbook_bn_inverse(y, mean, var, gamma, beta, eps, eps_i):
+    denom = np.sqrt(var) + eps
+    scale = np.abs(gamma) + eps_i
+    return (y - _col(beta)) / _col(scale) * _col(denom) + _col(mean)
+
+
+def textbook_bn_backward(grad_out, x, gamma, eps, eps_i):
+    """(input gradient, gamma gradient, beta gradient) of the train-mode map."""
+    axes = (0, 2, 3)
+    mean = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    sqrt_v = np.sqrt(var)
+    denom = sqrt_v + eps
+    u = (x - mean) / denom
+    grad_beta = grad_out.sum(axis=axes)
+    sign = np.where(gamma >= 0, 1.0, -1.0).astype(x.dtype)
+    grad_gamma = sign * (grad_out * u).sum(axis=axes)
+    gu = grad_out * _col(np.abs(gamma) + eps_i)
+    inv_sqrt_v = np.zeros_like(sqrt_v)
+    np.divide(1.0, sqrt_v, out=inv_sqrt_v, where=sqrt_v > 0)
+    gu_mean = gu.mean(axis=axes, keepdims=True)
+    guu_mean = (gu * u).mean(axis=axes, keepdims=True)
+    gx = (gu - gu_mean) / denom - u * guu_mean * inv_sqrt_v
+    return gx, grad_gamma, grad_beta

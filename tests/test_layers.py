@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,15 @@ from revtrain.layers import (
     InvConv,
     InvLeakyReLU,
     MaxPool2x2,
+    _Cell,
 )
 
 from oracles import (
     fd_grad,
     rel_err,
+    textbook_bn_affine,
+    textbook_bn_backward,
+    textbook_bn_inverse,
     where_lrelu_backward,
     where_lrelu_forward,
     where_lrelu_inverse,
@@ -458,3 +464,114 @@ def test_invertible_layers_reconstruction_error():
             assert err == 0.0, layer.kind
         else:
             assert err < 1e-5, layer.kind
+
+
+# --- elementwise kernels: bits and scratch ----------------------------------
+# InvBatchNorm and InvLeakyReLU run the oracles' operations in reused
+# buffers, in place when handed a _Cell.  Each case holds a plain tensor or
+# a split_channels view, bare or handed over.
+
+
+ELEMENTWISE_CASES = pytest.mark.parametrize(
+    "dtype, bs, view",
+    [(d, bs, v) for d in (np.float32, np.float64) for bs in (1, 16) for v in (False, True)],
+)
+
+
+def _kernel_input(dtype, bs, view, seed):
+    """(bs, 3, 5, 4): a plain tensor, or the upper channel half of a 6-channel one."""
+    x = ops.gaussian((bs, 6 if view else 3, 5, 4), seed=seed, dtype=dtype)
+    return ops.split_channels(x)[1] if view else x
+
+
+def _handovers(a):
+    """(argument, what an oracle reads): a bare, and a copy of a in a _Cell."""
+    return [(a, a), (_Cell(a.copy()), a.copy())]
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@ELEMENTWISE_CASES
+def test_bn_matches_textbook_expressions_bitwise(dtype, bs, view):
+    bn = InvBatchNorm(3, dtype=dtype)
+    bn.gamma[...] = [0.7, -1.3, 0.0]
+    bn.beta[...] = [0.2, -0.5, 1.1]
+    consts = (bn.gamma, bn.beta, bn.eps, bn.eps_i)
+    x = _kernel_input(dtype, bs, view, seed=40)
+    grad = _kernel_input(dtype, bs, view, seed=41)
+    y = bn.forward(x)
+    mean, var = bn.cached_stats
+    _same_bits(y, textbook_bn_affine(x, mean, var, *consts))
+    _same_bits(bn.forward_cached(x), y)
+    _same_bits(
+        bn.forward(x, train=False),
+        textbook_bn_affine(x, bn.running_mean, bn.running_var, *consts),
+    )
+    bn.forward(x)
+    for arg, ref in _handovers(y) + [(x, x)]:
+        _same_bits(bn.inverse(arg), textbook_bn_inverse(ref, mean, var, *consts))
+    for arg, ref in _handovers(grad):
+        gx, pg = bn.backward(arg, x)
+        want = textbook_bn_backward(ref, x, bn.gamma, bn.eps, bn.eps_i)
+        for got, w in zip((gx, pg["gamma"], pg["beta"]), want):
+            _same_bits(got, w)
+
+
+@ELEMENTWISE_CASES
+def test_lrelu_matches_masked_select_in_every_layout(dtype, bs, view):
+    lr = InvLeakyReLU(2.5)
+    x = _kernel_input(dtype, bs, view, seed=42)
+    grad = _kernel_input(dtype, bs, view, seed=43)
+    _same_bits(lr.forward(x), where_lrelu_forward(x, lr.n))
+    for arg, ref in _handovers(x):
+        _same_bits(lr.inverse(arg), where_lrelu_inverse(ref, lr.n))
+    for arg, ref in _handovers(grad):
+        _same_bits(lr.backward(arg, x)[0], where_lrelu_backward(ref, x, lr.n))
+    for arg, ref in _handovers(grad):
+        _same_bits(lr.backward(arg, y=x)[0], where_lrelu_backward(ref, x, lr.n))
+
+
+def _traced_peak(call):
+    """Bytes call allocates at its peak, above what was live before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("view", [False, True])
+def test_elementwise_scratch_stays_within_budget(dtype, view):
+    bs, c = 16, 8
+    full = ops.gaussian((bs, 2 * c if view else c, 32, 32), seed=44, dtype=dtype)
+    x = ops.split_channels(full)[1] if view else full
+    grad = ops.gaussian(x.shape, seed=45, dtype=dtype)
+    vol = grad.nbytes
+    item = grad.itemsize
+    elems = vol // item // bs  # one batch element's slice
+    objects = 8192  # Python objects and views
+    # numpy reductions buffer up to np.getbufsize() elements per operand
+    vectors = 2 * np.getbufsize() * item + 32 * c * item
+    bn = InvBatchNorm(c, dtype=dtype)
+    y = bn.forward(x)
+    # u, one product scratch for both grad * u reductions, and the gradient;
+    # the one-expression form (tests/oracles.py) holds about 5 volumes
+    assert _traced_peak(lambda: bn.backward(grad, x)) <= 3 * vol + vectors + objects
+    owned = grad.copy()
+    assert _traced_peak(lambda: bn.backward(_Cell(owned), x)) <= 2 * vol + vectors + objects
+    owned = y.copy()
+    assert _traced_peak(lambda: bn.inverse(_Cell(owned))) <= vectors + objects
+    lr = InvLeakyReLU(2.0)
+    y = lr.forward(x)
+    # per batch element: y * n for the inverse; for the gradient the sign
+    # mask, the intp indices take converts it to, and the looked-up divisors
+    owned = y.copy()
+    assert _traced_peak(lambda: lr.inverse(_Cell(owned))) <= elems * item + objects
+    owned = grad.copy()
+    budget = elems * (1 + np.dtype(np.intp).itemsize + item) + objects
+    assert _traced_peak(lambda: lr.backward(_Cell(owned), x)) <= budget

@@ -233,15 +233,9 @@ def test_simulator_rejects_bad_mode():
 # cross-check against tracked allocations in the live executor
 
 
-_LAYERWISE_D8_GAP = pytest.mark.xfail(strict=True, reason=(
-    "OVERHEAD_FACTORS['hybrid'] fits branch walks, not chain walks: it under-predicts "
-    "layerwise-d8's hybrid peak by 18.8% at 16 px (CHANGES.md FOUND line); "
-    "ROADMAP item 1 is to close the gap"))
-
-
 @pytest.mark.parametrize("mode,name", [
     (mode, name) for name in ("small-hybrid", "pure-block") for mode in ("stored", "block", "hybrid")
-] + [pytest.param("hybrid", "layerwise-d8", marks=_LAYERWISE_D8_GAP)])
+] + [("hybrid", "layerwise-d8")])
 def test_prediction_tracks_measured_peak(name, mode):
     from revtrain import memtrack
 
