@@ -12,10 +12,10 @@ The replay has two readings:
   * `per_pixel_elems` reads the budget off the first backward event with
     the largest per-pixel total.
 
-The replay models the lean schedule: elementwise inverses and gradient
-updates run in place, and couplings work inside the buffer they arrive in.
-The executor in `model.py` allocates fresh buffers for the former; that gap
-is a separate `overhead_bytes` line item, never folded into the budget.
+The replay models the paper's lean schedule, which the goldens check.  The
+executor in `model.py` differs from it by structure, so `executor_peak`
+measures the executor itself from three tiny dry runs; `overhead_bytes` is
+the difference, never folded into the budget.
 
 The mode policy lives here once, for the replay and for the executor:
 `BackpropMode` names the three modes (stored, block, hybrid; see `model.py`)
@@ -33,12 +33,14 @@ Conventions that the budgets rely on:
     the budget reads backward events only.  Ties go to the earliest event.
 """
 
+import gc
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ConfigError
+from . import memtrack, ops
+from .errors import ConfigError, ShapeError, StateError
 
 BYTES_PER_ELEMENT = 4
 
@@ -420,39 +422,59 @@ def input_batch_bytes(spec, h, w, bs):
     return bs * spec.input_channels * h * w * spec.bpe
 
 
-def max_volume_elems(spec):
-    items = place(spec)
-    vols = [it.volume if not it.standalone else max(it.placed[0].a, it.placed[0].o)
-            for it in items if it.kind != "head"]
-    return max(vols)
+def executor_peak(spec, mode, h, w, bs):
+    """The executor's tracked peak over one training step at h x w, batch bs,
+    counted from before the model is built, less the caller's input batch.
+
+    Measured, not modelled.  After each track or release event k, the live
+    bytes are F_k + S_k*bs + P_k*bs*h*w (fixed, per-sample and per-pixel
+    bytes) in an order that does not depend on size, so three dry runs at
+    the smallest sizes solve F, S and P per event.  At h0 every map is at
+    least 1x1, and b0 gives batch norm two values per channel.  Only sizes
+    with h0 <= min(h, w), or h0 <= 32, are measured, so the dry runs never
+    dwarf the step they cost.
+    """
+    mode = validate_mode(spec, mode)
+    pools = sum(l.kind in POOL_KINDS for l in spec.layers)
+    h0, b0 = 2 ** pools, 2
+    if h0 > max(min(h, w), 32):
+        raise ConfigError(f"{spec.name}: {pools} pool layers need dry runs at {h0}x{h0} "
+                          f"and more, larger than the requested {h}x{w}")
+    try:
+        runs = [_dry_run(spec, mode, side, n) for side, n in ((h0, b0), (h0, 2 * b0), (2 * h0, b0))]
+    except (ConfigError, ShapeError, StateError) as err:
+        raise ConfigError(f"{spec.name}: cannot run a {mode.value}-mode step: {err}") from None
+    if len({len(run) for run in runs}) > 1:
+        raise RuntimeError(f"{spec.name}: {mode.value}-mode steps record "
+                           f"{[len(run) for run in runs]} events at three sizes")
+    peak, px0 = 0, b0 * h0 * h0
+    for l1, l2, l3 in zip(*runs):
+        per_pixel, r1 = divmod(l3 - l1, 3 * px0)
+        per_sample, r2 = divmod(l2 - l1 - per_pixel * px0, b0)
+        if r1 or r2:
+            raise RuntimeError(f"{spec.name}: a {mode.value}-mode event holds {l1}, {l2} "
+                               f"and {l3} bytes, not fixed + per-sample + per-pixel bytes")
+        peak = max(peak, 2 * l1 - l2 + per_sample * bs + per_pixel * bs * h * w)
+    return peak * spec.bpe // BYTES_PER_ELEMENT  # the dry runs hold f32 elements
 
 
-# Executor concurrency allowance per mode, in units of the largest
-# activation volume: mostly the fresh buffers of non-elementwise gradients
-# and walk steps (elementwise inverses and gradients run in the buffers the
-# interpreter hands over).  Fitted to tracked peaks of the small-hybrid,
-# pure-block, hybrid, revnet and layerwise specs, plus
-# zoo.layerwise_family(8) for hybrid, at 8/16/32 px, batch 8.  Errors,
-# (measured - predicted) / predicted:
-#   * stored -6.6% to -1.4% on small-hybrid and pure-block (the replay
-#     overestimates hybrid by 4-22%, revnet and layerwise by 2-14%);
-#   * block -9.6% to +9.6%; the factor is negative as the executor holds one
-#     branch record at a time while the replay charges both at its coupling
-#     step, the event that sets revnet's 640 B/px budget.  small-hybrid
-#     needs about -1.5 and pure-block -0.5; -0.94 to -0.86 meets both at
-#     16 px within 10%;
-#   * hybrid: small-hybrid +3.1% to +7.9%, pure-block -5.2% to -9.2%, hybrid
-#     -0.6% to 0.0%, layerwise +0.1% to +0.5%, layerwise-d8 +4.6% to +8.4%.
-#     Branch walks need 0.3-1.0 and the chain walk of layerwise-d8 about
-#     1.0; 0.65 to 0.74 meets all three test cases at every size.
-OVERHEAD_FACTORS = {"stored": 0.7, "block": -0.9, "hybrid": 0.7}
+def _dry_run(spec, mode, side, bs):
+    """Live tracked bytes after each event of one f32 step of a fresh model,
+    above those before it is built, the input batch excluded."""
+    from . import zoo  # zoo builds models from the specs defined here
+
+    x = ops.gaussian((bs, spec.input_channels, side, side), seed=1)
+    gc.collect()  # no earlier garbage may be released mid-run
+    base = memtrack.live_bytes()
+    with memtrack.recording() as events:
+        model = zoo.build_model(spec, seed=0)
+        out, saved = model.forward(x, mode)
+        model.backward(saved, ops.gaussian(out.shape, seed=2).astype(out.dtype), x)
+    return [live - base for live in events]
 
 
 def overhead_bytes(spec, mode, h, w, bs):
-    # parameter gradient buffers (one weight-sized set, live by the end of
-    # backward) plus the per-mode concurrency allowance
-    v = max_volume_elems(spec) * h * w * bs * spec.bpe
-    return float(weight_bytes(spec) + OVERHEAD_FACTORS[BackpropMode.parse(mode).value] * v)
+    return memory_report(spec, mode, h, w, bs).overhead_bytes
 
 
 # -- schedule replay ----------------------------------------------------------
@@ -677,7 +699,7 @@ class MemoryReport:
     stats_bytes: int
     input_batch_bytes: int
     momentum_bytes: int
-    overhead_bytes: float
+    executor_peak: int
 
     @property
     def pixels(self):
@@ -702,14 +724,16 @@ class MemoryReport:
         return self.weight_bytes + self.bytes_per_pixel * self.pixels
 
     @property
+    def overhead_bytes(self):
+        """What the executor holds beyond the schedule's budget and the batch
+        statistics; negative where it holds less than the paper's schedule,
+        as in block mode at large sizes."""
+        return float(self.executor_peak - self.budget_total - self.stats_bytes)
+
+    @property
     def grand_total(self):
-        return (
-            self.budget_total
-            + self.stats_bytes
-            + self.input_batch_bytes
-            + self.momentum_bytes
-            + self.overhead_bytes
-        )
+        """The executor's measured peak plus the input batch and momentum."""
+        return self.executor_peak + self.input_batch_bytes + self.momentum_bytes
 
     def rows(self):
         px = self.pixels
@@ -742,7 +766,7 @@ def memory_report(spec, mode, h, w, bs):
         stats_bytes=stats_bytes(spec, bs),
         input_batch_bytes=input_batch_bytes(spec, h, w, bs),
         momentum_bytes=weight_bytes(spec),
-        overhead_bytes=overhead_bytes(spec, mode, h, w, bs),
+        executor_peak=executor_peak(spec, mode, h, w, bs),
     )
 
 

@@ -2,31 +2,31 @@
 
 Buffers are registered at allocation through track(); releases are observed via
 weakref finalizers, which fire deterministically under CPython refcounting.
+`MeasureScope` keeps the peak over a block, and `recording` the live bytes
+after every event, from which `memory_model.executor_peak` predicts the peak.
 Kernel-internal scratch (the conv column workspace, numpy expression
-temporaries) is deliberately untracked; the cost model treats workspace as out
-of scope and the reported overhead line item covers concurrent operands
-instead. The conv kernels build their column workspace in slices of at most
-max(input bytes, ops.WORKSPACE_FLOOR_BYTES), so one conv call's untracked
-scratch stays near that budget plus one slice's padded input and GEMM result.
-The elementwise layers' scratch is bounded too: InvBatchNorm.backward holds
-two untracked volumes (u and one product scratch) besides the gradient it
-returns, and InvLeakyReLU's inverse and gradient one batch element's slice
-and its sign mask. Calls handed a buffer in a layers._Cell (the batch-norm
-and leaky-ReLU inverses and gradients, the coupling inverse and gradient)
-write their result into it; it stays one tracked buffer, so an in-place step
-adds no tracked bytes.
+temporaries) is deliberately untracked. The conv kernels build their column
+workspace in slices of at most max(input bytes, ops.WORKSPACE_FLOOR_BYTES), so
+one conv call's untracked scratch stays near that budget plus one slice's
+padded input and GEMM result. InvBatchNorm.backward holds two untracked
+volumes (u and one product scratch) besides the gradient it returns, and
+InvLeakyReLU's inverse and gradient one batch element's slice and its sign
+mask. Calls handed a buffer in a layers._Cell write their result into it, so
+an in-place step adds no tracked bytes.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 _lock = threading.Lock()
 _live_bytes = 0
 _total_allocs = 0
 _scopes: list["MeasureScope"] = []
+_recorders: list[list[int]] = []
 
 
 @dataclass
@@ -37,7 +37,7 @@ class AllocatorStats:
 
 
 class MeasureScope:
-    """Peak/alloc accounting between explicit begin/end markers.
+    """Peak/alloc accounting over a `with` block.
 
     Peak is absolute (includes buffers already live at entry, e.g. weights),
     and is monotonically non-decreasing within the scope.
@@ -48,7 +48,6 @@ class MeasureScope:
             self.baseline_live = _live_bytes
             self.peak_bytes = _live_bytes
             self.allocation_count = 0
-            self._open = True
             _scopes.append(self)
 
     def stats(self) -> AllocatorStats:
@@ -58,19 +57,21 @@ class MeasureScope:
         return self
 
     def __exit__(self, *exc) -> None:
-        end_measurement(self)
+        with _lock:
+            _scopes.remove(self)
 
 
-def begin_measurement() -> MeasureScope:
-    return MeasureScope()
-
-
-def end_measurement(scope: MeasureScope) -> AllocatorStats:
+@contextmanager
+def recording():
+    """Yield a list of the live bytes after every track and release."""
+    events: list[int] = []
     with _lock:
-        if scope._open:
-            scope._open = False
-            _scopes.remove(scope)
-        return scope.stats()
+        _recorders.append(events)
+    try:
+        yield events
+    finally:
+        with _lock:
+            _recorders.remove(events)
 
 
 def track(arr):
@@ -87,6 +88,8 @@ def track(arr):
             scope.allocation_count += 1
             if _live_bytes > scope.peak_bytes:
                 scope.peak_bytes = _live_bytes
+        for events in _recorders:
+            events.append(_live_bytes)
     weakref.finalize(arr, _release, nbytes)
     return arr
 
@@ -95,6 +98,8 @@ def _release(nbytes: int) -> None:
     global _live_bytes
     with _lock:
         _live_bytes -= nbytes
+        for events in _recorders:
+            events.append(_live_bytes)
 
 
 def live_bytes() -> int:

@@ -173,6 +173,18 @@ def test_memcost_rejects_unbuildable_arch_file(case, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_memcost_refuses_dry_runs_far_above_the_requested_size(tmp_path, capsys):
+    # twelve pools would need dry runs at 4096x4096 and 8192x8192 for a 32x32 report
+    path = tmp_path / "deep-pool.cfg"
+    path.write_text(_arch_text([_conv(3, 8)] + [dict(kind="maxpool", c_in=8, c_out=8)] * 12
+                               + [_HEAD8]))
+    assert cli.main(["memcost", "--config", str(path), "--height", "32"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "12 pool layers need dry runs at 4096x4096" in err[0]
+    assert captured.out == ""
+
+
 # -- snr-alpha -----------------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from revtrain import memory_model as mm
 from revtrain import ops, zoo
 from revtrain.errors import ConfigError
 from revtrain.model import BackpropMode
+from test_models import small_arch_specs
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +258,72 @@ def test_prediction_tracks_measured_peak(name, mode):
         + mm.overhead_bytes(spec, mode, h, w, bs)
     )
     assert abs(measured - predicted) / predicted < 0.10
+
+
+def tracked_step_peak(spec, mode, h, bs):
+    """Tracked peak of one training step on a fresh f32 model, from before
+    the input batch and the model are made."""
+    from revtrain import memtrack
+
+    entry = memtrack.live_bytes()
+    with memtrack.MeasureScope() as scope:
+        x = ops.gaussian((bs, spec.input_channels, h, h), seed=1)
+        model = zoo.build_model(spec, seed=0)
+        out, saved = model.forward(x, BackpropMode.parse(mode))
+        g = ops.gaussian(out.shape, seed=2).astype(out.dtype)
+        model.backward(saved, g, x)
+    return scope.peak_bytes - entry
+
+
+@pytest.mark.parametrize("name,mode", sorted(ZOO_BUDGETS))
+def test_executor_peak_is_the_tracked_peak(name, mode):
+    # 16x16 at batch 8 is none of the dry runs' sizes for any zoo spec
+    spec = zoo.get_spec(name)
+    predicted = mm.executor_peak(spec, mode, 16, 16, 8) + mm.input_batch_bytes(spec, 16, 16, 8)
+    assert tracked_step_peak(spec, mode, 16, 8) == predicted
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spec=small_arch_specs())
+def test_grand_total_is_the_tracked_peak_of_generated_specs(spec):
+    # the dry runs use batch 2 or 4, never 6
+    for mode in [m.value for m in zoo.build_model(spec).supported_modes()]:
+        report = mm.memory_report(spec, mode, 8, 8, 6)
+        measured = tracked_step_peak(spec, mode, 8, 6)
+        assert report.grand_total == measured + report.momentum_bytes, mode
+
+
+def test_executor_peak_refuses_events_that_depend_on_size(monkeypatch):
+    # an extra buffer only at the stem's larger dry-run input adds events
+    # to one run, and no fixed, per-sample and per-pixel split exists
+    from revtrain import memtrack
+    from revtrain.layers import Conv2D
+
+    spec = zoo.small_hybrid_spec()
+    forward = Conv2D.forward
+    kept = []
+
+    def forward_with_extra(self, x):
+        if x.shape[-1] > 1:  # no pools: the dry runs' maps are 1x1 and 2x2
+            kept.append(memtrack.track(np.empty(4, dtype=np.float32)))
+        return forward(self, x)
+
+    monkeypatch.setattr(Conv2D, "forward", forward_with_extra)
+    with pytest.raises(RuntimeError, match="events at three sizes"):
+        mm.executor_peak(spec, "block", 32, 32, 8)
+    assert kept
+
+
+def test_dry_run_failure_is_a_config_error_naming_the_spec(monkeypatch):
+    from revtrain.errors import ShapeError
+    from revtrain.layers import InvBatchNorm
+
+    def fail(self, x, train=True, update_running=True):
+        raise ShapeError("batch statistics need at least 2 values per channel")
+
+    monkeypatch.setattr(InvBatchNorm, "forward", fail)
+    with pytest.raises(ConfigError, match="^small-hybrid: cannot run a block-mode step: batch"):
+        mm.memory_report(zoo.small_hybrid_spec(), "block", 32, 32, 8)
 
 
 # ---------------------------------------------------------------------------

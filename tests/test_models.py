@@ -366,10 +366,10 @@ def test_peak_memory_ordering_across_modes():
 
     peaks = {}
     for mode in (STORED, BLOCK, HYBRID):
-        scope = memtrack.begin_measurement()
-        logits, saved = model.forward(x, mode)
-        grads, _ = model.backward(saved, probe, x)
-        stats = memtrack.end_measurement(scope)
+        with memtrack.MeasureScope() as scope:
+            logits, saved = model.forward(x, mode)
+            grads, _ = model.backward(saved, probe, x)
+        stats = scope.stats()
         del logits, saved, grads
         peaks[mode] = stats.peak_bytes
 

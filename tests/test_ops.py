@@ -440,16 +440,16 @@ def test_conv_apply_counting_convention():
 
 
 def test_measure_scope_tracks_peak_and_release():
-    scope = memtrack.begin_measurement()
-    base = scope.peak_bytes
-    a = ops.gaussian((64, 64), seed=1)
-    memtrack.track(a)
-    assert scope.peak_bytes >= base + a.nbytes
-    peak_after_a = scope.peak_bytes
-    del a
-    b = ops.gaussian((8, 8), seed=2)
-    memtrack.track(b)
-    stats = memtrack.end_measurement(scope)
+    with memtrack.MeasureScope() as scope:
+        base = scope.peak_bytes
+        a = ops.gaussian((64, 64), seed=1)
+        memtrack.track(a)
+        assert scope.peak_bytes >= base + a.nbytes
+        peak_after_a = scope.peak_bytes
+        del a
+        b = ops.gaussian((8, 8), seed=2)
+        memtrack.track(b)
+    stats = scope.stats()
     assert stats.peak_bytes == peak_after_a  # peak is monotone within the scope
     assert stats.allocation_count >= 2
 
