@@ -254,8 +254,8 @@ def cmd_inspect_data(args):
         ("train", dataset.train_images, dataset.train_labels),
         ("test", dataset.test_images, dataset.test_labels),
     ):
-        print(f"{split},{len(images)},{labels.min()},{labels.max()},"
-              f"{images.mean():.3f},{images.std():.3f}")
+        mean, std = data_mod.pixel_mean_std(images)
+        print(f"{split},{len(images)},{labels.min()},{labels.max()},{mean:.3f},{std:.3f}")
     return EXIT_OK
 
 

@@ -3,12 +3,13 @@
 The on-disk format is the standard binary distribution: five train files and
 one test file, 10000 records each, one record = 1 label byte followed by
 3072 pixel bytes (red, green, blue planes, row-major). Images stay uint8 in
-memory; normalization constants come from the train split and are applied
-only when a batch is drawn.
+memory; normalization constants come from the train split, computed a chunk
+of records at a time, and are applied only when a batch is drawn.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,8 @@ FILE_BYTES = RECORDS_PER_FILE * RECORD_BYTES
 TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 TEST_FILE = "test_batch.bin"
 NUM_CLASSES = 10
+# records per read and per float32 temporary (about 12 MB) while loading
+CHUNK_RECORDS = 1000
 
 DATA_ENV = "REVTRAIN_DATA"
 
@@ -47,24 +50,91 @@ class DatasetSource:
         return (x - self.mean.reshape(1, 3, 1, 1)) / self.std.reshape(1, 3, 1, 1)
 
 
-def _parse_file(path):
+def _record_chunks(n):
+    """(start, stop) of successive runs of at most CHUNK_RECORDS records."""
+    for start in range(0, n, CHUNK_RECORDS):
+        yield start, min(start + CHUNK_RECORDS, n)
+
+
+def _read_file(path, images, labels):
+    """Read one batch file into images (n, 3, 32, 32) and labels (n,), views
+    of the split arrays, CHUNK_RECORDS records at a time."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            if size != FILE_BYTES:
+                raise DataFormatError(
+                    f"{path}: expected {FILE_BYTES} bytes "
+                    f"({RECORDS_PER_FILE} records of {RECORD_BYTES}), got {size}"
+                )
+            records = np.empty((min(CHUNK_RECORDS, RECORDS_PER_FILE), RECORD_BYTES), np.uint8)
+            for start, stop in _record_chunks(RECORDS_PER_FILE):
+                chunk = records[: stop - start]
+                if f.readinto(chunk) != chunk.nbytes:
+                    raise DataFormatError(f"{path}: file shrank while being read")
+                labels[start:stop] = chunk[:, 0]
+                images[start:stop] = chunk[:, 1:].reshape(-1, *IMAGE_SHAPE)
     except OSError as err:
         raise DataFormatError(f"cannot read dataset file {path}: {err}") from None
-    if len(raw) != FILE_BYTES:
-        raise DataFormatError(
-            f"{path}: expected {FILE_BYTES} bytes "
-            f"({RECORDS_PER_FILE} records of {RECORD_BYTES}), got {len(raw)}"
-        )
-    records = np.frombuffer(raw, dtype=np.uint8).reshape(RECORDS_PER_FILE, RECORD_BYTES)
-    labels = records[:, 0].astype(np.int64)
     if labels.max() >= NUM_CLASSES:
         raise DataFormatError(
             f"{path}: label {labels.max()} out of range (expected 0..{NUM_CLASSES - 1})"
         )
-    images = records[:, 1:].reshape(RECORDS_PER_FILE, *IMAGE_SHAPE).copy()
+
+
+def _read_split(root, names):
+    n = len(names) * RECORDS_PER_FILE
+    images = np.empty((n, *IMAGE_SHAPE), dtype=np.uint8)
+    labels = np.empty(n, dtype=np.int64)
+    for i, name in enumerate(names):
+        part = slice(i * RECORDS_PER_FILE, (i + 1) * RECORDS_PER_FILE)
+        _read_file(root / name, images[part], labels[part])
     return images, labels
+
+
+def _channel_sums(images, mean=None):
+    """Per-channel float32 sum of images / 255, or of its squared deviations
+    from mean, in the order numpy reduces the whole split's float32 copy
+    over (0, 2, 3): for each image in turn, the pairwise sum of a channel's
+    h*w values is added to that channel's running total."""
+    total = np.zeros((1, images.shape[1]), dtype=np.float32)
+    buf = np.empty((min(CHUNK_RECORDS, len(images)), *images.shape[1:]), dtype=np.float32)
+    for start, stop in _record_chunks(len(images)):
+        x = buf[: stop - start]
+        np.copyto(x, images[start:stop])
+        x /= 255.0
+        if mean is not None:
+            x -= mean.reshape(1, -1, 1, 1)
+            np.square(x, out=x)
+        rows = np.add.reduce(x.reshape(len(x), x.shape[1], -1), axis=2)
+        total = np.add.reduce(np.concatenate([total, rows]), axis=0, keepdims=True)
+    return total.reshape(-1)
+
+
+def channel_constants(images):
+    """Per-channel mean and std of uint8 images scaled to [0, 1], bit-equal to
+    `scaled.mean(axis=(0, 2, 3))` and `scaled.std(...)` of the whole float32
+    copy `scaled = images.astype(np.float32) / 255.0`, without making it."""
+    count = np.intp(len(images) * images.shape[2] * images.shape[3])
+    mean = _channel_sums(images)
+    np.true_divide(mean, count, out=mean, casting="unsafe")
+    var = _channel_sums(images, mean)
+    np.true_divide(var, count, out=var, casting="unsafe")
+    return mean, np.sqrt(var, out=var)
+
+
+def pixel_mean_std(images):
+    """Mean and std of every pixel value in a uint8 array of records, from
+    exact integer sums taken CHUNK_RECORDS records at a time."""
+    total = total_sq = 0
+    buf = np.empty((min(CHUNK_RECORDS, len(images)), *images.shape[1:]), dtype=np.uint16)
+    for start, stop in _record_chunks(len(images)):
+        v = buf[: stop - start]
+        np.copyto(v, images[start:stop])
+        total += int(v.sum(dtype=np.int64))
+        total_sq += int(np.square(v, out=v).sum(dtype=np.int64))
+    n = images.size
+    return total / n, math.sqrt((total_sq * n - total * total) / (n * n))
 
 
 def load_cifar10(root):
@@ -72,13 +142,9 @@ def load_cifar10(root):
     root = Path(root)
     if not root.is_dir():
         raise DataFormatError(f"dataset directory {root} does not exist")
-    train_parts = [_parse_file(root / name) for name in TRAIN_FILES]
-    train_images = np.concatenate([p[0] for p in train_parts])
-    train_labels = np.concatenate([p[1] for p in train_parts])
-    test_images, test_labels = _parse_file(root / TEST_FILE)
-    scaled = train_images.astype(np.float32) / 255.0
-    mean = scaled.mean(axis=(0, 2, 3))
-    std = scaled.std(axis=(0, 2, 3))
+    train_images, train_labels = _read_split(root, TRAIN_FILES)
+    test_images, test_labels = _read_split(root, (TEST_FILE,))
+    mean, std = channel_constants(train_images)
     return DatasetSource(
         train_images=train_images,
         train_labels=train_labels,
@@ -120,20 +186,27 @@ def synthesize_cifar_like(root, seed=0, noise_std=25.0):
     """Write six synthetic batch files in the exact CIFAR-10 binary layout.
 
     Classes are smooth patterns plus pixel noise, so small models can learn
-    the task; useful where the real dataset is unavailable.
+    the task; useful where the real dataset is unavailable. Each file's
+    labels are drawn first, then its noise CHUNK_RECORDS records at a time
+    from the same generator, which draws the same values as one call.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     rng = ops.default_rng(seed)
     protos = _class_prototypes(rng)
+    records = np.empty((min(CHUNK_RECORDS, RECORDS_PER_FILE), RECORD_BYTES), dtype=np.uint8)
     for name in TRAIN_FILES + (TEST_FILE,):
         labels = rng.integers(0, NUM_CLASSES, size=RECORDS_PER_FILE)
-        noise = rng.normal(0.0, noise_std, size=(RECORDS_PER_FILE, *IMAGE_SHAPE))
-        images = np.clip(protos[labels] + noise, 0, 255).astype(np.uint8)
-        records = np.empty((RECORDS_PER_FILE, RECORD_BYTES), dtype=np.uint8)
-        records[:, 0] = labels
-        records[:, 1:] = images.reshape(RECORDS_PER_FILE, PIXELS_PER_RECORD)
-        (root / name).write_bytes(records.tobytes())
+        with open(root / name, "wb") as f:
+            for start, stop in _record_chunks(RECORDS_PER_FILE):
+                chunk = records[: stop - start]
+                part = labels[start:stop]
+                pixels = rng.normal(0.0, noise_std, size=(len(chunk), PIXELS_PER_RECORD))
+                pixels += protos[part].reshape(len(chunk), PIXELS_PER_RECORD)
+                np.clip(pixels, 0, 255, out=pixels)
+                chunk[:, 0] = part
+                chunk[:, 1:] = pixels
+                f.write(chunk)
     return root
 
 

@@ -267,14 +267,16 @@ class InvBatchNorm:
         axes = (0, 2, 3)
         col = lambda v: v.reshape(1, -1, 1, 1)
         mean = x.mean(axis=axes, keepdims=True)
-        var = x.var(axis=axes, keepdims=True)
+        u = np.subtract(x, mean)
+        # the variance as x.var computes it, from the deviations at hand
+        scratch = np.square(u)
+        var = scratch.mean(axis=axes, keepdims=True)
         sqrt_v = np.sqrt(var)
         denom = sqrt_v + self.eps
-        u = np.subtract(x, mean)
         u /= denom
         grad_beta = track(g.sum(axis=axes))
         sign = np.where(self.gamma >= 0, 1.0, -1.0).astype(x.dtype)
-        scratch = np.multiply(g, u)
+        np.multiply(g, u, out=scratch)
         grad_gamma = track(sign * scratch.sum(axis=axes))
         np.multiply(g, col(self._scale()), out=gu)
         del g

@@ -373,8 +373,11 @@ def sum_sq_norm(x) -> float:
 def channel_mean_var(x):
     """Per-channel mean and biased variance over (bs, h, w)."""
     check_tensor(x, "x")
+    # x.var would sum x for the mean a second time; its remaining steps,
+    # on the mean at hand, give the same bits
     mean = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))
+    dev = np.subtract(x, mean.reshape(1, -1, 1, 1))
+    var = np.square(dev, out=dev).mean(axis=(0, 2, 3))
     return track(mean), track(var)
 
 

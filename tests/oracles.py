@@ -177,3 +177,30 @@ def textbook_bn_backward(grad_out, x, gamma, eps, eps_i):
     guu_mean = (gu * u).mean(axis=axes, keepdims=True)
     gx = (gu - gu_mean) / denom - u * guu_mean * inv_sqrt_v
     return gx, grad_gamma, grad_beta
+
+
+def oneshot_synthesize_cifar_like(root, seed=0, noise_std=25.0):
+    """data.synthesize_cifar_like drawing each file's noise in one call and
+    holding the whole file in memory: the layout chunked synthesis must match
+    byte for byte."""
+    from revtrain import data, ops
+
+    root.mkdir(parents=True, exist_ok=True)
+    n = data.RECORDS_PER_FILE
+    rng = ops.default_rng(seed)
+    protos = data._class_prototypes(rng)
+    for name in data.TRAIN_FILES + (data.TEST_FILE,):
+        labels = rng.integers(0, data.NUM_CLASSES, size=n)
+        noise = rng.normal(0.0, noise_std, size=(n, *data.IMAGE_SHAPE))
+        images = np.clip(protos[labels] + noise, 0, 255).astype(np.uint8)
+        records = np.empty((n, data.RECORD_BYTES), dtype=np.uint8)
+        records[:, 0] = labels
+        records[:, 1:] = images.reshape(n, data.PIXELS_PER_RECORD)
+        (root / name).write_bytes(records.tobytes())
+    return root
+
+
+def whole_split_channel_constants(images):
+    """Per-channel mean and std over the whole split's float32 copy."""
+    scaled = images.astype(np.float32) / 255.0
+    return scaled.mean(axis=(0, 2, 3)), scaled.std(axis=(0, 2, 3))

@@ -3,15 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from revtrain import cli, data, zoo
+from revtrain import cli, zoo
 from revtrain.memory_model import ArchSpec, LayerSpec, format_arch, write_arch_file
 
 
 @pytest.fixture(scope="module")
-def data_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cli-ds")
-    data.ensure_dataset(root)
-    return str(root)
+def data_dir(cifar_seed0_root):
+    return str(cifar_seed0_root)
 
 
 @pytest.fixture()
@@ -369,9 +367,11 @@ def test_inspect_data_summarizes_splits(data_dir, capsys):
     rc = cli.main(["inspect-data", "--data", data_dir])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "split,records,label_min,label_max,pixel_mean,pixel_std"
-    assert lines[1].startswith("train,50000,0,9")
-    assert lines[2].startswith("test,10000,0,9")
+    assert lines == [
+        "split,records,label_min,label_max,pixel_mean,pixel_std",
+        "train,50000,0,9,126.351,51.771",
+        "test,10000,0,9,126.470,51.776",
+    ]
 
 
 def test_inspect_data_synthesize_creates_missing_files(tmp_path, capsys):

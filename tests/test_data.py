@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from revtrain import data
 from revtrain.errors import ConfigError, DataFormatError
+
+from oracles import oneshot_synthesize_cifar_like, whole_split_channel_constants
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +77,60 @@ def test_normalization_standardizes_train_split(dataset):
     assert abs(float(x.mean())) < 0.05
     assert abs(float(x.std()) - 1.0) < 0.05
     assert x.dtype == np.float32
+
+
+@pytest.mark.parametrize("records", [data.CHUNK_RECORDS // 3, 2 * data.CHUNK_RECORDS + 7])
+def test_channel_constants_match_whole_split_bitwise(records):
+    rng = np.random.default_rng(records)
+    images = rng.integers(0, 256, size=(records, *data.IMAGE_SHAPE), dtype=np.uint8)
+    images[: records // 2, 1] //= 3  # channels and halves of the split differ
+    mean, std = data.channel_constants(images)
+    ref_mean, ref_std = whole_split_channel_constants(images)
+    assert mean.dtype == std.dtype == np.float32
+    assert mean.tobytes() == ref_mean.tobytes()
+    assert std.tobytes() == ref_std.tobytes()
+
+
+def test_chunk_size_changes_no_loaded_value(monkeypatch, synth_root, dataset):
+    # 3000 does not divide a file's 10000 records, so each file ends on a
+    # short chunk
+    monkeypatch.setattr(data, "CHUNK_RECORDS", 3000)
+    other = data.load_cifar10(synth_root)
+    for field in ("train_images", "train_labels", "test_images", "test_labels", "mean", "std"):
+        assert np.array_equal(getattr(other, field), getattr(dataset, field)), field
+
+
+def test_load_holds_only_the_uint8_splits_and_one_chunk(synth_root):
+    splits = 60_000 * (data.PIXELS_PER_RECORD + 8)  # uint8 images, int64 labels
+    # one float32 chunk of images for the statistics, one chunk of raw records
+    # for reading, and a megabyte for everything small
+    allowance = data.CHUNK_RECORDS * (4 * data.PIXELS_PER_RECORD + data.RECORD_BYTES) + 2**20
+    tracemalloc.start()
+    try:
+        data.load_cifar10(synth_root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= splits + allowance, (peak, splits, allowance)
+
+
+def test_pixel_mean_std_matches_numpy():
+    rng = np.random.default_rng(5)
+    images = rng.integers(0, 256, size=(data.CHUNK_RECORDS + 13, *data.IMAGE_SHAPE), dtype=np.uint8)
+    mean, std = data.pixel_mean_std(images)
+    assert mean == pytest.approx(float(images.mean()), rel=1e-12)
+    assert std == pytest.approx(float(images.std()), rel=1e-12)
+
+
+def test_chunked_synthesis_matches_one_shot_bytes(tmp_path, monkeypatch):
+    # a small file size that the chunk does not divide
+    monkeypatch.setattr(data, "RECORDS_PER_FILE", 2 * data.CHUNK_RECORDS + 500)
+    data.synthesize_cifar_like(tmp_path / "chunked", seed=4)
+    oneshot_synthesize_cifar_like(tmp_path / "oneshot", seed=4)
+    for name in data.TRAIN_FILES + (data.TEST_FILE,):
+        raw = (tmp_path / "chunked" / name).read_bytes()
+        assert len(raw) == data.RECORDS_PER_FILE * data.RECORD_BYTES
+        assert raw == (tmp_path / "oneshot" / name).read_bytes(), name
 
 
 def test_classes_are_separable(dataset):

@@ -12,8 +12,8 @@ from revtrain.model import BackpropMode
 
 
 @pytest.fixture(scope="module")
-def dataset(tmp_path_factory):
-    return data.ensure_dataset(tmp_path_factory.mktemp("ds"))
+def dataset(cifar_seed0_root):
+    return data.load_cifar10(cifar_seed0_root)
 
 
 def chain_spec(mode="hybrid", width=8):
