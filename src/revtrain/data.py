@@ -23,7 +23,6 @@ IMAGE_SHAPE = (3, 32, 32)
 PIXELS_PER_RECORD = 3 * 32 * 32
 RECORD_BYTES = 1 + PIXELS_PER_RECORD
 RECORDS_PER_FILE = 10_000
-FILE_BYTES = RECORDS_PER_FILE * RECORD_BYTES
 TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 TEST_FILE = "test_batch.bin"
 NUM_CLASSES = 10
@@ -62,9 +61,10 @@ def _read_file(path, images, labels):
     try:
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
-            if size != FILE_BYTES:
+            want = RECORDS_PER_FILE * RECORD_BYTES
+            if size != want:
                 raise DataFormatError(
-                    f"{path}: expected {FILE_BYTES} bytes "
+                    f"{path}: expected {want} bytes "
                     f"({RECORDS_PER_FILE} records of {RECORD_BYTES}), got {size}"
                 )
             records = np.empty((min(CHUNK_RECORDS, RECORDS_PER_FILE), RECORD_BYTES), np.uint8)
@@ -243,7 +243,7 @@ def augment(batch, seed, pad=4):
 
 def take_subset(images, labels, n, seed):
     """Deterministic random sample of n records without replacement."""
-    if n > len(images):
-        raise ConfigError(f"subset of {n} exceeds the {len(images)} available records")
+    if not 1 <= n <= len(images):
+        raise ConfigError(f"subset of {n} records: need 1 to {len(images)}")
     idx = ops.default_rng(seed).permutation(len(images))[:n]
     return images[idx], labels[idx]

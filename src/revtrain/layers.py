@@ -145,11 +145,9 @@ class Conv2D:
     invertible = False
     backward_reads = ("x",)
 
-    def __init__(self, cin, cout, k=3, stride=1, padding=None, rng=None, dtype=np.float32):
-        if padding is None:
-            padding = (k - 1) // 2
+    def __init__(self, cin, cout, k=3, rng=None, dtype=np.float32):
         self.cin, self.cout, self.k = cin, cout, k
-        self.stride, self.padding = stride, padding
+        self.padding = (k - 1) // 2
         rng = rng if rng is not None else ops.default_rng(0)
         self.kernel = kaiming_kernel(cout, cin, k, k, rng, dtype)
         self.bias = track(np.zeros(cout, dtype=dtype))
@@ -158,16 +156,12 @@ class Conv2D:
         return {"kernel": self.kernel, "bias": self.bias}
 
     def forward(self, x):
-        return ops.conv2d_forward(x, self.kernel, self.bias, self.stride, self.padding)
+        return ops.conv2d_forward(x, self.kernel, self.bias, padding=self.padding)
 
     def backward(self, grad_out, x=None, y=None):
         grad_out = _take(grad_out)
-        gx = ops.conv2d_backward_input(
-            grad_out, self.kernel, self.stride, self.padding, input_hw=x.shape[2:]
-        )
-        gk, gb = ops.conv2d_backward_weight(
-            x, grad_out, self.stride, self.padding, kernel_hw=(self.k, self.k)
-        )
+        gx = ops.conv2d_backward_input(grad_out, self.kernel, padding=self.padding)
+        gk, gb = ops.conv2d_backward_weight(x, grad_out, padding=self.padding)
         return gx, {"kernel": gk, "bias": gb}
 
 
@@ -381,15 +375,15 @@ class InvConv:
         }
 
     def _f(self, t):
-        return ops.conv2d_forward(t, self.f_kernel, self.f_bias, 1, self.padding)
+        return ops.conv2d_forward(t, self.f_kernel, self.f_bias, padding=self.padding)
 
     def _g(self, t):
-        return ops.conv2d_forward(t, self.g_kernel, self.g_bias, 1, self.padding)
+        return ops.conv2d_forward(t, self.g_kernel, self.g_bias, padding=self.padding)
 
     def _branch_backward(self, kernel, x, grad):
         """One branch conv's (input gradient, (kernel grad, bias grad))."""
-        gk_gb = ops.conv2d_backward_weight(x, grad, 1, self.padding)
-        return ops.conv2d_backward_input(grad, kernel, 1, self.padding), gk_gb
+        gk_gb = ops.conv2d_backward_weight(x, grad, padding=self.padding)
+        return ops.conv2d_backward_input(grad, kernel, padding=self.padding), gk_gb
 
     def forward(self, x):
         return _coupling_forward(x, self._f, self._g)

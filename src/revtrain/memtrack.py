@@ -20,7 +20,6 @@ from __future__ import annotations
 import threading
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 _lock = threading.Lock()
 _live_bytes = 0
@@ -29,15 +28,8 @@ _scopes: list["MeasureScope"] = []
 _recorders: list[list[int]] = []
 
 
-@dataclass
-class AllocatorStats:
-    live_bytes: int
-    peak_bytes: int
-    allocation_count: int
-
-
 class MeasureScope:
-    """Peak/alloc accounting over a `with` block.
+    """Peak accounting over a `with` block.
 
     Peak is absolute (includes buffers already live at entry, e.g. weights),
     and is monotonically non-decreasing within the scope.
@@ -47,11 +39,7 @@ class MeasureScope:
         with _lock:
             self.baseline_live = _live_bytes
             self.peak_bytes = _live_bytes
-            self.allocation_count = 0
             _scopes.append(self)
-
-    def stats(self) -> AllocatorStats:
-        return AllocatorStats(_live_bytes, self.peak_bytes, self.allocation_count)
 
     def __enter__(self) -> "MeasureScope":
         return self
@@ -85,7 +73,6 @@ def track(arr):
         _live_bytes += nbytes
         _total_allocs += 1
         for scope in _scopes:
-            scope.allocation_count += 1
             if _live_bytes > scope.peak_bytes:
                 scope.peak_bytes = _live_bytes
         for events in _recorders:

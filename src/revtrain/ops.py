@@ -3,28 +3,32 @@
 The universal value type is a numpy ndarray of shape (batch, channel, height,
 width) in float32 or float64, C-contiguous row-major, or a split_channels view.
 
-Convolution is cross-correlation (no kernel flip): a BLAS matmul of the kernel
-with a column matrix that holds one row per (channel, ky, kx) tap and one
-column per output pixel, filled with one strided slice copy per tap. The
-columns are untracked scratch built in slices, of batch elements for the
+Convolution is cross-correlation (no kernel flip) at stride 1, with a square
+k x k kernel and zero padding p in 0..k-1, passed by keyword: the models
+downsample only by pooling, and padding (k-1)//2 keeps the spatial size. Each
+kernel is a BLAS matmul of the kernel with a column matrix that holds one row
+per (channel, ky, kx) tap and one column per output pixel, filled with one
+strided slice copy per tap from the source zero-padded by some q >= 0 (its
+"frame"): p for the forward and weight gradient, k-1-p for the input gradient.
+The columns are untracked scratch built in slices, of batch elements for the
 forward and input-gradient kernels and of input channels for the weight
 gradient, each at most max(input bytes, WORKSPACE_FLOOR_BYTES) (but at least
 one element or channel). A call's scratch is thus about that budget plus one
 slice's zero-padded input and GEMM result, not the whole-batch column matrix
 (9x the input for a 3x3 kernel). The input gradient correlates grad_out,
-dilated by the stride and padded by k-1-p, so it computes exactly the input
+padded by k-1-p, with the flipped kernel, so it computes exactly the input
 frame rather than the full correlation.
 
 Column pixels are ordered (b, i, j), except in forward and input-gradient
 batch slices of kernels larger than 1x1 whose output rows are shorter than
-SHORT_ROW pixels: those build their zero-padded (and, for the input gradient,
-dilated) frame with the batch innermost and order pixels (i, j, b), so a tap
-copy moves runs of ow*n elements instead of ow. The weight gradient keeps
-(b, i, j), because its pixels are the reduction axis and reordering them would
-change the sums; so do the small GEMMs issued in the im2col layout (see
-SMALL_GEMM_MACS). The order changes no bits: each output still reduces over
-the same (channel, ky, kx) order on BLAS's packed path with the same
-PIXEL_TILE padding, and only its column moves.
+SHORT_ROW pixels: those build their zero-padded frame with the batch innermost
+and order pixels (i, j, b), so a tap copy moves runs of ow*n elements instead
+of ow. The weight gradient keeps (b, i, j), because its pixels are the
+reduction axis and reordering them would change the sums; so do the small
+GEMMs issued in the im2col layout (see SMALL_GEMM_MACS). The order changes no
+bits: each output still reduces over the same (channel, ky, kx) order on
+BLAS's packed path with the same PIXEL_TILE padding, and only its column
+moves.
 
 Results equal the whole-batch im2col formulation bit for bit (see
 SMALL_GEMM_MACS), except where BLAS rounds by an output's position rather than
@@ -59,40 +63,18 @@ from .memtrack import track
 FLOAT_DTYPES = (np.float32, np.float64)
 
 _counter_lock = threading.Lock()
-_conv_forward_applies = 0
-_conv_backward_applies = 0
+_conv_applies = 0
 
 
 def conv_applies() -> int:
     """Total counted convolution applications (forward + gradient sweeps)."""
-    return _conv_forward_applies + _conv_backward_applies
+    return _conv_applies
 
 
-def conv_forward_applies() -> int:
-    return _conv_forward_applies
-
-
-def conv_backward_applies() -> int:
-    return _conv_backward_applies
-
-
-def reset_conv_applies() -> None:
-    global _conv_forward_applies, _conv_backward_applies
+def _count_apply() -> None:
+    global _conv_applies
     with _counter_lock:
-        _conv_forward_applies = 0
-        _conv_backward_applies = 0
-
-
-def _count_forward() -> None:
-    global _conv_forward_applies
-    with _counter_lock:
-        _conv_forward_applies += 1
-
-
-def _count_backward() -> None:
-    global _conv_backward_applies
-    with _counter_lock:
-        _conv_backward_applies += 1
+        _conv_applies += 1
 
 
 def check_tensor(x, name: str = "tensor"):
@@ -146,72 +128,60 @@ def _packed_width(npix: int, macs_per_pixel: int) -> int:
     return -(-need // PIXEL_TILE) * PIXEL_TILE
 
 
-def _frame(src, top: int, left: int, fh: int, fw: int, dilation: int = 1,
-           batch_last: bool = False):
-    """Zero canvas indexed (c, fh, fw, n) that holds src[b, ci, a, e] at row
-    top + a*dilation, column left + e*dilation; pixels outside the canvas are
-    dropped. Its memory keeps src's (n, c) order, or with batch_last puts the
-    batch innermost. Returns a view of src when no padding, dilation or offset
-    is involved."""
+def _frame(src, pad: int, batch_last: bool = False):
+    """Canvas indexed (c, h + 2*pad, w + 2*pad, n) that holds src zero-padded by
+    pad on every side. Its memory keeps src's (n, c) order, or with batch_last
+    puts the batch innermost. Returns a view of src when pad is 0."""
     n, c, h, w = src.shape
-    if dilation == 1 and top == 0 and left == 0 and fh <= h and fw <= w:
-        return src[:, :, :fh, :fw].transpose(1, 2, 3, 0)
-    canvas = np.zeros((c, fh, fw, n) if batch_last else (n, c, fh, fw), dtype=src.dtype)
+    if pad == 0:
+        return src.transpose(1, 2, 3, 0)
+    shape = (c, h + 2 * pad, w + 2 * pad, n) if batch_last else (n, c, h + 2 * pad, w + 2 * pad)
+    canvas = np.zeros(shape, dtype=src.dtype)
     frame = canvas if batch_last else canvas.transpose(1, 2, 3, 0)
-    a0, a1 = max(0, -(top // dilation)), min(h, -((top - fh) // dilation))
-    b0, b1 = max(0, -(left // dilation)), min(w, -((left - fw) // dilation))
-    if a0 < a1 and b0 < b1:
-        rows = slice(top + a0 * dilation, top + (a1 - 1) * dilation + 1, dilation)
-        cols = slice(left + b0 * dilation, left + (b1 - 1) * dilation + 1, dilation)
-        frame[:, rows, cols] = src[:, :, a0:a1, b0:b1].transpose(1, 2, 3, 0)
+    frame[:, pad : pad + h, pad : pad + w] = src.transpose(1, 2, 3, 0)
     return frame
 
 
-def _columns(frame, kh: int, kw: int, stride: int, oh: int, ow: int, width=None,
-             batch_last: bool = False):
-    """(c*kh*kw, width) column matrix of frame (c, fh, fw, n): row (ci, ky, kx),
-    column (b, i, j), or (i, j, b) with batch_last, holds
-    frame[ci, i*stride + ky, j*stride + kx, b]; columns past n*oh*ow (the
-    default width) are zero. One strided copy per kernel tap."""
-    c, n = frame.shape[0], frame.shape[3]
+def _columns(frame, k: int, width=None, batch_last: bool = False):
+    """(c*k*k, width) column matrix of frame (c, fh, fw, n) under a k x k kernel,
+    with oh, ow = fh-k+1, fw-k+1: row (ci, ky, kx), column (b, i, j), or (i, j, b)
+    with batch_last, holds frame[ci, i + ky, j + kx, b]; columns past n*oh*ow
+    (the default width) are zero. One strided copy per kernel tap."""
+    c, fh, fw, n = frame.shape
+    oh, ow = fh - k + 1, fw - k + 1
     npix = n * oh * ow
-    cols = np.empty((c * kh * kw, width or npix), dtype=frame.dtype)
+    cols = np.empty((c * k * k, width or npix), dtype=frame.dtype)
     cols[:, npix:] = 0
     if batch_last:
-        taps = cols[:, :npix].reshape(c, kh, kw, oh, ow, n)
+        taps = cols[:, :npix].reshape(c, k, k, oh, ow, n)
     else:
-        taps = cols[:, :npix].reshape(c, kh, kw, n, oh, ow).transpose(0, 1, 2, 4, 5, 3)
-    for ky in range(kh):
-        for kx in range(kw):
-            taps[:, ky, kx] = frame[:, ky : ky + (oh - 1) * stride + 1 : stride,
-                                    kx : kx + (ow - 1) * stride + 1 : stride]
+        taps = cols[:, :npix].reshape(c, k, k, n, oh, ow).transpose(0, 1, 2, 4, 5, 3)
+    for ky in range(k):
+        for kx in range(k):
+            taps[:, ky, kx] = frame[:, ky : ky + oh, kx : kx + ow]
     return cols
 
 
-def _correlate(src, kmat, kh: int, kw: int, out, stride: int, top: int, left: int,
-               dilation: int, im2col: bool):
+def _correlate(src, kmat, k: int, out, pad: int, im2col: bool):
     """Column core: out[b, o, i, j] = kmat[o] . column(b, i, j), written in place,
-    where the columns are those of src placed on _frame(top, left, dilation).
-    Batch slices bound the workspace; im2col issues one whole-batch GEMM in the
-    im2col layout instead (see SMALL_GEMM_MACS). Batch slices of outputs
-    narrower than SHORT_ROW under kernels larger than 1x1 order their pixels
-    (i, j, b)."""
+    where the columns are those of src zero-padded by pad. Batch slices bound
+    the workspace; im2col issues one whole-batch GEMM in the im2col layout
+    instead (see SMALL_GEMM_MACS). Batch slices of outputs narrower than
+    SHORT_ROW under kernels larger than 1x1 order their pixels (i, j, b)."""
     bs = src.shape[0]
-    rows, k = kmat.shape
+    rows, depth = kmat.shape
     oh, ow = out.shape[2:]
-    fh, fw = (oh - 1) * stride + kh, (ow - 1) * stride + kw
-    macs = rows * k * bs * oh * ow
-    batch_last = not im2col and kh * kw > 1 and ow < SHORT_ROW
-    for sl in [slice(0, bs)] if im2col else _slices(bs, k * oh * ow * src.itemsize, src, macs):
-        frame = _frame(src[sl], top, left, fh, fw, dilation, batch_last)
+    macs = rows * depth * bs * oh * ow
+    batch_last = not im2col and k > 1 and ow < SHORT_ROW
+    for sl in [slice(0, bs)] if im2col else _slices(bs, depth * oh * ow * src.itemsize, src, macs):
+        frame = _frame(src[sl], pad, batch_last)
         n = frame.shape[3]
         npix = n * oh * ow
         if im2col:
-            cols = np.ascontiguousarray(_columns(frame, kh, kw, stride, oh, ow).T)
+            cols = np.ascontiguousarray(_columns(frame, k).T)
             res = (cols @ kmat.T).T
         else:
-            cols = _columns(frame, kh, kw, stride, oh, ow, _packed_width(npix, rows * k),
-                            batch_last)
+            cols = _columns(frame, k, _packed_width(npix, rows * depth), batch_last)
             res = (kmat @ cols)[:, :npix]
         if batch_last:
             out[sl] = res.reshape(rows, oh, ow, n).transpose(3, 0, 1, 2)
@@ -221,147 +191,107 @@ def _correlate(src, kmat, kh: int, kw: int, out, stride: int, top: int, left: in
     return out
 
 
-def conv2d_forward(x, kernel, bias=None, stride: int = 1, padding: int = 0):
-    """Cross-correlate x (bs,cin,h,w) with kernel (cout,cin,kh,kw), add bias."""
+def _kernel_side(kh: int, kw: int, padding: int) -> int:
+    """k of a square k x k kernel whose padding lies in 0..k-1."""
+    if kh != kw or kh < 1:
+        raise ShapeError(f"kernel must be square and at least 1x1, got {kh}x{kw}")
+    if not 0 <= padding < kh:
+        raise ShapeError(f"padding {padding} outside 0..{kh - 1} for a {kh}x{kh} kernel")
+    return kh
+
+
+def conv2d_forward(x, kernel, bias=None, *, padding: int = 0):
+    """Cross-correlate x (bs,cin,h,w) with kernel (cout,cin,k,k), add bias."""
     check_tensor(x, "x")
     bs, cin, h, w = x.shape
-    cout, cin_k, kh, kw = kernel.shape
+    cout, cin_k = kernel.shape[:2]
+    k = _kernel_side(*kernel.shape[2:], padding)
     if cin_k != cin:
         raise ShapeError(f"kernel expects {cin_k} input channels, x has {cin}")
-    if h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ShapeError(f"spatial dims {h}x{w} too small for kernel {kh}x{kw} pad {padding}")
-    _count_forward()
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    if h + 2 * padding < k or w + 2 * padding < k:
+        raise ShapeError(f"spatial dims {h}x{w} too small for kernel {k}x{k} pad {padding}")
+    _count_apply()
+    oh, ow = h + 2 * padding - k + 1, w + 2 * padding - k + 1
     dtype = np.result_type(x, kernel, x if bias is None else bias)
     out = np.empty((bs, cout, oh, ow), dtype=dtype)
-    _correlate(x, kernel.reshape(cout, -1), kh, kw, out, stride, padding, padding, 1,
-               im2col=cout * cin * kh * kw * bs * oh * ow <= SMALL_GEMM_MACS)
+    _correlate(x, kernel.reshape(cout, -1), k, out, padding,
+               im2col=cout * cin * k * k * bs * oh * ow <= SMALL_GEMM_MACS)
     if bias is not None:
         out += bias[None, :, None, None]
     return track(out)
 
 
-def conv2d_backward_input(grad_out, kernel, stride: int = 1, padding: int = 0, input_hw=None):
-    """Gradient w.r.t. the convolution input.
-
-    input_hw disambiguates the input spatial size when (h+2p-k) % stride != 0;
-    by default exact division is assumed.
-    """
+def conv2d_backward_input(grad_out, kernel, *, padding: int = 0):
+    """Gradient w.r.t. the convolution input."""
     check_tensor(grad_out, "grad_out")
     bs, cout, oh, ow = grad_out.shape
-    cout_k, cin, kh, kw = kernel.shape
+    cout_k, cin = kernel.shape[:2]
+    k = _kernel_side(*kernel.shape[2:], padding)
     if cout_k != cout:
         raise ShapeError(f"kernel produces {cout_k} channels, grad_out has {cout}")
-    if input_hw is None:
-        h = (oh - 1) * stride + kh - 2 * padding
-        w = (ow - 1) * stride + kw - 2 * padding
-    else:
-        h, w = input_hw
+    h, w = oh + k - 1 - 2 * padding, ow + k - 1 - 2 * padding
     if h < 1 or w < 1:
-        raise ShapeError("grad_out spatial dims inconsistent with kernel/stride/padding")
-    _count_backward()
-    # correlation of grad_out, dilated by the stride and padded by k-1, with the
-    # transposed, spatially flipped kernel: the full correlation is gh x gw and
-    # the input gradient is its window at offset (p, p), so only that window is
-    # computed, from grad_out padded by k-1-p. Rows/cols past the full extent
-    # keep zero gradient. A small GEMM correlates the full frame and crops.
+        raise ShapeError("grad_out spatial dims inconsistent with kernel/padding")
+    _count_apply()
+    # correlation of grad_out, padded by k-1, with the transposed, spatially
+    # flipped kernel: the full correlation is (oh+k-1) x (ow+k-1) and the input
+    # gradient is its h x w window at offset (p, p), so only that window is
+    # computed, from grad_out padded by k-1-p. A small GEMM correlates the full
+    # frame and crops.
     k_t = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].swapaxes(0, 1)).reshape(cin, -1)
-    gh, gw = (oh - 1) * stride + kh, (ow - 1) * stride + kw
-    reach_h, reach_w = min(h, gh - padding), min(w, gw - padding)
-    gx = np.zeros((bs, cin, h, w), dtype=np.result_type(grad_out, kernel))
-    if reach_h > 0 and reach_w > 0:
-        if k_t.size * bs * gh * gw <= SMALL_GEMM_MACS:
-            full = np.empty((bs, cin, gh, gw), dtype=gx.dtype)
-            _correlate(grad_out, k_t, kh, kw, full, 1, kh - 1, kw - 1, stride, im2col=True)
-            gx[:, :, :reach_h, :reach_w] = full[:, :, padding:, padding:][:, :, :reach_h, :reach_w]
-        else:
-            _correlate(grad_out, k_t, kh, kw, gx[:, :, :reach_h, :reach_w],
-                       1, kh - 1 - padding, kw - 1 - padding, stride, im2col=False)
+    gx = np.empty((bs, cin, h, w), dtype=np.result_type(grad_out, kernel))
+    gh, gw = oh + k - 1, ow + k - 1
+    if k_t.size * bs * gh * gw <= SMALL_GEMM_MACS:
+        full = np.empty((bs, cin, gh, gw), dtype=gx.dtype)
+        _correlate(grad_out, k_t, k, full, k - 1, im2col=True)
+        gx[...] = full[:, :, padding : padding + h, padding : padding + w]
+    else:
+        _correlate(grad_out, k_t, k, gx, k - 1 - padding, im2col=False)
     return track(gx)
 
 
-def conv2d_backward_weight(x, grad_out, stride: int = 1, padding: int = 0, kernel_hw=None):
-    """Gradients w.r.t. kernel and bias. Returns (grad_kernel, grad_bias).
-
-    kernel_hw disambiguates the kernel spatial size when (h+2p-k) % stride != 0;
-    by default exact division is assumed.
-    """
+def conv2d_backward_weight(x, grad_out, *, padding: int = 0):
+    """Gradients w.r.t. kernel and bias. Returns (grad_kernel, grad_bias); the
+    kernel size follows from the shapes of x and grad_out."""
     check_tensor(x, "x")
     check_tensor(grad_out, "grad_out")
     bs, cin, h, w = x.shape
     bs_g, cout, oh, ow = grad_out.shape
     if bs_g != bs:
         raise ShapeError(f"batch mismatch: x {bs}, grad_out {bs_g}")
-    if kernel_hw is None:
-        kh = h + 2 * padding - (oh - 1) * stride
-        kw = w + 2 * padding - (ow - 1) * stride
-    else:
-        kh, kw = kernel_hw
-    if kh < 1 or kw < 1:
-        raise ShapeError("grad_out spatial dims inconsistent with x/stride/padding")
-    oh2 = (h + 2 * padding - kh) // stride + 1
-    ow2 = (w + 2 * padding - kw) // stride + 1
-    if (oh2, ow2) != (oh, ow):
-        raise ShapeError(f"inferred output {oh2}x{ow2} != grad_out {oh}x{ow}")
+    k = _kernel_side(h + 2 * padding - oh + 1, w + 2 * padding - ow + 1, padding)
     # columns one input-channel slice at a time, so each weight still reduces
     # over the whole batch in a single GEMM
     n = bs * oh * ow
     g_mat = grad_out.transpose(0, 2, 3, 1).reshape(n, cout)
-    gk = np.empty((cin * kh * kw, cout), dtype=np.result_type(x, grad_out))
-    fh, fw = (oh - 1) * stride + kh, (ow - 1) * stride + kw
-    macs = cin * kh * kw * n * cout
+    gk = np.empty((cin * k * k, cout), dtype=np.result_type(x, grad_out))
+    macs = cin * k * k * n * cout
     im2col = macs <= SMALL_GEMM_MACS
-    for sl in [slice(0, cin)] if im2col else _slices(cin, n * kh * kw * x.itemsize, x, macs):
-        cols = _columns(_frame(x[:, sl], padding, padding, fh, fw), kh, kw, stride, oh, ow)
+    for sl in [slice(0, cin)] if im2col else _slices(cin, n * k * k * x.itemsize, x, macs):
+        cols = _columns(_frame(x[:, sl], padding), k)
         if im2col:
             cols = np.ascontiguousarray(cols.T).T
-        np.matmul(cols, g_mat, out=gk[sl.start * kh * kw : sl.stop * kh * kw])
+        np.matmul(cols, g_mat, out=gk[sl.start * k * k : sl.stop * k * k])
         del cols
-    gk = gk.reshape(cin, kh, kw, cout).transpose(3, 0, 1, 2)
+    gk = gk.reshape(cin, k, k, cout).transpose(3, 0, 1, 2)
     gb = grad_out.sum(axis=(0, 2, 3))
     return track(np.ascontiguousarray(gk)), track(np.ascontiguousarray(gb))
 
 
-def split_channels(x, at=None):
-    """Split along channels at index ``at`` into two views sharing x's buffer.
-
-    Defaults to an even half split (coupling layers), which requires an even
-    channel count.
-    """
+def split_channels(x):
+    """Split the channels into halves: two views sharing x's buffer. Coupling
+    layers split this way, so the channel count must be even."""
     check_tensor(x, "x")
     c = x.shape[1]
-    if at is None:
-        if c % 2:
-            raise ShapeError(f"channel split requires even channel count, got {c}")
-        at = c // 2
-    if not 0 < at < c:
-        raise ShapeError(f"split index {at} out of range for {c} channels")
-    return x[:, :at], x[:, at:]
+    if c % 2:
+        raise ShapeError(f"channel split requires even channel count, got {c}")
+    return x[:, : c // 2], x[:, c // 2 :]
 
 
 def add(a, b):
-    _check_same_shape(a, b)
-    return track(a + b)
-
-
-def sub(a, b):
-    _check_same_shape(a, b)
-    return track(a - b)
-
-
-def mul(a, b):
-    _check_same_shape(a, b)
-    return track(a * b)
-
-
-def scale(x, s: float):
-    return track(x * s)
-
-
-def _check_same_shape(a, b):
     if np.shape(a) != np.shape(b):
         raise ShapeError(f"operand shapes differ: {np.shape(a)} vs {np.shape(b)}")
+    return track(a + b)
 
 
 def sum_sq_norm(x) -> float:
@@ -434,13 +364,11 @@ def default_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def gaussian(shape, seed=None, rng=None, mean: float = 0.0, std: float = 1.0, dtype=np.float32):
-    """Seeded Gaussian sample (PCG64 + ziggurat)."""
+def gaussian(shape, seed=None, rng=None, std: float = 1.0, dtype=np.float32):
+    """Seeded zero-mean Gaussian sample (PCG64 + ziggurat)."""
     if rng is None:
         rng = default_rng(0 if seed is None else seed)
     out = rng.standard_normal(shape, dtype=np.float64)
     if std != 1.0:
         out *= std
-    if mean != 0.0:
-        out += mean
     return track(out.astype(dtype, copy=False) if dtype != np.float64 else out)

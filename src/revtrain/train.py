@@ -227,7 +227,7 @@ def train_run(config, dataset=None, on_epoch=None):
                 loss_sum += loss * len(idx)
                 hit_sum += int((np.argmax(logits, axis=1) == labels).sum())
                 step += 1
-            peak = scope.stats().peak_bytes
+            peak = scope.peak_bytes
         metrics = EpochMetrics(
             epoch=epoch,
             train_loss=loss_sum / n,

@@ -6,8 +6,13 @@ these tests make that a test failure here too.
 """
 
 import importlib.util
+import inspect
 import json
 from pathlib import Path
+
+import pytest
+
+from revtrain import ops
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,3 +36,12 @@ def test_every_declared_layer_metric_has_a_traced_method():
         parts = metric["name"].split(".")
         if parts[0] == "layers" and parts[-1] == "calls":
             assert ".".join(parts[:-1]) in names, metric["name"]
+
+
+@pytest.mark.parametrize("op", ["conv2d_forward", "conv2d_backward_input", "conv2d_backward_weight"])
+def test_conv_padding_is_keyword_only(op):
+    # the tracer derives each conv call's FLOPs and workspace from padding read
+    # by name; a positional padding would land in another parameter there
+    assert op in load_tracer().CONV_OPS
+    param = inspect.signature(getattr(ops, op)).parameters["padding"]
+    assert param.kind is inspect.Parameter.KEYWORD_ONLY

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from revtrain import cli, zoo
+from revtrain import cli, data, zoo
 from revtrain.memory_model import ArchSpec, LayerSpec, format_arch, write_arch_file
 
 
@@ -329,6 +329,15 @@ def test_train_missing_dataset_names_path(tmp_path, capsys):
     assert "nowhere" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--subset", "--test-subset"])
+def test_train_rejects_an_empty_subset(tmp_path, data_dir, capsys, flag):
+    argv = train_argv(tmp_path / "out", data_dir)
+    argv[argv.index(flag) + 1] = "0"
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: subset of 0") and err.count("\n") == 1
+
+
 def test_train_rejects_unwalkable_mode(tmp_path, data_dir, capsys):
     rc = cli.main(["train", "--config", "revnet", "--mode", "hybrid",
                    "--data", data_dir, "--out", str(tmp_path / "x")])
@@ -374,7 +383,8 @@ def test_inspect_data_summarizes_splits(data_dir, capsys):
     ]
 
 
-def test_inspect_data_synthesize_creates_missing_files(tmp_path, capsys):
+def test_inspect_data_synthesize_creates_missing_files(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(data, "RECORDS_PER_FILE", 300)
     root = tmp_path / "fresh"
     rc = cli.main(["inspect-data", "--data", str(root), "--synthesize"])
     assert rc == 0

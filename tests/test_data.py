@@ -178,14 +178,16 @@ def test_take_subset(dataset):
     xs2, ys2 = data.take_subset(dataset.train_images, dataset.train_labels, 500, seed=1)
     assert np.array_equal(xs, xs2) and np.array_equal(ys, ys2)
     assert len(xs) == 500
-    with pytest.raises(ConfigError):
-        data.take_subset(dataset.test_images, dataset.test_labels, 10**6, seed=0)
+    for n in (10**6, 0, -3):
+        with pytest.raises(ConfigError):
+            data.take_subset(dataset.test_images, dataset.test_labels, n, seed=0)
 
 
-def test_ensure_dataset_synthesizes_once(tmp_path):
+def test_ensure_dataset_synthesizes_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "RECORDS_PER_FILE", 300)
     root = tmp_path / "auto"
     ds = data.ensure_dataset(root)
-    assert ds.train_images.shape[0] == 50_000
+    assert ds.train_images.shape[0] == 5 * data.RECORDS_PER_FILE
     stamp = (root / "data_batch_1.bin").stat().st_mtime_ns
     data.ensure_dataset(root)
     assert (root / "data_batch_1.bin").stat().st_mtime_ns == stamp

@@ -106,7 +106,7 @@ def test_bn_inverse_without_forward_raises():
 
 def test_bn_eval_mode_uses_running_stats():
     bn = InvBatchNorm(2)
-    x = ops.gaussian((16, 2, 8, 8), seed=7, mean=3.0, std=2.0)
+    x = (ops.gaussian((16, 2, 8, 8), seed=7, std=2.0, dtype=np.float64) + 3.0).astype(np.float32)
     for _ in range(80):
         bn.forward(x, train=True)
     y_eval = bn.forward(x, train=False)
@@ -368,7 +368,7 @@ def test_maxpool_backward_matches_finite_differences():
 
 
 def test_conv_layer_backward_matches_finite_differences():
-    conv = Conv2D(3, 4, k=3, stride=2, rng=ops.default_rng(28), dtype=np.float64)
+    conv = Conv2D(3, 4, k=3, rng=ops.default_rng(28), dtype=np.float64)
     x = ops.gaussian((2, 3, 8, 8), seed=29, dtype=np.float64)
     y = conv.forward(x)
     r = _loss_weight(y.shape, seed=30)
@@ -448,7 +448,7 @@ def test_invertible_layers_reconstruction_error():
     """Round-trip error < 1e-5 rel (f32); bit-exact for the pooling permutations."""
     x = ops.gaussian((4, 8, 8, 8), seed=37)
     bn = InvBatchNorm(8)
-    bn.gamma[...] = ops.gaussian((8,), seed=38, mean=1.0, std=0.3)
+    bn.gamma[...] = (ops.gaussian((8,), seed=38, std=0.3, dtype=np.float64) + 1.0).astype(np.float32)
     bn.forward(x, train=True)
     checks = [
         (bn, bn.inverse(bn.forward(x, train=True))),

@@ -234,32 +234,6 @@ def test_simulator_rejects_bad_mode():
 # cross-check against tracked allocations in the live executor
 
 
-@pytest.mark.parametrize("mode,name", [
-    (mode, name) for name in ("small-hybrid", "pure-block") for mode in ("stored", "block", "hybrid")
-] + [("hybrid", "layerwise-d8")])
-def test_prediction_tracks_measured_peak(name, mode):
-    from revtrain import memtrack
-
-    spec = zoo.layerwise_family(8) if name == "layerwise-d8" else zoo.get_spec(name)
-    h = w = 16
-    bs = 8
-    # arrays other tests left alive are not part of this model's peak
-    entry = memtrack.live_bytes()
-    model = zoo.build_model(spec, seed=0)
-    x = ops.gaussian((bs, spec.input_channels, h, w), seed=1)
-    with memtrack.MeasureScope() as scope:
-        out, saved = model.forward(x, BackpropMode.parse(mode))
-        g = ops.gaussian(out.shape, seed=2).astype(out.dtype)
-        model.backward(saved, g, x)
-    measured = scope.stats().peak_bytes - entry
-    predicted = (
-        float(mm.simulate_schedule(spec, mode, h, w, bs)[0])
-        + mm.input_batch_bytes(spec, h, w, bs)
-        + mm.overhead_bytes(spec, mode, h, w, bs)
-    )
-    assert abs(measured - predicted) / predicted < 0.10
-
-
 def tracked_step_peak(spec, mode, h, bs):
     """Tracked peak of one training step on a fresh f32 model, from before
     the input batch and the model are made."""

@@ -283,11 +283,11 @@ def test_conv_apply_ratios_per_mode():
 
     counts = {}
     for mode in (STORED, BLOCK, HYBRID):
-        ops.reset_conv_applies()
+        before = ops.conv_applies()
         logits, saved = model.forward(x, mode)
-        fwd = ops.conv_applies()
+        fwd = ops.conv_applies() - before
         grads, _ = model.backward(saved, probe, x)
-        counts[mode] = (fwd, ops.conv_applies())
+        counts[mode] = (fwd, ops.conv_applies() - before)
 
     fwd = counts[STORED][0]
     assert fwd == 8  # 2 blocks x 2 branches x 2 couplings each
@@ -310,10 +310,10 @@ def test_hybrid_walk_costs_block_plus_deeper_invconv_inverses(name):
     x = ops.gaussian((2, spec.input_channels, 16, 16), seed=1)
     applies = {}
     for mode in (BLOCK, HYBRID):
-        ops.reset_conv_applies()
+        before = ops.conv_applies()
         logits, saved = model.forward(x, mode)
         model.backward(saved, ops.gaussian(logits.shape, seed=2), x)
-        applies[mode] = ops.conv_applies()
+        applies[mode] = ops.conv_applies() - before
     deeper = [
         path
         for path, layer in _branch_layers(model).items()
@@ -369,9 +369,8 @@ def test_peak_memory_ordering_across_modes():
         with memtrack.MeasureScope() as scope:
             logits, saved = model.forward(x, mode)
             grads, _ = model.backward(saved, probe, x)
-        stats = scope.stats()
         del logits, saved, grads
-        peaks[mode] = stats.peak_bytes
+        peaks[mode] = scope.peak_bytes
 
     assert peaks[HYBRID] < peaks[BLOCK] < peaks[STORED]
 
@@ -646,7 +645,7 @@ def test_backward_frees_buffers_no_later_than_before(name, mode):
         before = memtrack.live_bytes()
         _, saved = model.forward(x, BackpropMode.parse(mode))
         model.backward(saved, probe, x)
-    assert scope.stats().peak_bytes - before <= LIFETIME_PEAK_BOUNDS[name, mode]
+    assert scope.peak_bytes - before <= LIFETIME_PEAK_BOUNDS[name, mode]
 
 
 # ---------------------------------------------------------------------------

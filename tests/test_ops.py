@@ -23,7 +23,6 @@ from oracles import (
 # (inputs: PCG64 seeds 42/43/44, shapes below). Not derived from ops.py.
 FROZEN_CONV_SUMS = {
     "s1p1": (390.0993137286342, 439.5640588948513),
-    "s2p1": (94.19910256634554, 107.81814158520856),
     "s1p0_nobias": (1.299981262339216, 110.82936316349364),
 }
 
@@ -37,9 +36,9 @@ def _conv_inputs(dtype=np.float64):
 
 def test_conv2d_forward_matches_loop_reference():
     x, k, b = _conv_inputs()
-    for stride, padding, bias in [(1, 1, b), (2, 1, b), (1, 0, None), (2, 0, b), (1, 2, None)]:
-        got = ops.conv2d_forward(x, k, bias, stride=stride, padding=padding)
-        want = loop_conv2d(x, k, bias, stride=stride, padding=padding)
+    for padding, bias in [(1, b), (0, None), (2, None)]:
+        got = ops.conv2d_forward(x, k, bias, padding=padding)
+        want = loop_conv2d(x, k, bias, padding=padding)
         assert got.shape == want.shape
         assert rel_err(got, want) < 1e-12
 
@@ -47,9 +46,8 @@ def test_conv2d_forward_matches_loop_reference():
 def test_conv2d_forward_frozen_checksums():
     x, k, b = _conv_inputs()
     cases = {
-        "s1p1": ops.conv2d_forward(x, k, b, stride=1, padding=1),
-        "s2p1": ops.conv2d_forward(x, k, b, stride=2, padding=1),
-        "s1p0_nobias": ops.conv2d_forward(x, k, None, stride=1, padding=0),
+        "s1p1": ops.conv2d_forward(x, k, b, padding=1),
+        "s1p0_nobias": ops.conv2d_forward(x, k, None, padding=0),
     }
     for name, y in cases.items():
         s, a = FROZEN_CONV_SUMS[name]
@@ -60,42 +58,39 @@ def test_conv2d_forward_frozen_checksums():
 def test_conv2d_forward_rectangular_and_f32():
     x = ops.gaussian((3, 2, 5, 7), seed=7)
     k = ops.gaussian((4, 2, 3, 3), seed=8, std=0.2)
-    got = ops.conv2d_forward(x, k, None, stride=1, padding=1)
-    want = loop_conv2d(x.astype(np.float64), k.astype(np.float64), None, stride=1, padding=1)
+    got = ops.conv2d_forward(x, k, None, padding=1)
+    want = loop_conv2d(x.astype(np.float64), k.astype(np.float64), None, padding=1)
     assert got.dtype == np.float32
     assert rel_err(got, want) < 1e-5
 
 
-@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 0), (2, 0), (1, 2)])
-def test_conv2d_backward_input_matches_finite_differences(stride, padding):
+@pytest.mark.parametrize("padding", [1, 0, 2])
+def test_conv2d_backward_input_matches_finite_differences(padding):
     x, k, _ = _conv_inputs()
-    y0 = ops.conv2d_forward(x, k, None, stride=stride, padding=padding)
+    y0 = ops.conv2d_forward(x, k, None, padding=padding)
     weight = ops.gaussian(y0.shape, seed=9).astype(np.float64)
 
     def loss(xv):
-        return float((loop_conv2d(xv, k, None, stride=stride, padding=padding) * weight).sum())
+        return float((loop_conv2d(xv, k, None, padding=padding) * weight).sum())
 
-    gx = ops.conv2d_backward_input(weight, k, stride=stride, padding=padding, input_hw=x.shape[2:])
+    gx = ops.conv2d_backward_input(weight, k, padding=padding)
     assert gx.shape == x.shape
     assert rel_err(gx, fd_grad(loss, x.copy())) < 1e-7
 
 
-@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 0)])
-def test_conv2d_backward_weight_matches_finite_differences(stride, padding):
+@pytest.mark.parametrize("padding", [1, 0])
+def test_conv2d_backward_weight_matches_finite_differences(padding):
     x, k, b = _conv_inputs()
-    y0 = ops.conv2d_forward(x, k, b, stride=stride, padding=padding)
+    y0 = ops.conv2d_forward(x, k, b, padding=padding)
     weight = ops.gaussian(y0.shape, seed=11).astype(np.float64)
 
     def loss_k(kv):
-        return float((loop_conv2d(x, kv, b, stride=stride, padding=padding) * weight).sum())
+        return float((loop_conv2d(x, kv, b, padding=padding) * weight).sum())
 
     def loss_b(bv):
-        return float((loop_conv2d(x, k, bv, stride=stride, padding=padding) * weight).sum())
+        return float((loop_conv2d(x, k, bv, padding=padding) * weight).sum())
 
-    gk, gb = ops.conv2d_backward_weight(
-        x, weight, stride=stride, padding=padding,
-        kernel_hw=k.shape[2:] if stride > 1 else None,
-    )
+    gk, gb = ops.conv2d_backward_weight(x, weight, padding=padding)
     assert gk.shape == k.shape
     assert gb.shape == b.shape
     assert rel_err(gk, fd_grad(loss_k, k.copy())) < 1e-7
@@ -103,11 +98,47 @@ def test_conv2d_backward_weight_matches_finite_differences(stride, padding):
 
 
 def test_conv2d_backward_input_rejects_impossible_geometry():
-    # inferred input size (oh-1)*s + kh - 2p collapses to zero
     g = np.zeros((1, 1, 4, 4), dtype=np.float32)
     k = np.zeros((1, 1, 3, 3), dtype=np.float32)
     with pytest.raises(ShapeError):
-        ops.conv2d_backward_input(g, k, stride=1, padding=3)
+        ops.conv2d_backward_input(g, k, padding=3)
+    # inferred input size oh + k - 1 - 2p falls below one pixel
+    with pytest.raises(ShapeError):
+        ops.conv2d_backward_input(g[:, :, :1, :1], k, padding=2)
+
+
+def _kernel_calls(x, kernel, g, padding):
+    """The three conv kernels on x, a kernel and its output gradient g."""
+    return {
+        "forward": lambda: ops.conv2d_forward(x, kernel, padding=padding),
+        "backward_input": lambda: ops.conv2d_backward_input(g, kernel, padding=padding),
+        "backward_weight": lambda: ops.conv2d_backward_weight(x, g, padding=padding),
+    }
+
+
+KERNELS = ["forward", "backward_input", "backward_weight"]
+
+
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_conv_kernels_reject_a_non_square_kernel(kernel_name):
+    # a 3x1 kernel with padding 1: for the weight gradient, the shapes of x
+    # and g imply that kernel
+    x = np.zeros((1, 2, 6, 6), dtype=np.float32)
+    kernel = np.zeros((2, 2, 3, 1), dtype=np.float32)
+    g = np.zeros((1, 2, 6, 8), dtype=np.float32)
+    with pytest.raises(ShapeError, match="square"):
+        _kernel_calls(x, kernel, g, 1)[kernel_name]()
+
+
+@pytest.mark.parametrize("kernel_name", KERNELS)
+@pytest.mark.parametrize("k,padding", [(3, -1), (3, 3), (1, 1), (5, 5)])
+def test_conv_kernels_reject_padding_outside_zero_to_k_minus_one(k, padding, kernel_name):
+    x = np.zeros((1, 2, 6, 6), dtype=np.float32)
+    kernel = np.zeros((2, 2, k, k), dtype=np.float32)
+    side = 6 + 2 * padding - k + 1
+    g = np.zeros((1, 2, side, side), dtype=np.float32)
+    with pytest.raises(ShapeError, match="padding"):
+        _kernel_calls(x, kernel, g, padding)[kernel_name]()
 
 
 # -- column kernels against the whole-batch im2col reference ------------------------
@@ -121,16 +152,16 @@ def _conv_case(shape, cout, k, dtype):
     return x, kernel, bias
 
 
-def _check_against_im2col(x, kernel, bias, stride, padding, check):
+def _check_against_im2col(x, kernel, bias, padding, check):
     k = kernel.shape[2]
     hw = x.shape[2:]
-    y = ops.conv2d_forward(x, kernel, bias, stride, padding)
-    check(y, im2col_conv2d(x, kernel, bias, stride, padding))
+    y = ops.conv2d_forward(x, kernel, bias, padding=padding)
+    check(y, im2col_conv2d(x, kernel, bias, 1, padding))
     g = ops.gaussian(y.shape, seed=5, dtype=x.dtype)
-    check(ops.conv2d_backward_input(g, kernel, stride, padding, input_hw=hw),
-          im2col_conv2d_backward_input(g, kernel, stride, padding, hw))
-    gk, gb = ops.conv2d_backward_weight(x, g, stride, padding, kernel_hw=(k, k))
-    want_k, want_b = im2col_conv2d_backward_weight(x, g, stride, padding, (k, k))
+    check(ops.conv2d_backward_input(g, kernel, padding=padding),
+          im2col_conv2d_backward_input(g, kernel, 1, padding, hw))
+    gk, gb = ops.conv2d_backward_weight(x, g, padding=padding)
+    want_k, want_b = im2col_conv2d_backward_weight(x, g, 1, padding, (k, k))
     check(gk, want_k)
     check(gb, want_b)
 
@@ -141,27 +172,26 @@ def _bitwise(got, want):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("k,padding", [(k, p) for k in (1, 3, 5) for p in (0, 1, 2)])
-@pytest.mark.parametrize("stride", [1, 2])
-def test_conv_kernels_bitwise_equal_im2col_reference(stride, k, padding, dtype):
-    # rectangular, and 9x7 leaves (h + 2p - k) % 2 != 0 for some cases
-    x, kernel, bias = _conv_case((3, 4, 9, 7), 5, k, dtype)
-    _check_against_im2col(x, kernel, bias, stride, padding, _bitwise)
+@pytest.mark.parametrize("k,padding", [(k, p) for k in (1, 3, 5) for p in range(k)])
+@pytest.mark.parametrize("shape", [(3, 4, 9, 7), (2, 4, 7, 9)])
+def test_conv_kernels_bitwise_equal_im2col_reference(shape, k, padding, dtype):
+    # maps taller and wider than square
+    x, kernel, bias = _conv_case(shape, 5, k, dtype)
+    _check_against_im2col(x, kernel, bias, padding, _bitwise)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("f32_shape,cout,k,stride,padding", [
-    ((7, 32, 32, 32), 32, 3, 1, 1),
-    ((7, 128, 32, 32), 16, 3, 2, 1),
-    ((7, 12, 32, 32), 16, 5, 1, 2),
-    ((7, 128, 31, 29), 24, 3, 2, 0),
+@pytest.mark.parametrize("f32_shape,cout,k,padding", [
+    ((7, 32, 32, 32), 32, 3, 1),
+    ((7, 12, 32, 32), 16, 5, 2),
+    ((7, 64, 31, 29), 24, 3, 0),
 ])
-def test_conv_kernels_bitwise_equal_im2col_reference_across_slices(f32_shape, cout, k, stride, padding, dtype):
+def test_conv_kernels_bitwise_equal_im2col_reference_across_slices(f32_shape, cout, k, padding, dtype):
     # f64 halves the channels, which keeps the byte sizes and so the slicing
     bs, cin, h, w = f32_shape
     cin = cin * 4 // np.dtype(dtype).itemsize
     x, kernel, bias = _conv_case((bs, cin, h, w), cout, k, dtype)
-    oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    oh, ow = h + 2 * padding - k + 1, w + 2 * padding - k + 1
     sample_cols = cin * k * k * oh * ow * x.itemsize
     macs = cout * cin * k * k * bs * oh * ow
     # several batch slices of unequal size, and several input-channel slices
@@ -169,50 +199,49 @@ def test_conv_kernels_bitwise_equal_im2col_reference_across_slices(f32_shape, co
     assert len(batch_slices) > 1
     assert len({sl.stop - sl.start for sl in batch_slices}) > 1
     assert len(ops._slices(cin, bs * sample_cols // cin, x, macs)) > 1
-    _check_against_im2col(x, kernel, bias, stride, padding, _bitwise)
+    _check_against_im2col(x, kernel, bias, padding, _bitwise)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("f32_shape,cout,k,stride,padding", [
-    ((64, 128, 4, 4), 128, 3, 1, 1),   # the 4x4 stage after batch pooling
-    ((16, 128, 8, 8), 128, 3, 1, 1),
-    ((64, 128, 9, 9), 128, 3, 2, 1),   # odd size: the input gradient's frame is dilated
+@pytest.mark.parametrize("f32_shape,cout,k,padding", [
+    ((64, 128, 4, 4), 128, 3, 1),   # the 4x4 stage after batch pooling
+    ((16, 128, 8, 8), 128, 3, 1),
+    ((64, 128, 9, 9), 128, 3, 1),   # odd size
 ])
-def test_conv_kernels_bitwise_equal_im2col_reference_at_wide_small_maps(f32_shape, cout, k, stride, padding, dtype):
+def test_conv_kernels_bitwise_equal_im2col_reference_at_wide_small_maps(f32_shape, cout, k, padding, dtype):
     # the batch-innermost columns reorder pixels, never a reduction
     bs, cin, h, w = f32_shape
     cin = cin * 4 // np.dtype(dtype).itemsize
     x, kernel, bias = _conv_case((bs, cin, h, w), cout, k, dtype)
-    oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    oh, ow = h + 2 * padding - k + 1, w + 2 * padding - k + 1
     macs = cout * cin * k * k * bs * oh * ow
     assert len(ops._slices(bs, cin * k * k * oh * ow * x.itemsize, x, macs)) > 1
     g = np.empty((bs, cout, oh, ow), dtype)
     assert len(ops._slices(bs, cout * k * k * h * w * x.itemsize, g, cin * cout * k * k * bs * h * w)) > 1
-    _check_against_im2col(x, kernel, bias, stride, padding, _bitwise)
+    _check_against_im2col(x, kernel, bias, padding, _bitwise)
 
 
-@pytest.mark.parametrize("shape,k,stride,padding", [
-    ((3, 4, 9, 7), 3, 1, 1),
-    ((5, 2, 8, 8), 3, 2, 1),
-    ((2, 3, 6, 5), 1, 1, 0),
-    ((4, 3, 7, 6), 3, 1, 0),
+@pytest.mark.parametrize("shape,k,padding", [
+    ((3, 4, 9, 7), 3, 1),
+    ((2, 3, 6, 5), 1, 0),
+    ((4, 3, 7, 6), 3, 0),
+    ((5, 2, 8, 8), 5, 2),
 ])
-def test_packed_columns_are_im2col_columns_with_pixels_ordered_ijb(shape, k, stride, padding):
+def test_packed_columns_are_im2col_columns_with_pixels_ordered_ijb(shape, k, padding):
     x = ops.gaussian(shape, seed=4, dtype=np.float64)
     bs, cin, h, w = shape
-    want, oh, ow = im2col(np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)), k, k, stride)
-    fh, fw = (oh - 1) * stride + k, (ow - 1) * stride + k
+    want, oh, ow = im2col(np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)), k, k, 1)
     npix = bs * oh * ow
-    frame = ops._frame(x, padding, padding, fh, fw, batch_last=True)
+    frame = ops._frame(x, padding, batch_last=True)
     # an unpadded frame is a view, never a copy of the input
     assert np.shares_memory(frame, x) == (padding == 0)
-    cols = ops._columns(frame, k, k, stride, oh, ow, npix + 7, batch_last=True)
+    cols = ops._columns(frame, k, npix + 7, batch_last=True)
     ijb = want.reshape(bs, oh, ow, -1).transpose(3, 1, 2, 0).reshape(-1, npix)
     assert_array_equal(cols[:, :npix], ijb)
     assert not cols[:, npix:].any()
     # the im2col path and the weight gradient keep the (b, i, j) order
-    frame = ops._frame(x, padding, padding, fh, fw)
-    assert_array_equal(ops._columns(frame, k, k, stride, oh, ow), want.T)
+    frame = ops._frame(x, padding)
+    assert_array_equal(ops._columns(frame, k), want.T)
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-14)])
@@ -228,7 +257,7 @@ def test_conv_kernels_match_im2col_reference_to_rounding_in_matrix_vector_cases(
         assert rel_err(got, want) < tol
 
     x, kernel, bias = _conv_case(shape, cout, k, dtype)
-    _check_against_im2col(x, kernel, bias, 1, k // 2, close)
+    _check_against_im2col(x, kernel, bias, k // 2, close)
 
 
 def test_conv_workspace_stays_within_the_slice_budget():
@@ -246,12 +275,7 @@ def test_conv_workspace_stays_within_the_slice_budget():
         bound = max(x.nbytes, ops.WORKSPACE_FLOOR_BYTES) + 2 * padded
         if k == 3:
             assert 9 * x.nbytes > bound
-        calls = {
-            "forward": lambda: ops.conv2d_forward(x, kernel, None, 1, padding),
-            "backward_input": lambda: ops.conv2d_backward_input(g, kernel, 1, padding, input_hw=(h, w)),
-            "backward_weight": lambda: ops.conv2d_backward_weight(x, g, 1, padding, kernel_hw=(k, k)),
-        }
-        for name, call in calls.items():
+        for name, call in _kernel_calls(x, kernel, g, padding).items():
             tracemalloc.start()
             try:
                 call()
@@ -281,28 +305,12 @@ def test_split_concat_channels_roundtrip_exact():
 def test_split_channels_requires_even_channels():
     with pytest.raises(ShapeError):
         ops.split_channels(np.zeros((1, 3, 2, 2), dtype=np.float32))
-    with pytest.raises(ShapeError):
-        ops.split_channels(np.zeros((1, 4, 2, 2), dtype=np.float32), at=4)
-
-
-@settings(max_examples=40, deadline=None)
-@given(c=st.integers(2, 8), at=st.integers(1, 7), seed=st.integers(0, 2**31 - 1))
-def test_split_concat_roundtrip_any_index(c, at, seed):
-    if at >= c:
-        return
-    x = ops.gaussian((2, c, 3, 3), seed=seed)
-    a, b = ops.split_channels(x, at=at)
-    assert a.shape[1] == at and b.shape[1] == c - at
-    assert_array_equal(np.concatenate([a, b], axis=1), x)
 
 
 def test_elementwise_suite():
     a = ops.gaussian((2, 2, 3, 3), seed=1)
     b = ops.gaussian((2, 2, 3, 3), seed=2)
     assert_array_equal(ops.add(a, b), a + b)
-    assert_array_equal(ops.sub(a, b), a - b)
-    assert_array_equal(ops.mul(a, b), a * b)
-    assert_array_equal(ops.scale(a, 2.5), a * 2.5)
     with pytest.raises(ShapeError):
         ops.add(a, ops.gaussian((2, 2, 3, 4), seed=3))
 
@@ -418,28 +426,25 @@ def test_gaussian_deterministic_per_seed():
 
 
 def test_gaussian_moments():
-    z = ops.gaussian((200000,), seed=0, mean=2.0, std=3.0, dtype=np.float64)
-    assert abs(z.mean() - 2.0) < 0.05
+    z = ops.gaussian((200000,), seed=0, std=3.0, dtype=np.float64)
+    assert abs(z.mean()) < 0.05
     assert abs(z.std() - 3.0) < 0.05
 
 
 def test_conv_apply_counting_convention():
     """Forward and backward-input each count one application; weight grad counts none."""
     x, k, b = _conv_inputs(np.float32)
-    ops.reset_conv_applies()
-    y = ops.conv2d_forward(x, k, b, stride=1, padding=1)
-    assert ops.conv_applies() == 1
-    assert (ops.conv_forward_applies(), ops.conv_backward_applies()) == (1, 0)
-    ops.conv2d_backward_input(y, k, stride=1, padding=1, input_hw=(8, 8))
-    assert ops.conv_applies() == 2
-    assert (ops.conv_forward_applies(), ops.conv_backward_applies()) == (1, 1)
-    ops.conv2d_backward_weight(x, y, stride=1, padding=1)
-    assert ops.conv_applies() == 2
-    ops.reset_conv_applies()
-    assert ops.conv_applies() == 0
+    before = ops.conv_applies()
+    y = ops.conv2d_forward(x, k, b, padding=1)
+    assert ops.conv_applies() - before == 1
+    ops.conv2d_backward_input(y, k, padding=1)
+    assert ops.conv_applies() - before == 2
+    ops.conv2d_backward_weight(x, y, padding=1)
+    assert ops.conv_applies() - before == 2
 
 
 def test_measure_scope_tracks_peak_and_release():
+    allocs = memtrack.allocation_count()
     with memtrack.MeasureScope() as scope:
         base = scope.peak_bytes
         a = ops.gaussian((64, 64), seed=1)
@@ -449,9 +454,8 @@ def test_measure_scope_tracks_peak_and_release():
         del a
         b = ops.gaussian((8, 8), seed=2)
         memtrack.track(b)
-    stats = scope.stats()
-    assert stats.peak_bytes == peak_after_a  # peak is monotone within the scope
-    assert stats.allocation_count >= 2
+    assert scope.peak_bytes == peak_after_a  # peak is monotone within the scope
+    assert memtrack.allocation_count() - allocs >= 2
 
 
 def test_measure_scope_counts_preexisting_live_arrays():
@@ -476,5 +480,5 @@ def test_a_view_keeps_its_base_live_until_the_view_dies():
 def test_conv2d_forward_output_is_tracked():
     x, k, b = _conv_inputs(np.float32)
     with memtrack.MeasureScope() as scope:
-        y = ops.conv2d_forward(x, k, b, stride=1, padding=1)
+        y = ops.conv2d_forward(x, k, b, padding=1)
     assert scope.peak_bytes >= y.nbytes
