@@ -58,18 +58,22 @@ def resolve_spec(value):
     )
 
 
-def _parse_floats(text):
+def _parse_list(text, convert, what):
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [convert(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}")
+        values = None
+    if not values:
+        raise ConfigError(f"expected comma-separated {what}, got {text!r}")
+    return values
+
+
+def _parse_floats(text):
+    return _parse_list(text, float, "numbers")
 
 
 def _parse_ints(text):
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}")
+    return _parse_list(text, int, "integers")
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -193,6 +197,8 @@ def _tensor_rel_error(got, want, floor):
 
 
 def cmd_gradcheck(args):
+    if args.fd_samples < 1:
+        raise ConfigError(f"--fd-samples must be at least 1, got {args.fd_samples}")
     spec = resolve_spec(args.config)
     dtype = np.float64 if args.dtype == "f64" else np.float32
     floor = 1e-8 if dtype is np.float64 else 1e-4

@@ -283,6 +283,24 @@ def test_gradcheck_stored_against_finite_differences():
     assert rc == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["snr-alpha", "--layer", "lrelu", "--sweep", ",", "--check"],
+     "expected comma-separated numbers"),
+    (["snr-profile", "--family", "hybrid", "--depths", "2", "--slopes", ","],
+     "expected comma-separated numbers"),
+    (["gradcheck", "--config", "pure-block", "--mode", "stored", "--fd-samples", "0"],
+     "--fd-samples must be at least 1"),
+    (["gradcheck", "--config", "pure-block", "--mode", "stored", "--fd-samples", "-3"],
+     "--fd-samples must be at least 1"),
+], ids=["empty-sweep", "empty-slopes", "fd-samples-0", "fd-samples-negative"])
+def test_empty_lists_and_sample_counts_are_config_errors(argv, message, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
 def test_gradcheck_deep_layerwise_f32_exceeds_tolerance(deep_chain_cfg, capsys):
     rc = cli.main(["gradcheck", "--config", deep_chain_cfg, "--mode", "hybrid",
                    "--dtype", "f32", "--tol", "1e-4"])

@@ -195,7 +195,7 @@ def test_simulator_matches_closed_form(name, mode):
         + mm.bytes_per_pixel(spec, mode) * h * w * bs
     )
     assert abs(peak - closed) / closed < 0.01
-    assert events[0][0] == "init"
+    assert events[0][0] == "saved"
     assert peak == max(live for _, live in events)
 
 
@@ -304,12 +304,21 @@ def test_dry_run_failure_is_a_config_error_naming_the_spec(monkeypatch):
 # cross-check against the executor's saved state
 
 
+def stored_saved_bytes(spec, h, w, bs):
+    """Bytes stored mode's forward leaves, from `_saved`: kept inputs and
+    block records, cached batch statistics and the head's pooled features."""
+    kept, cached, final = mm._saved(spec, "stored")
+    assert final == 0
+    pooled = bs * spec.head().c_in * spec.bpe
+    return sum(kept.values()) * h * w * bs * spec.bpe + sum(cached.values()) + pooled
+
+
 def test_stored_saved_bytes_matches_executor_chain():
     spec = zoo.resnet_spec()
     model = zoo.build_model(spec, seed=3)
     x = ops.gaussian((4, 3, 16, 16), seed=4)
     _, saved = model.forward(x, BackpropMode.STORED)
-    assert saved.activation_bytes(model) == mm.stored_saved_bytes(spec, 16, 16, 4)
+    assert saved.activation_bytes(model) == stored_saved_bytes(spec, 16, 16, 4)
 
 
 def test_stored_saved_bytes_matches_executor_blocks():
@@ -317,18 +326,19 @@ def test_stored_saved_bytes_matches_executor_blocks():
     model = zoo.build_model(spec, seed=5)
     x = ops.gaussian((4, 3, 8, 8), seed=6)
     _, saved = model.forward(x, BackpropMode.STORED)
-    assert saved.activation_bytes(model) == mm.stored_saved_bytes(spec, 8, 8, 4)
+    assert saved.activation_bytes(model) == stored_saved_bytes(spec, 8, 8, 4)
 
 
 @pytest.mark.parametrize("name", sorted(zoo.ZOO))
 def test_replay_keeps_exactly_what_stored_mode_saves(name):
-    # the replay's activation elements once forward is done, less the final
-    # feature map, against the executor's saved tensors
+    # the replay's activation elements at its "saved" event (stored mode
+    # keeps no final feature map) against the executor's saved tensors,
+    # less the statistics and pooled features the live layers cache
     spec = zoo.get_spec(name)
     h = w = 16
     bs = 8
-    events = {label: act for label, _, act, _ in mm._replay(spec, "stored", bs)}
-    kept = events["fwd head logits"] - mm._final_volume(mm.place(spec))
+    label, _, kept, _ = mm._replay(spec, "stored", bs)[0]
+    assert label == "saved"
     model = zoo.build_model(spec, seed=0)
     x = ops.gaussian((bs, spec.input_channels, h, w), seed=1)
     _, saved = model.forward(x, BackpropMode.STORED)
@@ -336,6 +346,42 @@ def test_replay_keeps_exactly_what_stored_mode_saves(name):
                 for a in layer.cached_stats)
     saved_bytes = saved.activation_bytes(model) - stats - model.head.cached_pooled.nbytes
     assert kept * h * w * bs * spec.bpe == saved_bytes
+
+
+@pytest.mark.parametrize("name,mode", sorted(ZOO_BUDGETS))
+def test_saved_event_is_what_the_forward_saves(name, mode):
+    # the replay's first event against the executor's saved state in full:
+    # kept inputs, block records and the final feature map per pixel, then
+    # cached batch statistics and the head's pooled features as fixed bytes
+    spec = zoo.get_spec(name)
+    h = w = 16
+    bs = 8
+    label, fixed, act, grad = mm._replay(spec, mode, bs)[0]
+    model = zoo.build_model(spec, seed=0)
+    x = ops.gaussian((bs, spec.input_channels, h, w), seed=1)
+    _, saved = model.forward(x, BackpropMode.parse(mode))
+    running = sum(2 * l.c_in * spec.bpe for l in spec.layers if l.kind == "bn")
+    logits = bs * spec.head().c_out * spec.bpe
+    assert (label, grad) == ("saved", 0)
+    assert act * h * w * bs * spec.bpe == saved.activation_bytes()
+    assert fixed - mm.weight_bytes(spec) - running - logits == (
+        saved.activation_bytes(model) - saved.activation_bytes())
+
+
+@pytest.mark.parametrize("stem", ["bn", "lrelu"])
+@pytest.mark.parametrize("mode", ["stored", "hybrid"])
+def test_saved_event_books_an_elementwise_stems_output(stem, mode):
+    # item 0's input is the caller's batch, so even an elementwise stem
+    # writes a new buffer, which the next layer keeps in stored mode and
+    # which is the walked value in hybrid mode
+    spec = mm.ArchSpec("stem", 4, [mm.LayerSpec(stem, 4, 4), mm.LayerSpec("invconv", 4, 4, k=3),
+                                   mm.LayerSpec("bn", 4, 4), _head(4)])
+    model = zoo.build_model(spec, seed=0)
+    x = ops.gaussian((2, 4, 8, 8), seed=1)
+    _, saved = model.forward(x, BackpropMode.parse(mode))
+    act = mm._replay(spec, mode, 2)[0][2]
+    assert act == (8 if mode == "stored" else 4)
+    assert act * 8 * 8 * 2 * spec.bpe == saved.activation_bytes()
 
 
 def test_live_models_support_their_modes():
@@ -536,6 +582,8 @@ def test_parse_rejects_stray_keys():
         mm.parse_arch_text("[layer]\nstride = 2\n")
     with pytest.raises(ConfigError, match=":1: unknown section 'layers'"):
         mm.parse_arch_text("[layers]\n")
+    with pytest.raises(ConfigError, match=":2: unknown layer key 'pool'"):
+        mm.parse_arch_text("[layer]\npool = 2\n")
 
 
 @pytest.mark.parametrize("text, line, key", [
