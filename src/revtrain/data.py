@@ -94,21 +94,21 @@ def _read_split(root, names):
 
 def _channel_sums(images, mean=None):
     """Per-channel float32 sum of images / 255, or of its squared deviations
-    from mean, in the order numpy reduces the whole split's float32 copy
-    over (0, 2, 3): for each image in turn, the pairwise sum of a channel's
-    h*w values is added to that channel's running total."""
-    total = np.zeros((1, images.shape[1]), dtype=np.float32)
+    from mean, bit-equal to numpy's reduction of the whole split's float32
+    copy over (0, 2, 3) (see ops.channel_sums), one chunk at a time."""
     buf = np.empty((min(CHUNK_RECORDS, len(images)), *images.shape[1:]), dtype=np.float32)
-    for start, stop in _record_chunks(len(images)):
-        x = buf[: stop - start]
-        np.copyto(x, images[start:stop])
-        x /= 255.0
-        if mean is not None:
-            x -= mean.reshape(1, -1, 1, 1)
-            np.square(x, out=x)
-        rows = np.add.reduce(x.reshape(len(x), x.shape[1], -1), axis=2)
-        total = np.add.reduce(np.concatenate([total, rows]), axis=0, keepdims=True)
-    return total.reshape(-1)
+
+    def chunks():
+        for start, stop in _record_chunks(len(images)):
+            x = buf[: stop - start]
+            np.copyto(x, images[start:stop])
+            x /= 255.0
+            if mean is not None:
+                x -= mean.reshape(1, -1, 1, 1)
+                np.square(x, out=x)
+            yield x
+
+    return ops.channel_sums(chunks())
 
 
 def channel_constants(images):

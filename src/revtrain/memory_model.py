@@ -383,14 +383,17 @@ def _kept_internals(item):
     return total
 
 
+def _cached_stats_bytes(spec, item):
+    """Bytes of the batch statistics (mean and variance) that an item's bn
+    layers cache in forward and the backward frees."""
+    return sum(2 * pl.layer.c_in * spec.bpe for pl in item.placed if pl.layer.kind == "bn")
+
+
 def stats_bytes(spec, bs):
     """Running plus cached batch statistics, and the head's pooled features."""
-    total = 0
-    for layer in spec.layers:
-        if layer.kind == "bn":
-            total += 4 * layer.c_in * spec.bpe
-    total += bs * spec.head().c_in * spec.bpe
-    return total
+    running = sum(2 * layer.c_in * spec.bpe for layer in spec.layers if layer.kind == "bn")
+    cached = sum(_cached_stats_bytes(spec, it) for it in place(spec))
+    return running + cached + bs * spec.head().c_in * spec.bpe
 
 
 def input_batch_bytes(spec, h, w, bs):
@@ -496,8 +499,7 @@ def _saved(spec, mode):
                 kept[it.index] = _kept_internals(it)
         elif keeps_input(mode, it.kind, it.index):
             kept[it.index] = it.placed[0].a
-        cached[it.index] = sum(2 * pl.layer.c_in * spec.bpe
-                               for pl in it.placed if pl.layer.kind == "bn")
+        cached[it.index] = _cached_stats_bytes(spec, it)
     final = Fraction(0) if mode is BackpropMode.STORED else items[-1].placed[0].a
     return kept, cached, final
 

@@ -6,13 +6,14 @@ weakref finalizers, which fire deterministically under CPython refcounting.
 after every event, from which `memory_model.executor_peak` predicts the peak.
 Kernel-internal scratch (the conv column workspace, numpy expression
 temporaries) is deliberately untracked. The conv kernels build their column
-workspace in slices of at most max(input bytes, ops.WORKSPACE_FLOOR_BYTES), so
-one conv call's untracked scratch stays near that budget plus one slice's
-padded input and GEMM result. InvBatchNorm.backward holds two untracked
-volumes (u and one product scratch) besides the gradient it returns, and
-InvLeakyReLU's inverse and gradient one batch element's slice and its sign
-mask. Calls handed a buffer in a layers._Cell write their result into it, so
-an in-place step adds no tracked bytes.
+workspace in slices of at most min(ops.WORKSPACE_CAP_BYTES, max(input bytes,
+the columns of ops.GEMM_PIXELS pixels)), so one conv call's untracked scratch
+stays near that budget plus one slice's padded input and GEMM result.
+InvBatchNorm.backward holds one untracked volume (u) and one image slice of
+a product (at most layers.BN_SLICE_BYTES, or one image) besides the gradient
+it returns, and InvLeakyReLU's inverse and gradient one batch element's slice
+and its sign mask. Calls handed a buffer in a layers._Cell write their result
+into it, so an in-place step adds no tracked bytes.
 """
 
 from __future__ import annotations

@@ -12,12 +12,14 @@ strided slice copy per tap from the source zero-padded by some q >= 0 (its
 "frame"): p for the forward and weight gradient, k-1-p for the input gradient.
 The columns are untracked scratch built in slices, of batch elements for the
 forward and input-gradient kernels and of input channels for the weight
-gradient, each at most max(input bytes, WORKSPACE_FLOOR_BYTES) (but at least
-one element or channel). A call's scratch is thus about that budget plus one
-slice's zero-padded input and GEMM result, not the whole-batch column matrix
-(9x the input for a 3x3 kernel). The input gradient correlates grad_out,
-padded by k-1-p, with the flipped kernel, so it computes exactly the input
-frame rather than the full correlation.
+gradient (but at least one element or channel). A slice's columns take at
+most the conv's input bytes, unless that would narrow the GEMM below
+GEMM_PIXELS pixels: the budget is min(WORKSPACE_CAP_BYTES, max(input bytes,
+the columns of GEMM_PIXELS pixels)). A call's scratch is thus about that
+budget plus one slice's zero-padded input and GEMM result, not the
+whole-batch column matrix (9x the input for a 3x3 kernel). The input gradient
+correlates grad_out, padded by k-1-p, with the flipped kernel, so it computes
+exactly the input frame rather than the full correlation.
 
 Column pixels are ordered (b, i, j), except in forward and input-gradient
 batch slices of kernels larger than 1x1 whose output rows are shorter than
@@ -85,8 +87,22 @@ def check_tensor(x, name: str = "tensor"):
     return x
 
 
-# A column slice takes at most max(conv input bytes, this); see the docstring.
-WORKSPACE_FLOOR_BYTES = 4 << 20
+# Column budget of one slice: min(WORKSPACE_CAP_BYTES, max(conv input bytes,
+# the columns of GEMM_PIXELS pixels)); see the module docstring. Timings are
+# medians on 2 cores. The input bound keeps a narrow conv's scratch near its
+# input: small-hybrid's (32, 8, 32, 32) 3x3 conv built 3 slices of 3.5 MB
+# under the old flat 4 MiB budget, and builds 9 batch slices of about 1 MB
+# (forward, input gradient) and 8 one-channel slices of 1.2 MB (weight
+# gradient) under this one. That sets each call's peak 2.5 MB lower, for
+# 0.1-0.2 ms more a call in the forward and input gradient (2.6 ms) and
+# 0.7 ms more in the weight gradient (3.9 ms). GEMM_PIXELS keeps BLAS's
+# speed on wide convs at small maps. Under the input bound alone, hybrid's
+# (16, 128, 8, 8) convs run one-image, 64-pixel GEMMs: the forward is 69%
+# slower (2.35 -> 3.96 ms), the input gradient 74%, and a hybrid-mode step
+# 21%. A flat 1 MiB floor instead makes that step 20% slower. The cap is
+# the old flat budget, under which those convs keep their 2 slices.
+GEMM_PIXELS = 2048
+WORKSPACE_CAP_BYTES = 4 << 20
 
 # Rounding. The column kernels reproduce the whole-batch im2col GEMMs bit for
 # bit. BLAS rounds an output the same whatever the operand layout, size and
@@ -108,15 +124,17 @@ PIXEL_TILE = 16
 SHORT_ROW = 32
 
 
-def _workspace_budget(src) -> int:
-    return max(src.nbytes, WORKSPACE_FLOOR_BYTES)
+def _workspace_budget(src, depth: int) -> int:
+    """Column bytes one slice may take, for a conv with input src whose
+    columns have depth rows (channels x kernel taps)."""
+    return min(WORKSPACE_CAP_BYTES, max(src.nbytes, depth * GEMM_PIXELS * src.itemsize))
 
 
-def _slices(total: int, unit_bytes: int, src, macs: int):
+def _slices(total: int, unit_bytes: int, budget: int, macs: int):
     """Near-equal slices of range(total), each unit taking unit_bytes of
-    columns, that fit the workspace budget but keep a GEMM of macs multiply-adds
-    above SMALL_GEMM_MACS per slice."""
-    n = -(-total // max(1, _workspace_budget(src) // unit_bytes))
+    columns, that fit the budget but keep a GEMM of macs multiply-adds above
+    SMALL_GEMM_MACS per slice."""
+    n = -(-total // max(1, budget // unit_bytes))
     n = max(1, min(n, macs // (2 * SMALL_GEMM_MACS)))
     return [slice(i * total // n, (i + 1) * total // n) for i in range(n)]
 
@@ -173,7 +191,8 @@ def _correlate(src, kmat, k: int, out, pad: int, im2col: bool):
     oh, ow = out.shape[2:]
     macs = rows * depth * bs * oh * ow
     batch_last = not im2col and k > 1 and ow < SHORT_ROW
-    for sl in [slice(0, bs)] if im2col else _slices(bs, depth * oh * ow * src.itemsize, src, macs):
+    budget = _workspace_budget(src, depth)
+    for sl in [slice(0, bs)] if im2col else _slices(bs, depth * oh * ow * src.itemsize, budget, macs):
         frame = _frame(src[sl], pad, batch_last)
         n = frame.shape[3]
         npix = n * oh * ow
@@ -267,7 +286,8 @@ def conv2d_backward_weight(x, grad_out, *, padding: int = 0):
     gk = np.empty((cin * k * k, cout), dtype=np.result_type(x, grad_out))
     macs = cin * k * k * n * cout
     im2col = macs <= SMALL_GEMM_MACS
-    for sl in [slice(0, cin)] if im2col else _slices(cin, n * k * k * x.itemsize, x, macs):
+    budget = _workspace_budget(x, cin * k * k)
+    for sl in [slice(0, cin)] if im2col else _slices(cin, n * k * k * x.itemsize, budget, macs):
         cols = _columns(_frame(x[:, sl], padding), k)
         if im2col:
             cols = np.ascontiguousarray(cols.T).T
@@ -298,6 +318,32 @@ def sum_sq_norm(x) -> float:
     """Squared L2 norm of all elements, accumulated in f64."""
     r = np.asarray(x).ravel().astype(np.float64, copy=False)
     return float(r @ r)
+
+
+def channel_sums(chunks):
+    """Per-channel sums over axes (0, 2, 3) of the contiguous (n, c, h, w)
+    chunks taken in order, bit-equal to numpy's sum of their concatenation.
+    Each chunk is read before the next is drawn, so the chunks may share one
+    buffer, and only one chunk's per-image sums are held at a time.
+
+    numpy reduces such an array image by image: it adds the pairwise sum of
+    each channel's h*w values to that channel's running total. With one
+    channel the batch and pixel axes coalesce into one pairwise run, so
+    single-channel chunks are copied out, joined and reduced whole.
+    """
+    total, parts = None, []
+    for x in chunks:
+        if x.shape[1] == 1:
+            parts.append(x.copy())
+        else:
+            if total is None:
+                total = np.zeros((1, x.shape[1]), dtype=x.dtype)
+            rows = np.add.reduce(x.reshape(len(x), x.shape[1], -1), axis=2)
+            total = np.add.reduce(np.concatenate([total, rows]), axis=0, keepdims=True)
+        del x  # free this chunk before the next is drawn
+    if parts:
+        return np.add.reduce(np.concatenate(parts), axis=(0, 2, 3))
+    return total.reshape(-1)
 
 
 def channel_mean_var(x):

@@ -1,4 +1,6 @@
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,3 +416,19 @@ def test_inspect_data_without_root_mentions_env_var(tmp_path, capsys, monkeypatc
     rc = cli.main(["inspect-data"])
     assert rc == 2
     assert "REVTRAIN_DATA" in capsys.readouterr().err
+
+
+def test_kernel_peaks_script_lists_each_kernel_and_restores_them(capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "kernel_peaks.py"
+    spec = importlib.util.spec_from_file_location("kernel_peaks", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    originals = [getattr(owner, name) for owner, name, _ in script.KERNELS]
+    assert script.main(["--config", "small-hybrid", "--mode", "block", "--batch", "2",
+                        "--size", "8"]) == 0
+    assert [getattr(owner, name) for owner, name, _ in script.KERNELS] == originals
+    rows = capsys.readouterr().out.splitlines()[2:]
+    labels = {label for _, _, label in script.KERNELS}
+    assert {next(l for l in labels if row.startswith(l)) for row in rows} == labels
+    peaks = [float(row.split()[-3]) for row in rows]
+    assert peaks == sorted(peaks, reverse=True)

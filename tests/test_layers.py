@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from revtrain import ops
+from revtrain import layers, ops
 from revtrain.errors import ConfigError, ShapeError, StateError
 from revtrain.layers import (
     BatchPool,
@@ -16,6 +16,7 @@ from revtrain.layers import (
     InvBatchNorm,
     InvConv,
     InvLeakyReLU,
+    BN_SLICE_BYTES,
     MaxPool2x2,
     _Cell,
 )
@@ -520,6 +521,22 @@ def test_bn_matches_textbook_expressions_bitwise(dtype, bs, view):
             _same_bits(got, w)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("view", [False, True])
+def test_bn_backward_folds_image_slices_bitwise(dtype, view, monkeypatch):
+    # 7 images in slices of 3, 3 and 1 reduce to the whole-volume sums' bits
+    x = _kernel_input(dtype, 7, view, seed=46)
+    grad = _kernel_input(dtype, 7, view, seed=47)
+    monkeypatch.setattr(layers, "BN_SLICE_BYTES", 3 * x[0].nbytes)
+    bn = InvBatchNorm(3, dtype=dtype)
+    bn.gamma[...] = [0.7, -1.3, 0.0]
+    for arg, ref in _handovers(grad):
+        gx, pg = bn.backward(arg, x)
+        want = textbook_bn_backward(ref, x, bn.gamma, bn.eps, bn.eps_i)
+        for got, w in zip((gx, pg["gamma"], pg["beta"]), want):
+            _same_bits(got, w)
+
+
 @ELEMENTWISE_CASES
 def test_lrelu_matches_masked_select_in_every_layout(dtype, bs, view):
     lr = InvLeakyReLU(2.5)
@@ -559,11 +576,13 @@ def test_elementwise_scratch_stays_within_budget(dtype, view):
     vectors = 2 * np.getbufsize() * item + 32 * c * item
     bn = InvBatchNorm(c, dtype=dtype)
     y = bn.forward(x)
-    # u, one product scratch for both grad * u reductions, and the gradient;
-    # the one-expression form (tests/oracles.py) holds about 5 volumes
-    assert _traced_peak(lambda: bn.backward(grad, x)) <= 3 * vol + vectors + objects
+    # u, one image slice of a product, and the gradient; the one-expression
+    # form (tests/oracles.py) holds about 5 volumes
+    product = max(BN_SLICE_BYTES // (elems * item), 1) * elems * item
+    assert product < vol
+    assert _traced_peak(lambda: bn.backward(grad, x)) <= 2 * vol + product + vectors + objects
     owned = grad.copy()
-    assert _traced_peak(lambda: bn.backward(_Cell(owned), x)) <= 2 * vol + vectors + objects
+    assert _traced_peak(lambda: bn.backward(_Cell(owned), x)) <= vol + product + vectors + objects
     owned = y.copy()
     assert _traced_peak(lambda: bn.inverse(_Cell(owned))) <= vectors + objects
     lr = InvLeakyReLU(2.0)

@@ -155,6 +155,18 @@ def test_zoo_budget_split(name, mode):
             mm.gradient_bytes_per_pixel(spec, mode)) == ZOO_BUDGETS[name, mode]
 
 
+@pytest.mark.parametrize("name, mode", sorted(ZOO_BUDGETS))
+def test_stats_bytes_books_the_cached_statistics_that_saved_frees(name, mode):
+    # one account of the cached batch statistics: the report's batch_stats
+    # is the running statistics, what `_saved` books per item, and the pool
+    spec = zoo.get_spec(name)
+    bs = 32
+    running = sum(2 * layer.c_in * spec.bpe for layer in spec.layers if layer.kind == "bn")
+    pooled = bs * spec.head().c_in * spec.bpe
+    cached = mm._saved(spec, mode)[1]
+    assert mm.stats_bytes(spec, bs) == running + sum(cached.values()) + pooled
+
+
 def test_totals_are_affine_in_pixels():
     spec = zoo.hybrid_spec()
     r1 = mm.memory_report(spec, "hybrid", 32, 32, 64)

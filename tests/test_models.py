@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -373,6 +375,42 @@ def test_peak_memory_ordering_across_modes():
         peaks[mode] = scope.peak_bytes
 
     assert peaks[HYBRID] < peaks[BLOCK] < peaks[STORED]
+
+
+def _real_over_tracked(name, mode, bs):
+    """Bytes by which one step's allocator peak exceeds its tracked peak at
+    32x32, both counted from just before forward (a fresh model's weights
+    excluded), after one warm-up step."""
+    spec = zoo.get_spec(name)
+    x = ops.gaussian((bs, spec.input_channels, 32, 32), seed=1)
+    probe = ops.gaussian((bs, spec.head().c_out), seed=2)
+
+    def step(model):
+        logits, saved = model.forward(x, mode)
+        model.backward(saved, probe, x)
+
+    step(zoo.build_model(spec, seed=0))
+    model = zoo.build_model(spec, seed=0)
+    live = memtrack.live_bytes()
+    tracemalloc.start()
+    try:
+        with memtrack.MeasureScope() as scope:
+            step(model)
+        real = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return real - (scope.peak_bytes - live)
+
+
+@pytest.mark.parametrize("name, mode, bs, bound", [
+    # conv columns and batch norm's products bounded by their inputs: 0.51 MB
+    ("small-hybrid", BLOCK, 32, 1_000_000),
+    # set by the 128-channel convs, whose slices keep their GEMM width: 3.13
+    # MB, with room for a 36,888 B resize of memtrack's finalizer registry
+    ("hybrid", HYBRID, 16, 3_200_000),
+], ids=["small-hybrid-block", "hybrid-hybrid"])
+def test_real_peak_stays_near_the_tracked_peak(name, mode, bs, bound):
+    assert _real_over_tracked(name, mode, bs) <= bound
 
 
 def test_stored_state_bytes_shrink_in_reversible_modes():

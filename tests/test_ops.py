@@ -198,10 +198,11 @@ def test_conv_kernels_bitwise_equal_im2col_reference_across_slices(f32_shape, co
     sample_cols = cin * k * k * oh * ow * x.itemsize
     macs = cout * cin * k * k * bs * oh * ow
     # several batch slices of unequal size, and several input-channel slices
-    batch_slices = ops._slices(bs, sample_cols, x, macs)
+    budget = ops._workspace_budget(x, cin * k * k)
+    batch_slices = ops._slices(bs, sample_cols, budget, macs)
     assert len(batch_slices) > 1
     assert len({sl.stop - sl.start for sl in batch_slices}) > 1
-    assert len(ops._slices(cin, bs * sample_cols // cin, x, macs)) > 1
+    assert len(ops._slices(cin, bs * sample_cols // cin, budget, macs)) > 1
     _check_against_im2col(x, kernel, bias, padding, _bitwise)
 
 
@@ -218,9 +219,11 @@ def test_conv_kernels_bitwise_equal_im2col_reference_at_wide_small_maps(f32_shap
     x, kernel, bias = _conv_case((bs, cin, h, w), cout, k, dtype)
     oh, ow = h + 2 * padding - k + 1, w + 2 * padding - k + 1
     macs = cout * cin * k * k * bs * oh * ow
-    assert len(ops._slices(bs, cin * k * k * oh * ow * x.itemsize, x, macs)) > 1
+    budget = ops._workspace_budget(x, cin * k * k)
+    assert len(ops._slices(bs, cin * k * k * oh * ow * x.itemsize, budget, macs)) > 1
     g = np.empty((bs, cout, oh, ow), dtype)
-    assert len(ops._slices(bs, cout * k * k * h * w * x.itemsize, g, cin * cout * k * k * bs * h * w)) > 1
+    budget = ops._workspace_budget(g, cout * k * k)
+    assert len(ops._slices(bs, cout * k * k * h * w * x.itemsize, budget, cin * cout * k * k * bs * h * w)) > 1
     _check_against_im2col(x, kernel, bias, padding, _bitwise)
 
 
@@ -274,8 +277,10 @@ def test_conv_workspace_stays_within_the_slice_budget():
         padded = x.nbytes * (h + 2 * padding) * (w + 2 * padding) // (h * w)
         # one budget of columns, plus the output (for the weight gradient, its
         # grad_out copy) and one slice's padded input and GEMM result, neither
-        # larger than the padded input
-        bound = max(x.nbytes, ops.WORKSPACE_FLOOR_BYTES) + 2 * padded
+        # larger than the padded input; every kernel's columns have c*k*k rows.
+        # Also the input gradient's flipped kernel, and 8 KiB of Python objects
+        budget = min(ops.WORKSPACE_CAP_BYTES, max(x.nbytes, c * k * k * ops.GEMM_PIXELS * x.itemsize))
+        bound = budget + 2 * padded + kernel.nbytes + 8192
         if k == 3:
             assert 9 * x.nbytes > bound
         for name, call in _kernel_calls(x, kernel, g, padding).items():
@@ -322,6 +327,25 @@ def test_sum_sq_norm():
     assert ops.sum_sq_norm(np.zeros((3, 3))) == 0.0
     x = np.array([1.0, 2.0, 3.0], dtype=np.float32)
     assert ops.sum_sq_norm(x) == pytest.approx(14.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7, 3, 5, 4), (16, 1, 32, 32), (3, 2, 100, 100), (6, 16, 1, 1)])
+def test_channel_sums_fold_chunks_in_numpys_order(shape, dtype):
+    # one channel, more pixels than numpy's buffer, and 1x1 maps included
+    x = (10 * ops.gaussian(shape, seed=8, dtype=np.float64) + 3).astype(dtype)
+    want = x.sum(axis=(0, 2, 3))
+    for step in (1, 2, len(x)):
+        buf = np.empty_like(x[:step])
+
+        def chunks():  # one buffer, refilled for every chunk
+            for i in range(0, len(x), step):
+                part = buf[: len(x[i : i + step])]
+                part[...] = x[i : i + step]
+                yield part
+
+        got = ops.channel_sums(chunks())
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), step
 
 
 def test_channel_mean_var():
