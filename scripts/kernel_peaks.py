@@ -11,8 +11,12 @@ first:
 
     python3 scripts/kernel_peaks.py --config small-hybrid --mode block --batch 32
 
-The kernels are the three conv kernels in `ops`, batch norm's forward
-(`forward` and `forward_cached`) and backward, and leaky ReLU's backward.
+The kernels are the three conv kernels in `ops`, the batch statistics
+(`ops.channel_mean_var`), batch norm's forward (`forward` and
+`forward_cached`) and backward, leaky ReLU's backward, and the inverses a
+hybrid-mode walk runs (batch norm, leaky ReLU, InvConv). A kernel that calls
+another (batch norm's forward and backward call `channel_mean_var`, InvConv's
+inverse the conv forward) counts the inner call's bytes in its own peak too.
 """
 
 import argparse
@@ -31,10 +35,14 @@ KERNELS = (
     (ops, "conv2d_forward", "conv forward"),
     (ops, "conv2d_backward_input", "conv input gradient"),
     (ops, "conv2d_backward_weight", "conv weight gradient"),
+    (ops, "channel_mean_var", "bn statistics"),
     (layers.InvBatchNorm, "forward", "bn forward"),
     (layers.InvBatchNorm, "forward_cached", "bn forward"),
     (layers.InvBatchNorm, "backward", "bn backward"),
+    (layers.InvBatchNorm, "inverse", "bn inverse"),
     (layers.InvLeakyReLU, "backward", "lrelu backward"),
+    (layers.InvLeakyReLU, "inverse", "lrelu inverse"),
+    (layers.InvConv, "inverse", "invconv inverse"),
 )
 
 
@@ -44,7 +52,18 @@ class Ledger:
 
     def __init__(self):
         self.rows = {}
-        self.step_peak = 0
+        self.open = [0]  # peaks so far of the step and of each call in progress
+
+    def step_peak(self):
+        self._fold()
+        return self.open[0]
+
+    def _fold(self):
+        """Fold the allocator's peak since the last reset into every open
+        peak, then reset it, so nested calls each see their own."""
+        peak = tracemalloc.get_traced_memory()[1]
+        self.open = [max(p, peak) for p in self.open]
+        tracemalloc.reset_peak()
 
     def wrap(self, label, fn, arg):
         """fn, recording its call under label and the shape of args[arg]."""
@@ -52,14 +71,14 @@ class Ledger:
         def traced(*args, **kwargs):
             first = args[arg]
             first = first.v if isinstance(first, layers._Cell) else first
-            entry, before = tracemalloc.get_traced_memory()
-            self.step_peak = max(self.step_peak, before)
-            tracemalloc.reset_peak()
+            self._fold()
+            entry = tracemalloc.get_traced_memory()[0]
+            self.open.append(entry)
             try:
                 return fn(*args, **kwargs)
             finally:
-                peak = tracemalloc.get_traced_memory()[1]
-                self.step_peak = max(self.step_peak, peak)
+                self._fold()
+                peak = self.open.pop()
                 key = (label, tuple(first.shape))
                 best, best_entry, calls = self.rows.get(key, (-1, 0, 0))
                 if peak > best:
@@ -98,14 +117,14 @@ def main(argv=None):
     tracemalloc.start()
     try:
         step(model, mode, x, labels)
-        ledger.step_peak = max(ledger.step_peak, tracemalloc.get_traced_memory()[1])
+        step_peak = ledger.step_peak()
     finally:
         tracemalloc.stop()
         for owner, name, fn in originals:
             setattr(owner, name, fn)
 
     print(f"{spec.name} {mode.value} batch {args.batch} at {args.size}x{args.size}: "
-          f"step peak {ledger.step_peak / 1e6:.2f} MB (tracemalloc, from just before forward)")
+          f"step peak {step_peak / 1e6:.2f} MB (tracemalloc, from just before forward)")
     print(f"{'kernel':<22} {'input shape':<20} {'calls':>5} {'peak MB':>9} "
           f"{'entry MB':>9} {'scratch+out MB':>15}")
     for (label, shape), (peak, entry, calls) in sorted(

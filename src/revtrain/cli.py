@@ -68,14 +68,6 @@ def _parse_list(text, convert, what):
     return values
 
 
-def _parse_floats(text):
-    return _parse_list(text, float, "numbers")
-
-
-def _parse_ints(text):
-    return _parse_list(text, int, "integers")
-
-
 # -- subcommands ---------------------------------------------------------------------
 
 
@@ -93,7 +85,9 @@ def cmd_train(args):
         test_subset=args.test_subset,
         data_dir=args.data,
     )
-    result = train_mod.train_run(cfg)
+    result = train_mod.train_run(cfg, on_epoch=lambda m: print(
+        f"epoch {m.epoch:3d}: loss {m.train_loss:.4f} train {m.train_acc:.4f} "
+        f"test {m.test_acc:.4f} ({m.seconds:.0f}s)", file=sys.stderr, flush=True))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(train_mod.metrics_csv(result.history))
@@ -146,7 +140,8 @@ def _check_golden(spec, mode, report):
 def cmd_snr_alpha(args):
     if args.layer in ("bn-toy", "lrelu"):
         default_values = {"bn-toy": [1, 2, 5, 10, 100], "lrelu": [1.25, 2, 5, 10]}
-        values = _parse_floats(args.sweep) if args.sweep else default_values[args.layer]
+        values = (_parse_list(args.sweep, float, "numbers") if args.sweep
+                  else default_values[args.layer])
         rows = snr.alpha_sweep(args.layer, values, noise_std=args.noise,
                                n_samples=args.samples, seed=args.seed)
         x_name = "rho" if args.layer == "bn-toy" else "slope"
@@ -178,8 +173,8 @@ def cmd_snr_profile(args):
         trace = snr.traced_backward(model, x, mode, seed=args.seed + 2)
         sys.stdout.write(snr.trace_csv(trace))
         return EXIT_OK
-    depths = _parse_ints(args.depths)
-    slopes = _parse_floats(args.slopes)
+    depths = _parse_list(args.depths, int, "integers")
+    slopes = _parse_list(args.slopes, float, "numbers")
     rows = snr.snr_depth_sweep(args.family, depths, slopes, width=args.width,
                                h=args.height, w=args.height, bs=args.batch,
                                seed=args.seed)
@@ -213,27 +208,30 @@ def cmd_gradcheck(args):
     _, grad_logits = train_mod.softmax_cross_entropy(logits, labels)
     stored_grads, _ = model.backward(saved, grad_logits, x)
 
-    rows = []
+    rows, resolved = [], []
     if mode is BackpropMode.STORED:
         params = model.params()
         h = 1e-6 if dtype is np.float64 else 1e-3
         for name in sorted(params):
-            arr = params[name]
-            flat = arr.reshape(-1)
+            flat = params[name].reshape(-1)
             coords = rng.permutation(flat.size)[: args.fd_samples]
-            fd_vals = []
-            for c in coords:
+            losses = np.empty((len(coords), 2))  # at +h and -h
+            for row, c in zip(losses, coords):
                 keep = flat[c]
-                flat[c] = keep + h
-                up, _ = train_mod.softmax_cross_entropy(
-                    model.forward(x, BackpropMode.STORED)[0], labels)
-                flat[c] = keep - h
-                down, _ = train_mod.softmax_cross_entropy(
-                    model.forward(x, BackpropMode.STORED)[0], labels)
+                for j, step in enumerate((h, -h)):
+                    flat[c] = keep + step
+                    row[j] = train_mod.softmax_cross_entropy(
+                        model.forward(x, BackpropMode.STORED)[0], labels)[0]
                 flat[c] = keep
-                fd_vals.append((up - down) / (2 * h))
+            fd = (losses[:, 0] - losses[:, 1]) / (2 * h)
             analytic = stored_grads[name].reshape(-1)[coords]
-            rows.append((name, _tensor_rel_error(np.array(fd_vals), analytic, floor)))
+            err = _tensor_rel_error(fd, analytic, floor)
+            rows.append((name, err))
+            # central differences resolve a gradient only to about eps |loss| / h
+            diff = float(np.linalg.norm(fd - analytic))
+            roundoff = np.sqrt(len(coords)) * np.finfo(dtype).eps * np.abs(losses).max() / h
+            if err > args.tol and diff <= roundoff:
+                resolved.append((diff / roundoff, name))
     else:
         logits_m, saved_m = model.forward(x, mode)
         _, grad_logits_m = train_mod.softmax_cross_entropy(logits_m, labels)
@@ -246,7 +244,11 @@ def cmd_gradcheck(args):
         print(f"{name},{err:.6g}")
     worst = max(err for _, err in rows)
     print(f"worst relative error {worst:.4g} (tolerance {args.tol:g})", file=sys.stderr)
-    return EXIT_OK if worst <= args.tol else EXIT_MISMATCH
+    if resolved:
+        print(f"{len(resolved)} tensor(s) over tolerance differ within the finite differences' "
+              f"roundoff (up to {max(resolved)[0]:.2g} of it, {max(resolved)[1]})", file=sys.stderr)
+    failed = sum(err > args.tol for _, err in rows) - len(resolved)
+    return EXIT_OK if failed == 0 else EXIT_MISMATCH
 
 
 def cmd_inspect_data(args):

@@ -29,9 +29,9 @@ the input in y's buffer and build the input gradient in the output gradient's
 buffer, and InvConv adds its branch gradients into that buffer; Conv2D, the
 pools and MaxPool2x2 take the buffer so it is freed as soon as it is read.
 The elementwise kernels allocate their result plus bounded scratch: leaky
-ReLU one batch element's slice and its mask, InvBatchNorm.backward one
-volume (u) and one image slice of a product (BN_SLICE_BYTES) besides the
-gradient it builds.
+ReLU one batch element's slice and its mask; InvBatchNorm's train forward
+one image slice of the squared deviations, which it turns into its output
+in place; its backward one volume (u) and one slice of a product.
 
 Normalization uses scale = |gamma| + eps_i rather than |gamma + eps_i|: the
 floor keeps the per-channel scale away from zero for every gamma value, so the
@@ -91,6 +91,10 @@ def _dest(x):
         v = x.take()
         return v, v
     return x, track(np.empty_like(x))
+
+
+def _col(v):
+    return v.reshape(1, -1, 1, 1)
 
 
 def _coupling_forward(x, f, g):
@@ -166,29 +170,6 @@ class Conv2D:
         return gx, {"kernel": gk, "bias": gb}
 
 
-# InvBatchNorm.backward forms its per-channel products in image slices of at
-# most this many bytes (at least one image). On small-hybrid's (32, 16, 32,
-# 32) batch norm that is 4 images of 64 KiB, which replaced a 2.1 MB product
-# scratch and set the backward's peak 1.8 MB lower, at 3.8 ms a call as
-# before (median on 2 cores).
-BN_SLICE_BYTES = 256 << 10
-
-
-def _slice_sums(op, a, b=None):
-    """op(a).sum(axis=(0, 2, 3)), or op(a, b)'s, bit for bit, from op applied
-    to one image slice of the operands at a time (see ops.channel_sums)."""
-    step = max(1, BN_SLICE_BYTES // a[0].nbytes)
-    return ops.channel_sums(op(a[i : i + step]) if b is None else op(a[i : i + step], b[i : i + step])
-                            for i in range(0, len(a), step))
-
-
-def _slice_mean(op, a, b=None):
-    """op(a).mean(axis=(0, 2, 3), keepdims=True), or op(a, b)'s, bit for bit."""
-    total = _slice_sums(op, a, b)
-    count = np.intp(a.size // len(total))  # what .mean divides by
-    return np.true_divide(total, count, out=total, casting="unsafe").reshape(1, -1, 1, 1)
-
-
 class InvBatchNorm:
     kind = "bn"
     invertible = True
@@ -224,28 +205,24 @@ class InvBatchNorm:
         so recomputation does not double-count into the running averages.
         """
         self._check(x)
-        if train:
-            bs, _, h, w = x.shape
-            if bs * h * w < 2:
-                raise ShapeError("batch statistics need at least 2 values per channel")
-            mean, var = ops.channel_mean_var(x)
-            self.cached_stats = (mean, var)
-            if update_running:
-                m = self.momentum
-                self.running_mean = track((m * self.running_mean + (1 - m) * mean).astype(x.dtype))
-                self.running_var = track((m * self.running_var + (1 - m) * var).astype(x.dtype))
-        else:
-            mean, var = self.running_mean, self.running_var
-        return self._affine(x, mean, var)
+        if not train:
+            return self._affine(track(np.subtract(x, _col(self.running_mean))), self.running_var)
+        if x.size < 2 * self.channels:  # bs * h * w values per channel
+            raise ShapeError("batch statistics need at least 2 values per channel")
+        mean, var, dev = ops.channel_mean_var(x)
+        self.cached_stats = (track(mean), track(var))
+        if update_running:
+            m = self.momentum
+            self.running_mean = track((m * self.running_mean + (1 - m) * mean).astype(x.dtype))
+            self.running_var = track((m * self.running_var + (1 - m) * var).astype(x.dtype))
+        return self._affine(track(dev), var)
 
-    def _affine(self, x, mean, var):
-        # scale * (x - mean) / denom + beta, one operation at a time in one
-        # buffer (the product commutes bit for bit)
-        col = lambda v: v.reshape(1, -1, 1, 1)
-        y = track(np.subtract(x, col(mean)))
-        np.multiply(col(self._scale()), y, out=y)
-        y /= col(np.sqrt(var) + self.eps)
-        y += col(self.beta)
+    def _affine(self, y, var):
+        """Finish scale * (x - mean) / denom + beta in y, which holds x - mean,
+        one operation at a time (the product commutes bit for bit)."""
+        np.multiply(_col(self._scale()), y, out=y)
+        y /= _col(np.sqrt(var) + self.eps)
+        y += _col(self.beta)
         return y
 
     def forward_cached(self, x):
@@ -253,7 +230,8 @@ class InvBatchNorm:
         self._check(x)
         if self.cached_stats is None:
             raise StateError("no cached batch statistics; run forward(train=True) first")
-        return self._affine(x, *self.cached_stats)
+        mean, var = self.cached_stats
+        return self._affine(track(np.subtract(x, _col(mean))), var)
 
     def inverse(self, y):
         """Undo forward using the cached batch stats, in y's buffer if y is a
@@ -263,46 +241,40 @@ class InvBatchNorm:
         if self.cached_stats is None:
             raise StateError("inverse needs cached batch statistics; run forward(train=True) first")
         mean, var = self.cached_stats
-        col = lambda v: v.reshape(1, -1, 1, 1)
         # (y - beta) / scale * denom + mean
-        np.subtract(y, col(self.beta), out=x)
-        x /= col(self._scale())
-        x *= col(np.sqrt(var) + self.eps)
-        x += col(mean)
+        np.subtract(y, _col(self.beta), out=x)
+        x /= _col(self._scale())
+        x *= _col(np.sqrt(var) + self.eps)
+        x += _col(mean)
         return x
 
     def backward(self, grad_out, x=None, y=None):
         """Gradients of the train-mode forward, treating batch stats as functions of x.
 
         The input gradient is built in grad_out's buffer if grad_out is a
-        _Cell.  Besides it, the only full-size buffer is u: the products
-        u * u, g * u and gu * u are reduced image slice by image slice
-        (see _slice_sums), in the same order as their whole-volume sums.
+        _Cell.  Besides it, the only full-size buffer is u, the deviations
+        from ops.channel_mean_var: the products u * u, g * u and gu * u are
+        reduced one image slice at a time (see ops.slice_sums).
         """
         g, gu = _dest(grad_out)
         self._check(x)
         if g.shape != x.shape:
             raise ShapeError(f"grad_out {g.shape} does not match x {x.shape}")
-        axes = (0, 2, 3)
-        col = lambda v: v.reshape(1, -1, 1, 1)
-        mean = x.mean(axis=axes, keepdims=True)
-        u = np.subtract(x, mean)
-        # the variance as x.var computes it, from the deviations at hand
-        var = _slice_mean(np.square, u)
-        sqrt_v = np.sqrt(var)
+        _, var, u = ops.channel_mean_var(x)
+        sqrt_v = _col(np.sqrt(var))
         denom = sqrt_v + self.eps
         u /= denom
-        grad_beta = track(g.sum(axis=axes))
+        grad_beta = track(g.sum(axis=(0, 2, 3)))
         sign = np.where(self.gamma >= 0, 1.0, -1.0).astype(x.dtype)
-        grad_gamma = track(sign * _slice_sums(np.multiply, g, u))
-        np.multiply(g, col(self._scale()), out=gu)
+        grad_gamma = track(sign * ops.slice_sums(np.multiply, g, u))
+        np.multiply(g, _col(self._scale()), out=gu)
         del g
         # d(sqrt(var))/dvar = 1/(2 sqrt(var)); when var == 0, u == 0 and the
         # statistics term vanishes, so the guarded reciprocal is exact
         inv_sqrt_v = np.zeros_like(sqrt_v)
         np.divide(1.0, sqrt_v, out=inv_sqrt_v, where=sqrt_v > 0)
-        gu_mean = gu.mean(axis=axes, keepdims=True)
-        guu_mean = _slice_mean(np.multiply, gu, u)
+        gu_mean = gu.mean(axis=(0, 2, 3), keepdims=True)
+        guu_mean = _col(ops.slice_mean(np.multiply, gu, u))
         # gx = (gu - gu_mean) / denom - u * guu_mean * inv_sqrt_v, built in gu
         gu -= gu_mean
         gu /= denom

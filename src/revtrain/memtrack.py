@@ -9,11 +9,12 @@ temporaries) is deliberately untracked. The conv kernels build their column
 workspace in slices of at most min(ops.WORKSPACE_CAP_BYTES, max(input bytes,
 the columns of ops.GEMM_PIXELS pixels)), so one conv call's untracked scratch
 stays near that budget plus one slice's padded input and GEMM result.
-InvBatchNorm.backward holds one untracked volume (u) and one image slice of
-a product (at most layers.BN_SLICE_BYTES, or one image) besides the gradient
-it returns, and InvLeakyReLU's inverse and gradient one batch element's slice
-and its sign mask. Calls handed a buffer in a layers._Cell write their result
-into it, so an in-place step adds no tracked bytes.
+InvBatchNorm's train forward holds its output and one image slice of the
+squared deviations (at most ops.BN_SLICE_BYTES, or one image), no second
+volume; its backward one untracked volume (u) and one image slice of a
+product besides its gradient; InvLeakyReLU's inverse and gradient one batch
+element's slice and its sign mask. Calls handed a buffer in a layers._Cell
+write their result into it, so an in-place step adds no tracked bytes.
 """
 
 from __future__ import annotations

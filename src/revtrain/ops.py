@@ -40,6 +40,12 @@ for the input gradient), some 1x1 kernels on one batch element or channel
 gradients whose slices BLAS blocks differently from the whole batch (seen only
 with fewer than 8 output channels). Those differ in the last bits.
 
+Per-channel reductions over (batch, h, w) keep numpy's bits: channel_sums
+folds chunks in numpy's own order, and slice_sums and slice_mean a product
+formed one image slice (at most BN_SLICE_BYTES) at a time. channel_mean_var
+alone computes batch-norm statistics (forward, backward, SNR closed forms):
+the mean, the deviations x - mean and the variance folded from their squares.
+
 Convolution-application accounting: conv2d_forward and conv2d_backward_input
 each count as one application; conv2d_backward_weight rides along with the
 input-gradient sweep of the same layer and does not increment the counter.
@@ -322,9 +328,10 @@ def sum_sq_norm(x) -> float:
 
 def channel_sums(chunks):
     """Per-channel sums over axes (0, 2, 3) of the contiguous (n, c, h, w)
-    chunks taken in order, bit-equal to numpy's sum of their concatenation.
-    Each chunk is read before the next is drawn, so the chunks may share one
-    buffer, and only one chunk's per-image sums are held at a time.
+    chunks taken in order, in a new array (not a view), bit-equal to numpy's
+    sum of their concatenation. Each chunk is read before the next is drawn,
+    so the chunks may share one buffer, and only one chunk's per-image sums
+    are held at a time.
 
     numpy reduces such an array image by image: it adds the pairwise sum of
     each channel's h*w values to that channel's running total. With one
@@ -337,24 +344,42 @@ def channel_sums(chunks):
             parts.append(x.copy())
         else:
             if total is None:
-                total = np.zeros((1, x.shape[1]), dtype=x.dtype)
+                total = np.zeros(x.shape[1], dtype=x.dtype)
             rows = np.add.reduce(x.reshape(len(x), x.shape[1], -1), axis=2)
-            total = np.add.reduce(np.concatenate([total, rows]), axis=0, keepdims=True)
+            total = np.add.reduce(np.concatenate([total[None], rows]), axis=0)
         del x  # free this chunk before the next is drawn
     if parts:
         return np.add.reduce(np.concatenate(parts), axis=(0, 2, 3))
-    return total.reshape(-1)
+    return total
+
+
+# Image slices of a product in slice_sums and slice_mean take at most this
+# many bytes (at least one image): 1.8 MB off small-hybrid's bn backward peak.
+BN_SLICE_BYTES = 256 << 10
+
+
+def slice_sums(op, a, b=None):
+    """op(a).sum(axis=(0, 2, 3)), or op(a, b)'s, bit for bit, from op applied
+    to one image slice of the operands at a time (see channel_sums)."""
+    step = max(1, BN_SLICE_BYTES // a[0].nbytes)
+    return channel_sums(op(a[i : i + step]) if b is None else op(a[i : i + step], b[i : i + step])
+                        for i in range(0, len(a), step))
+
+
+def slice_mean(op, a, b=None):
+    """op(a).mean(axis=(0, 2, 3)), or op(a, b)'s, bit for bit."""
+    total = slice_sums(op, a, b)
+    count = np.intp(a.size // len(total))  # what .mean divides by
+    return np.true_divide(total, count, out=total, casting="unsafe")
 
 
 def channel_mean_var(x):
-    """Per-channel mean and biased variance over (bs, h, w)."""
+    """(mean, biased variance, dev = x - mean) per channel over (bs, h, w), in
+    new untracked buffers, bit-equal to x.mean and x.var; dev is the caller's."""
     check_tensor(x, "x")
-    # x.var would sum x for the mean a second time; its remaining steps,
-    # on the mean at hand, give the same bits
     mean = x.mean(axis=(0, 2, 3))
     dev = np.subtract(x, mean.reshape(1, -1, 1, 1))
-    var = np.square(dev, out=dev).mean(axis=(0, 2, 3))
-    return track(mean), track(var)
+    return mean, slice_mean(np.square, dev), dev
 
 
 # 2x2 window scan order is row-major: (0,0), (0,1), (1,0), (1,1).

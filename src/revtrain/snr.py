@@ -128,7 +128,7 @@ def _layer_theory(layer, x):
     if kind == "lrelu":
         return alpha_lrelu(layer.n)
     if kind == "bn":
-        mean, var = ops.channel_mean_var(x)
+        mean, var, _ = ops.channel_mean_var(x)
         gain = np.abs(np.asarray(layer.gamma, dtype=np.float64)) + layer.eps_i
         return alpha_bn_general(gain, layer.beta, mean, var, layer.eps)
     raise ConfigError(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from revtrain import cli, data, zoo
+from revtrain.model import SequentialModel
 from revtrain.memory_model import ArchSpec, LayerSpec, format_arch, write_arch_file
 
 
@@ -285,6 +286,39 @@ def test_gradcheck_stored_against_finite_differences():
     assert rc == 0
 
 
+@pytest.fixture
+def bn_pair_argv(tmp_path):
+    """gradcheck of conv(3->4, k=1), bn, bn, head against finite differences.
+    The second bn normalizes away the first's gamma, so that gamma's gradient
+    is of the order of bn's eps, and central differences at h = 1e-6 resolve
+    it only to their own roundoff."""
+    path = tmp_path / "bn-pair.cfg"
+    write_arch_file(ArchSpec("bn-pair", 3, [
+        LayerSpec("conv", 3, 4, k=1), LayerSpec("bn", 4, 4), LayerSpec("bn", 4, 4),
+        LayerSpec("head", 4, 3)], classes=3), path)
+    return ["gradcheck", "--config", str(path), "--mode", "stored", "--dtype", "f64",
+            "--tol", "1e-5", "--fd-samples", "2"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gradcheck_accepts_differences_within_their_roundoff(bn_pair_argv, seed, capsys):
+    assert cli.main(bn_pair_argv + ["--seed", str(seed)]) == 0
+
+
+@pytest.mark.parametrize("tensor", ["0.kernel", "2.gamma", "head.weight"])
+def test_gradcheck_rejects_a_gradient_off_by_a_thousandth(bn_pair_argv, tensor, monkeypatch,
+                                                          capsys):
+    backward = SequentialModel.backward
+
+    def scaled(self, *args, **kwargs):
+        grads, trace = backward(self, *args, **kwargs)
+        grads[tensor] = grads[tensor] * (1 + 1e-3)
+        return grads, trace
+
+    monkeypatch.setattr(SequentialModel, "backward", scaled)
+    assert cli.main(bn_pair_argv + ["--seed", "0"]) == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["snr-alpha", "--layer", "lrelu", "--sweep", ",", "--check"],
      "expected comma-separated numbers"),
@@ -322,8 +356,11 @@ def train_argv(out_dir, data_dir, seed=0):
 def test_train_writes_metrics_and_checkpoint(tmp_path, data_dir, capsys):
     out = tmp_path / "run"
     assert cli.main(train_argv(out, data_dir)) == 0
-    printed = capsys.readouterr().out.strip().splitlines()
+    captured = capsys.readouterr()
+    printed = captured.out.strip().splitlines()
     assert printed[0] == "metric,value"
+    # one progress line per epoch, on stderr
+    assert captured.err.startswith("epoch   0: loss ") and captured.err.count("\n") == 1
     assert printed[1].startswith("final_test_acc,")
     assert printed[2].startswith("peak_bytes,")
     metrics = (out / "metrics.csv").read_text().strip().splitlines()
@@ -424,7 +461,7 @@ def test_kernel_peaks_script_lists_each_kernel_and_restores_them(capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     originals = [getattr(owner, name) for owner, name, _ in script.KERNELS]
-    assert script.main(["--config", "small-hybrid", "--mode", "block", "--batch", "2",
+    assert script.main(["--config", "small-hybrid", "--mode", "hybrid", "--batch", "2",
                         "--size", "8"]) == 0
     assert [getattr(owner, name) for owner, name, _ in script.KERNELS] == originals
     rows = capsys.readouterr().out.splitlines()[2:]

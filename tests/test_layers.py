@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from revtrain import layers, ops
+from revtrain import ops
 from revtrain.errors import ConfigError, ShapeError, StateError
 from revtrain.layers import (
     BatchPool,
@@ -16,7 +16,6 @@ from revtrain.layers import (
     InvBatchNorm,
     InvConv,
     InvLeakyReLU,
-    BN_SLICE_BYTES,
     MaxPool2x2,
     _Cell,
 )
@@ -527,7 +526,7 @@ def test_bn_backward_folds_image_slices_bitwise(dtype, view, monkeypatch):
     # 7 images in slices of 3, 3 and 1 reduce to the whole-volume sums' bits
     x = _kernel_input(dtype, 7, view, seed=46)
     grad = _kernel_input(dtype, 7, view, seed=47)
-    monkeypatch.setattr(layers, "BN_SLICE_BYTES", 3 * x[0].nbytes)
+    monkeypatch.setattr(ops, "BN_SLICE_BYTES", 3 * x[0].nbytes)
     bn = InvBatchNorm(3, dtype=dtype)
     bn.gamma[...] = [0.7, -1.3, 0.0]
     for arg, ref in _handovers(grad):
@@ -535,6 +534,22 @@ def test_bn_backward_folds_image_slices_bitwise(dtype, view, monkeypatch):
         want = textbook_bn_backward(ref, x, bn.gamma, bn.eps, bn.eps_i)
         for got, w in zip((gx, pg["gamma"], pg["beta"]), want):
             _same_bits(got, w)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7, 1, 5, 4), (9, 3, 1, 1), (5, 3, 7, 9), (64, 256, 4, 4)])
+def test_bn_train_forward_normalizes_its_own_deviations_bitwise(dtype, shape):
+    # one channel, 1x1 maps, odd sizes, and a batch of several product slices
+    x = (3 * ops.gaussian(shape, seed=48, dtype=np.float64) + 1.5).astype(dtype)
+    bn = InvBatchNorm(shape[1], dtype=dtype)
+    bn.gamma[...] = ops.gaussian(shape[1:2], seed=49, dtype=dtype)
+    bn.beta[...] = ops.gaussian(shape[1:2], seed=50, dtype=dtype)
+    y = bn.forward(x)
+    mean, var = bn.cached_stats
+    _same_bits(mean, x.mean(axis=(0, 2, 3)))
+    _same_bits(var, np.square(x - mean.reshape(1, -1, 1, 1)).mean(axis=(0, 2, 3)))
+    _same_bits(var, x.var(axis=(0, 2, 3)))
+    _same_bits(y, textbook_bn_affine(x, mean, var, bn.gamma, bn.beta, bn.eps, bn.eps_i))
 
 
 @ELEMENTWISE_CASES
@@ -575,11 +590,14 @@ def test_elementwise_scratch_stays_within_budget(dtype, view):
     # numpy reductions buffer up to np.getbufsize() elements per operand
     vectors = 2 * np.getbufsize() * item + 32 * c * item
     bn = InvBatchNorm(c, dtype=dtype)
-    y = bn.forward(x)
     # u, one image slice of a product, and the gradient; the one-expression
     # form (tests/oracles.py) holds about 5 volumes
-    product = max(BN_SLICE_BYTES // (elems * item), 1) * elems * item
+    product = max(ops.BN_SLICE_BYTES // (elems * item), 1) * elems * item
     assert product < vol
+    # the train forward: its output, which holds the deviations, and one
+    # image slice of their squares
+    assert _traced_peak(lambda: bn.forward(x)) <= vol + product + vectors + objects
+    y = bn.forward(x)
     assert _traced_peak(lambda: bn.backward(grad, x)) <= 2 * vol + product + vectors + objects
     owned = grad.copy()
     assert _traced_peak(lambda: bn.backward(_Cell(owned), x)) <= vol + product + vectors + objects

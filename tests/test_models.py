@@ -2,11 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from revtrain import memory_model as mm
-from revtrain import memtrack, ops, zoo
+from revtrain import cli, memtrack, ops, zoo
 from revtrain.errors import ConfigError, StateError
 from revtrain.layers import (
     BatchPool,
@@ -623,6 +623,16 @@ def test_generated_architectures_agree_across_modes(spec, seed):
             continue
         assert grads.keys() == ref.keys()
         assert max_param_rel_err(ref, grads) < 1e-6, mode
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=small_arch_specs(), seed=st.integers(0, 2**16))
+def test_generated_architectures_match_finite_differences(spec, seed, tmp_path):
+    path = tmp_path / "generated.cfg"
+    mm.write_arch_file(spec, path)
+    assert cli.main(["gradcheck", "--config", str(path), "--mode", "stored", "--dtype", "f64",
+                     "--tol", "1e-5", "--fd-samples", "2", "--seed", str(seed)]) == 0
 
 
 @settings(max_examples=50, deadline=None)

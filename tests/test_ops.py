@@ -346,12 +346,16 @@ def test_channel_sums_fold_chunks_in_numpys_order(shape, dtype):
 
         got = ops.channel_sums(chunks())
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), step
+        assert got.shape == want.shape and got.base is None
 
 
 def test_channel_mean_var():
     x = ops.gaussian((3, 4, 5, 5), seed=21, dtype=np.float64)
-    mean, var = ops.channel_mean_var(x)
+    mean, var, dev = ops.channel_mean_var(x)
     assert mean.shape == (4,) and var.shape == (4,)
+    assert mean.base is None and var.base is None
+    assert dev.shape == x.shape and dev.flags.c_contiguous and dev.base is None
+    assert dev.tobytes() == (x - mean.reshape(1, -1, 1, 1)).tobytes()
     for ci in range(4):
         vals = x[:, ci].ravel()
         assert mean[ci] == pytest.approx(vals.mean(), abs=1e-12)
