@@ -17,10 +17,23 @@ The kernels are the three conv kernels in `ops`, the batch statistics
 hybrid-mode walk runs (batch norm, leaky ReLU, InvConv). A kernel that calls
 another (batch norm's forward and backward call `channel_mean_var`, InvConv's
 inverse the conv forward) counts the inner call's bytes in its own peak too.
+
+A third step, run without `tracemalloc`, times every call; each row gives the
+median milliseconds per call of its kernel and shape. With `--baseline SRC`,
+each `ops` kernel call in that step also runs the same function of the
+`revtrain` package under SRC (another checkout's `src`) on the same
+arguments, in alternating order, and must return the same bits. The row
+then adds the baseline's median and the change, an interleaved in-process
+A/B:
+
+    python3 scripts/kernel_peaks.py --config hybrid --mode hybrid --batch 16 \
+        --baseline ../parent/src
 """
 
 import argparse
+import importlib.util
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -29,6 +42,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from revtrain import layers, ops, train, zoo  # noqa: E402
 from revtrain.cli import resolve_spec  # noqa: E402
 from revtrain.memory_model import BackpropMode  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 # (owner, attribute, label); each is wrapped where the models look it up
 KERNELS = (
@@ -65,7 +80,7 @@ class Ledger:
         self.open = [max(p, peak) for p in self.open]
         tracemalloc.reset_peak()
 
-    def wrap(self, label, fn, arg):
+    def wrap(self, label, fn, arg, name=None):
         """fn, recording its call under label and the shape of args[arg]."""
 
         def traced(*args, **kwargs):
@@ -88,10 +103,74 @@ class Ledger:
         return traced
 
 
+class Timer:
+    """Seconds per call of each (kernel, shape), and of the baseline's same
+    kernel where one is given."""
+
+    def __init__(self, baseline=None):
+        self.baseline = baseline
+        self.times = {}
+        self.calls = 0
+
+    def wrap(self, label, fn, arg, name=None):
+        """fn, timed; with a name, against the baseline's ops function of
+        that name too."""
+        other = getattr(self.baseline, name) if self.baseline and name else None
+
+        def timed(*args, **kwargs):
+            first = args[arg]
+            first = first.v if isinstance(first, layers._Cell) else first
+            ours, theirs = self.times.setdefault((label, tuple(first.shape)), ([], []))
+            runs = [(fn, ours)] + ([(other, theirs)] if other else [])
+            self.calls += 1
+            results = {}
+            for f, spent in runs[:: 1 if self.calls % 2 else -1]:
+                start = time.perf_counter()
+                results[f] = f(*args, **kwargs)
+                spent.append(time.perf_counter() - start)
+            if other:
+                mine, base = (r if isinstance(r, tuple) else (r,) for r in (results[fn], results[other]))
+                if not all(map(np.array_equal, mine, base)):
+                    raise AssertionError(f"{label} {first.shape}: the baseline's bits differ")
+            return results[fn]
+
+        return timed
+
+    def medians(self, key):
+        """(ours, baseline) median milliseconds per call; None when absent."""
+        return tuple(1e3 * float(np.median(t)) if t else None for t in self.times.get(key, ([], [])))
+
+
+def load_baseline(src):
+    """The `ops` module of the revtrain package under src, loaded beside ours."""
+    root = Path(src) / "revtrain"
+    spec = importlib.util.spec_from_file_location(
+        "baseline_revtrain", root / "__init__.py", submodule_search_locations=[str(root)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(spec.name + ".ops")
+
+
 def step(model, mode, x, labels):
     logits, saved = model.forward(x, mode)
     _, grad_logits = train.softmax_cross_entropy(logits, labels)
     model.backward(saved, grad_logits, x)
+
+
+def run_wrapped(wrap, model, mode, x, labels):
+    """One step with each kernel replaced by wrap(label, fn, arg, name), name
+    given for the ops functions only, then the originals restored."""
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in KERNELS]
+    try:
+        for (owner, name, label), (_, _, fn) in zip(KERNELS, originals):
+            # a method's first argument is the layer
+            method = isinstance(owner, type)
+            setattr(owner, name, wrap(label, fn, int(method), None if method else name))
+        step(model, mode, x, labels)
+    finally:
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
 
 
 def main(argv=None):
@@ -101,6 +180,8 @@ def main(argv=None):
     p.add_argument("--batch", type=int, required=True)
     p.add_argument("--size", type=int, default=32, help="input height and width")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--baseline", metavar="SRC",
+                   help="directory holding another revtrain package to time the ops kernels against")
     args = p.parse_args(argv)
     spec = resolve_spec(args.config)
     mode = BackpropMode.parse(args.mode)
@@ -109,27 +190,28 @@ def main(argv=None):
     step(zoo.build_model(spec, seed=args.seed), mode, x, labels)  # warm-up
 
     ledger = Ledger()
-    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in KERNELS]
-    for (owner, name, label), (_, _, fn) in zip(KERNELS, originals):
-        # a method's first argument is the layer
-        setattr(owner, name, ledger.wrap(label, fn, 1 if isinstance(owner, type) else 0))
     model = zoo.build_model(spec, seed=args.seed)
     tracemalloc.start()
     try:
-        step(model, mode, x, labels)
+        run_wrapped(ledger.wrap, model, mode, x, labels)
         step_peak = ledger.step_peak()
     finally:
         tracemalloc.stop()
-        for owner, name, fn in originals:
-            setattr(owner, name, fn)
+    timer = Timer(load_baseline(args.baseline) if args.baseline else None)
+    run_wrapped(timer.wrap, model, mode, x, labels)
 
     print(f"{spec.name} {mode.value} batch {args.batch} at {args.size}x{args.size}: "
           f"step peak {step_peak / 1e6:.2f} MB (tracemalloc, from just before forward)")
-    print(f"{'kernel':<22} {'input shape':<20} {'calls':>5} {'peak MB':>9} "
+    ab = f" {'base ms':>8} {'change':>7}" if args.baseline else ""
+    print(f"{'kernel':<22} {'input shape':<20} {'calls':>5} {'ms/call':>8}{ab} {'peak MB':>9} "
           f"{'entry MB':>9} {'scratch+out MB':>15}")
     for (label, shape), (peak, entry, calls) in sorted(
             ledger.rows.items(), key=lambda kv: -kv[1][0]):
-        print(f"{label:<22} {str(shape):<20} {calls:>5} {peak / 1e6:>9.2f} "
+        ours, theirs = timer.medians((label, shape))
+        ab = ""
+        if args.baseline:
+            ab = f" {theirs:>8.3f} {ours / theirs - 1:>+7.1%}" if theirs else f" {'-':>8} {'-':>7}"
+        print(f"{label:<22} {str(shape):<20} {calls:>5} {ours:>8.3f}{ab} {peak / 1e6:>9.2f} "
               f"{entry / 1e6:>9.2f} {(peak - entry) / 1e6:>15.2f}")
     return 0
 

@@ -7,30 +7,36 @@ Convolution is cross-correlation (no kernel flip) at stride 1, with a square
 k x k kernel and zero padding p in 0..k-1, passed by keyword: the models
 downsample only by pooling, and padding (k-1)//2 keeps the spatial size. Each
 kernel is a BLAS matmul of the kernel with a column matrix that holds one row
-per (channel, ky, kx) tap and one column per output pixel, filled with one
-strided slice copy per tap from the source zero-padded by some q >= 0 (its
-"frame"): p for the forward and weight gradient, k-1-p for the input gradient.
-The columns are untracked scratch built in slices, of batch elements for the
-forward and input-gradient kernels and of input channels for the weight
-gradient (but at least one element or channel). A slice's columns take at
-most the conv's input bytes, unless that would narrow the GEMM below
-GEMM_PIXELS pixels: the budget is min(WORKSPACE_CAP_BYTES, max(input bytes,
-the columns of GEMM_PIXELS pixels)). A call's scratch is thus about that
-budget plus one slice's zero-padded input and GEMM result, not the
-whole-batch column matrix (9x the input for a 3x3 kernel). The input gradient
-correlates grad_out, padded by k-1-p, with the flipped kernel, so it computes
-exactly the input frame rather than the full correlation.
+per (channel, ky, kx) tap and one column per output pixel: the source,
+zero-padded by some q >= 0 (p for the forward and weight gradient, k-1-p for
+the input gradient), under that tap. The columns read the unpadded source
+directly; no padded copy of it is made. When the output keeps the source's
+size, as in every conv the models run, a tap is one flat copy per (channel,
+image) plane shifted by dy*w + dx for the tap's offset (dy, dx) = (ky-q,
+kx-q), after which the border columns the shift wrapped and the rows it read
+outside the source are zeroed. Any other geometry copies the tap's valid
+window and zeroes the rest. The columns are untracked scratch built in
+slices, of batch elements for the forward and input-gradient kernels and of
+input channels for the weight gradient (but at least one element or
+channel). A slice's columns take at most the conv's input bytes, unless that
+would narrow the GEMM below GEMM_PIXELS pixels: the budget is
+min(WORKSPACE_CAP_BYTES, max(input bytes, the columns of GEMM_PIXELS
+pixels)). A call's scratch is thus about that budget plus one slice's GEMM
+result (and, in batch-innermost slices, one copy of the slice's input), not
+the whole-batch column matrix (9x the input for a 3x3 kernel). The input
+gradient correlates grad_out, padded by k-1-p, with the flipped kernel, so it
+computes exactly the input's window rather than the full correlation.
 
 Column pixels are ordered (b, i, j), except in forward and input-gradient
-batch slices of kernels larger than 1x1 whose output rows are shorter than
-SHORT_ROW pixels: those build their zero-padded frame with the batch innermost
-and order pixels (i, j, b), so a tap copy moves runs of ow*n elements instead
-of ow. The weight gradient keeps (b, i, j), because its pixels are the
-reduction axis and reordering them would change the sums; so do the small
-GEMMs issued in the im2col layout (see SMALL_GEMM_MACS). The order changes no
-bits: each output still reduces over the same (channel, ky, kx) order on
-BLAS's packed path with the same PIXEL_TILE padding, and only its column
-moves.
+batch slices of kernels larger than 1x1 whose output planes hold fewer than
+SHORT_PLANE pixels: those copy the slice once with the batch innermost and
+order pixels (i, j, b), so a tap copy moves runs of a plane times the batch
+instead of one plane. The weight gradient keeps (b, i, j), because its pixels
+are the reduction axis and reordering them would change the sums; so do the
+small GEMMs issued in the im2col layout (see SMALL_GEMM_MACS). The order
+changes no bits: each output still reduces over the same (channel, ky, kx)
+order on BLAS's packed path with the same PIXEL_TILE padding, and only its
+column moves.
 
 Results equal the whole-batch im2col formulation bit for bit (see
 SMALL_GEMM_MACS), except where BLAS rounds by an output's position rather than
@@ -61,6 +67,7 @@ reproducible bit-for-bit for a given seed within an environment.
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import numpy as np
@@ -122,12 +129,15 @@ WORKSPACE_CAP_BYTES = 4 << 20
 SMALL_GEMM_MACS = 1 << 20
 PIXEL_TILE = 16
 
-# In (b, i, j) order a tap copy moves one output row per run, which is mostly
-# loop overhead on short rows. Convs with rows shorter than this order pixels
-# (i, j, b) instead, for runs of ow*n; on longer rows the two transposes that
-# needs (into the frame and out of the GEMM) cost more than they save. So they
-# do for 1x1 kernels, whose columns are one copy of the input.
-SHORT_ROW = 32
+# In (b, i, j) order a tap copy moves one (channel, image) plane per run.
+# Convs whose output planes hold fewer pixels than this order them (i, j, b)
+# instead, for runs of a plane times the batch; on larger planes the two
+# transposes that needs (a batch-innermost copy of the slice, and the GEMM
+# result back) cost more than they save. In-process A/B of 3x3 convs on 2
+# cores: (b, i, j) is 1-4% slower on 16x16 and 8x8 planes and 14-15% slower
+# on 4x4, and 13-20% faster on 32x32. So are the transposes for 1x1 kernels,
+# whose columns are one copy of the input.
+SHORT_PLANE = 32 * 32
 
 
 def _workspace_budget(src, depth: int) -> int:
@@ -152,37 +162,67 @@ def _packed_width(npix: int, macs_per_pixel: int) -> int:
     return -(-need // PIXEL_TILE) * PIXEL_TILE
 
 
-def _frame(src, pad: int, batch_last: bool = False):
-    """Canvas indexed (c, h + 2*pad, w + 2*pad, n) that holds src zero-padded by
-    pad on every side. Its memory keeps src's (n, c) order, or with batch_last
-    puts the batch innermost. Returns a view of src when pad is 0."""
+def _inside(d: int, size: int, out: int):
+    """Output index range [lo, hi) of an out-long axis whose index i reads
+    i + d of a size-long source, clamped to be empty when none does."""
+    lo = max(0, -d)
+    return lo, max(min(out, size - d), lo)
+
+
+def _columns(src, k: int, pad: int, out_hw, width=None, batch_last: bool = False):
+    """(c*k*k, width) column matrix of src (n, c, h, w) zero-padded by pad under
+    a k x k kernel, for an (oh, ow) = out_hw output: row (ci, ky, kx), column
+    (b, i, j), or (i, j, b) with batch_last, holds src[b, ci, i+dy, j+dx] with
+    (dy, dx) = (ky-pad, kx-pad), or zero outside src; columns past n*oh*ow (the
+    default width) are zero. Read from src itself, or with batch_last from one
+    batch-innermost copy of it; no padded copy is made. A same-size output
+    fills each tap with one flat copy per plane shifted by dy*w + dx, then
+    zeroes its out-of-range rows and the border columns the shift wrapped; any
+    other geometry copies the tap's valid window into zeroed columns."""
     n, c, h, w = src.shape
-    if pad == 0:
-        return src.transpose(1, 2, 3, 0)
-    shape = (c, h + 2 * pad, w + 2 * pad, n) if batch_last else (n, c, h + 2 * pad, w + 2 * pad)
-    canvas = np.zeros(shape, dtype=src.dtype)
-    frame = canvas if batch_last else canvas.transpose(1, 2, 3, 0)
-    frame[:, pad : pad + h, pad : pad + w] = src.transpose(1, 2, 3, 0)
-    return frame
-
-
-def _columns(frame, k: int, width=None, batch_last: bool = False):
-    """(c*k*k, width) column matrix of frame (c, fh, fw, n) under a k x k kernel,
-    with oh, ow = fh-k+1, fw-k+1: row (ci, ky, kx), column (b, i, j), or (i, j, b)
-    with batch_last, holds frame[ci, i + ky, j + kx, b]; columns past n*oh*ow
-    (the default width) are zero. One strided copy per kernel tap."""
-    c, fh, fw, n = frame.shape
-    oh, ow = fh - k + 1, fw - k + 1
+    oh, ow = out_hw
     npix = n * oh * ow
-    cols = np.empty((c * k * k, width or npix), dtype=frame.dtype)
-    cols[:, npix:] = 0
+    same = (oh, ow) == (h, w)
+    cols = (np.empty if same else np.zeros)((c * k * k, width or npix), dtype=src.dtype)
+    # planes (c, m, h, w, r) and taps (c, k, k, m, oh, ow, r): m images of
+    # batch-outer planes, or one plane with the batch r innermost
     if batch_last:
-        taps = cols[:, :npix].reshape(c, k, k, oh, ow, n)
+        m, r = 1, n
+        planes = np.ascontiguousarray(src.transpose(1, 2, 3, 0))[:, None]
     else:
-        taps = cols[:, :npix].reshape(c, k, k, n, oh, ow).transpose(0, 1, 2, 4, 5, 3)
-    for ky in range(k):
-        for kx in range(k):
-            taps[:, ky, kx] = frame[:, ky : ky + oh, kx : kx + ow]
+        m, r = n, 1
+        planes = src.transpose(1, 0, 2, 3)[..., None]
+    taps = cols[:, :npix].reshape(c, k, k, m, oh, ow, r)
+    # output rows [i0, i1) and columns [j0, j1) of each kernel row and column
+    # read inside src
+    rows = [_inside(ky - pad, h, oh) for ky in range(k)]
+    columns = [_inside(kx - pad, w, ow) for kx in range(k)]
+    if not same:
+        for (ky, (i0, i1)), (kx, (j0, j1)) in itertools.product(enumerate(rows), enumerate(columns)):
+            dy, dx = ky - pad, kx - pad
+            taps[:, ky, kx, :, i0:i1, j0:j1] = planes[:, :, i0 + dy : i1 + dy, j0 + dx : j1 + dx]
+        return cols
+    cols[:, npix:] = 0
+    flat_planes = planes.reshape(c, m, h * w * r)
+    flat_taps = taps.reshape(c, k, k, m, h * w * r)
+    for ky, kx in itertools.product(range(k), repeat=2):
+        shift = (ky - pad) * w + kx - pad
+        run = (h * w - abs(shift)) * r
+        if run > 0:
+            to, fro = max(0, -shift) * r, max(0, shift) * r
+            flat_taps[:, ky, kx, :, to : to + run] = flat_planes[:, :, fro : fro + run]
+    # zero what lies outside src: rows the shifted copies left unwritten, and
+    # border columns into which they wrapped row ends
+    for ky, (i0, i1) in enumerate(rows):
+        if i0 > 0:
+            taps[:, ky, :, :, :i0] = 0
+        if i1 < oh:
+            taps[:, ky, :, :, i1:] = 0
+    for kx, (j0, j1) in enumerate(columns):
+        if j0 > 0:
+            taps[:, :, kx, :, :, :j0] = 0
+        if j1 < ow:
+            taps[:, :, kx, :, :, j1:] = 0
     return cols
 
 
@@ -190,29 +230,28 @@ def _correlate(src, kmat, k: int, out, pad: int, im2col: bool):
     """Column core: out[b, o, i, j] = kmat[o] . column(b, i, j), written in place,
     where the columns are those of src zero-padded by pad. Batch slices bound
     the workspace; im2col issues one whole-batch GEMM in the im2col layout
-    instead (see SMALL_GEMM_MACS). Batch slices of outputs narrower than
-    SHORT_ROW under kernels larger than 1x1 order their pixels (i, j, b)."""
+    instead (see SMALL_GEMM_MACS). Batch slices of output planes smaller than
+    SHORT_PLANE under kernels larger than 1x1 order their pixels (i, j, b)."""
     bs = src.shape[0]
     rows, depth = kmat.shape
     oh, ow = out.shape[2:]
     macs = rows * depth * bs * oh * ow
-    batch_last = not im2col and k > 1 and ow < SHORT_ROW
+    batch_last = not im2col and k > 1 and oh * ow < SHORT_PLANE
     budget = _workspace_budget(src, depth)
     for sl in [slice(0, bs)] if im2col else _slices(bs, depth * oh * ow * src.itemsize, budget, macs):
-        frame = _frame(src[sl], pad, batch_last)
-        n = frame.shape[3]
+        n = sl.stop - sl.start
         npix = n * oh * ow
         if im2col:
-            cols = np.ascontiguousarray(_columns(frame, k).T)
+            cols = np.ascontiguousarray(_columns(src[sl], k, pad, (oh, ow)).T)
             res = (cols @ kmat.T).T
         else:
-            cols = _columns(frame, k, _packed_width(npix, rows * depth), batch_last)
+            cols = _columns(src[sl], k, pad, (oh, ow), _packed_width(npix, rows * depth), batch_last)
             res = (kmat @ cols)[:, :npix]
         if batch_last:
             out[sl] = res.reshape(rows, oh, ow, n).transpose(3, 0, 1, 2)
         else:
             out[sl] = res.reshape(rows, n, oh, ow).transpose(1, 0, 2, 3)
-        del frame, cols, res  # free this slice's scratch before the next is built
+        del cols, res  # free this slice's scratch before the next is built
     return out
 
 
@@ -261,8 +300,8 @@ def conv2d_backward_input(grad_out, kernel, *, padding: int = 0):
     # correlation of grad_out, padded by k-1, with the transposed, spatially
     # flipped kernel: the full correlation is (oh+k-1) x (ow+k-1) and the input
     # gradient is its h x w window at offset (p, p), so only that window is
-    # computed, from grad_out padded by k-1-p. A small GEMM correlates the full
-    # frame and crops.
+    # computed, from grad_out padded by k-1-p. A small GEMM computes the full
+    # correlation and crops.
     k_t = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].swapaxes(0, 1)).reshape(cin, -1)
     gx = np.empty((bs, cin, h, w), dtype=np.result_type(grad_out, kernel))
     gh, gw = oh + k - 1, ow + k - 1
@@ -294,7 +333,7 @@ def conv2d_backward_weight(x, grad_out, *, padding: int = 0):
     im2col = macs <= SMALL_GEMM_MACS
     budget = _workspace_budget(x, cin * k * k)
     for sl in [slice(0, cin)] if im2col else _slices(cin, n * k * k * x.itemsize, budget, macs):
-        cols = _columns(_frame(x[:, sl], padding), k)
+        cols = _columns(x[:, sl], k, padding, (oh, ow))
         if im2col:
             cols = np.ascontiguousarray(cols.T).T
         np.matmul(cols, g_mat, out=gk[sl.start * k * k : sl.stop * k * k])

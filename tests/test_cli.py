@@ -290,8 +290,8 @@ def test_gradcheck_stored_against_finite_differences():
 def bn_pair_argv(tmp_path):
     """gradcheck of conv(3->4, k=1), bn, bn, head against finite differences.
     The second bn normalizes away the first's gamma, so that gamma's gradient
-    is of the order of bn's eps, and central differences at h = 1e-6 resolve
-    it only to their own roundoff."""
+    is of the order of bn's eps, and central differences resolve it only to
+    their own roundoff."""
     path = tmp_path / "bn-pair.cfg"
     write_arch_file(ArchSpec("bn-pair", 3, [
         LayerSpec("conv", 3, 4, k=1), LayerSpec("bn", 4, 4), LayerSpec("bn", 4, 4),
@@ -300,9 +300,15 @@ def bn_pair_argv(tmp_path):
             "--tol", "1e-5", "--fd-samples", "2"]
 
 
+# the fixture's float64 run, and float32 gradients against the same float64
+# differences, with a tolerance at float32's scale
+DTYPE_TOLS = [[], ["--dtype", "f32", "--tol", "1e-4"]]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_gradcheck_accepts_differences_within_their_roundoff(bn_pair_argv, seed, capsys):
-    assert cli.main(bn_pair_argv + ["--seed", str(seed)]) == 0
+    for dtype_tol in DTYPE_TOLS:
+        assert cli.main(bn_pair_argv + dtype_tol + ["--seed", str(seed)]) == 0, dtype_tol
 
 
 @pytest.mark.parametrize("tensor", ["0.kernel", "2.gamma", "head.weight"])
@@ -316,7 +322,8 @@ def test_gradcheck_rejects_a_gradient_off_by_a_thousandth(bn_pair_argv, tensor, 
         return grads, trace
 
     monkeypatch.setattr(SequentialModel, "backward", scaled)
-    assert cli.main(bn_pair_argv + ["--seed", "0"]) == 1
+    for dtype_tol in DTYPE_TOLS:
+        assert cli.main(bn_pair_argv + dtype_tol + ["--seed", "0"]) == 1, dtype_tol
 
 
 @pytest.mark.parametrize("argv, message", [

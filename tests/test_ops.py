@@ -230,24 +230,31 @@ def test_conv_kernels_bitwise_equal_im2col_reference_at_wide_small_maps(f32_shap
 @pytest.mark.parametrize("shape,k,padding", [
     ((3, 4, 9, 7), 3, 1),
     ((2, 3, 6, 5), 1, 0),
-    ((4, 3, 7, 6), 3, 0),
+    ((4, 3, 7, 6), 3, 0),   # not same-size: the valid windows alone
     ((5, 2, 8, 8), 5, 2),
+    ((3, 2, 1, 2), 5, 2),   # kernel wider than the map: shifts with |dx| >= w
+    ((3, 2, 2, 1), 5, 2),   # and |dy| >= h
+    ((2, 2, 3, 2), 7, 3),   # and |dx| > w
+    ((4, 3, 1, 1), 3, 1),   # one-pixel maps
+    ((4, 3, 1, 1), 1, 0),
+    ((3, 4, 9, 7), 3, 2),   # the full correlation, larger than the map
 ])
 def test_packed_columns_are_im2col_columns_with_pixels_ordered_ijb(shape, k, padding):
-    x = ops.gaussian(shape, seed=4, dtype=np.float64)
-    bs, cin, h, w = shape
-    want, oh, ow = im2col(np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)), k, k, 1)
-    npix = bs * oh * ow
-    frame = ops._frame(x, padding, batch_last=True)
-    # an unpadded frame is a view, never a copy of the input
-    assert np.shares_memory(frame, x) == (padding == 0)
-    cols = ops._columns(frame, k, npix + 7, batch_last=True)
-    ijb = want.reshape(bs, oh, ow, -1).transpose(3, 1, 2, 0).reshape(-1, npix)
-    assert_array_equal(cols[:, :npix], ijb)
-    assert not cols[:, npix:].any()
-    # the im2col path and the weight gradient keep the (b, i, j) order
-    frame = ops._frame(x, padding)
-    assert_array_equal(ops._columns(frame, k), want.T)
+    bs = shape[0]
+    for dtype in (np.float32, np.float64):
+        x = ops.gaussian(shape, seed=4, dtype=dtype)
+        want, oh, ow = im2col(np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)), k, k, 1)
+        npix = bs * oh * ow
+        ijb = want.reshape(bs, oh, ow, -1).transpose(3, 1, 2, 0).reshape(-1, npix)
+        # batch-innermost packed columns, and the (b, i, j) order that the
+        # weight gradient and the im2col path keep, byte for byte
+        for batch_last, order in [(True, ijb), (False, want.T)]:
+            for width in (npix + 7, None):
+                cols = ops._columns(x, k, padding, (oh, ow), width, batch_last)
+                assert cols.dtype == x.dtype and not np.shares_memory(cols, x)
+                got = np.ascontiguousarray(cols[:, :npix]).tobytes()
+                assert got == np.ascontiguousarray(order).tobytes(), (dtype, batch_last, width)
+                assert not cols[:, npix:].any()
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-14)])
@@ -268,19 +275,27 @@ def test_conv_kernels_match_im2col_reference_to_rounding_in_matrix_vector_cases(
 
 def test_conv_workspace_stays_within_the_slice_budget():
     # hot narrow-conv shape, whose whole-batch im2col matrix alone is 9x the
-    # input; and a 1x1 projection, whose frames are views of the input
-    for shape, k, padding in [((32, 8, 32, 32), 3, 1), ((32, 64, 16, 16), 1, 0)]:
-        c, h, w = shape[1:]
+    # input; a wide conv on small maps, whose slices order pixels (i, j, b);
+    # and a 1x1 projection, whose columns are one copy of the input
+    for shape, k, padding in [((32, 8, 32, 32), 3, 1), ((64, 32, 8, 8), 3, 1), ((32, 64, 16, 16), 1, 0)]:
+        bs, c, h, w = shape
         x = ops.gaussian(shape, seed=1)
         g = ops.gaussian(shape, seed=2)
         kernel = ops.gaussian((c, c, k, k), seed=3, std=0.1)
-        padded = x.nbytes * (h + 2 * padding) * (w + 2 * padding) // (h * w)
-        # one budget of columns, plus the output (for the weight gradient, its
-        # grad_out copy) and one slice's padded input and GEMM result, neither
-        # larger than the padded input; every kernel's columns have c*k*k rows.
-        # Also the input gradient's flipped kernel, and 8 KiB of Python objects
-        budget = min(ops.WORKSPACE_CAP_BYTES, max(x.nbytes, c * k * k * ops.GEMM_PIXELS * x.itemsize))
-        bound = budget + 2 * padded + kernel.nbytes + 8192
+        # the largest slice's columns (of images, or for the weight gradient
+        # of channels; both have c*k*k rows per pixel), the output (for the
+        # weight gradient, its grad_out copy), and the slice's GEMM result and,
+        # in (i, j, b) order, its input copy; input and output have the same
+        # size. Also the input gradient's flipped kernel, and 8 KiB of Python
+        # objects
+        budget = ops._workspace_budget(x, c * k * k)
+        macs = c * c * k * k * bs * h * w
+        image_cols = c * k * k * h * w * x.itemsize
+        images = max(sl.stop - sl.start for sl in ops._slices(bs, image_cols, budget, macs))
+        channels = max(sl.stop - sl.start for sl in ops._slices(c, image_cols * bs // c, budget, macs))
+        columns = max(images, channels * bs // c) * image_cols
+        copies = 1 + (k > 1 and h * w < ops.SHORT_PLANE)
+        bound = columns + x.nbytes + copies * images * x.nbytes // bs + kernel.nbytes + 8192
         if k == 3:
             assert 9 * x.nbytes > bound
         for name, call in _kernel_calls(x, kernel, g, padding).items():
