@@ -121,7 +121,6 @@ class ArchSpec:
     layers: list
     mode: str = "stored"
     classes: int = 10
-    bpe: int = BYTES_PER_ELEMENT
 
     def __post_init__(self):
         self.validate()
@@ -130,8 +129,6 @@ class ArchSpec:
 
     def validate(self):
         self.mode = BackpropMode.parse(self.mode).value
-        if self.bpe <= 0:
-            raise ConfigError(f"bytes per element (bpe) must be positive, got {self.bpe}")
         if not self.layers:
             raise ConfigError("architecture has no layers")
         for pos, layer in enumerate(self.layers):
@@ -369,7 +366,7 @@ def validate_mode(spec, mode):
 
 
 def weight_bytes(spec):
-    return spec.param_count() * spec.bpe
+    return spec.param_count() * BYTES_PER_ELEMENT
 
 
 def _kept_internals(item):
@@ -386,18 +383,18 @@ def _kept_internals(item):
 def _cached_stats_bytes(spec, item):
     """Bytes of the batch statistics (mean and variance) that an item's bn
     layers cache in forward and the backward frees."""
-    return sum(2 * pl.layer.c_in * spec.bpe for pl in item.placed if pl.layer.kind == "bn")
+    return sum(2 * pl.layer.c_in * BYTES_PER_ELEMENT for pl in item.placed if pl.layer.kind == "bn")
 
 
 def stats_bytes(spec, bs):
     """Running plus cached batch statistics, and the head's pooled features."""
-    running = sum(2 * layer.c_in * spec.bpe for layer in spec.layers if layer.kind == "bn")
+    running = sum(2 * layer.c_in * BYTES_PER_ELEMENT for layer in spec.layers if layer.kind == "bn")
     cached = sum(_cached_stats_bytes(spec, it) for it in place(spec))
-    return running + cached + bs * spec.head().c_in * spec.bpe
+    return running + cached + bs * spec.head().c_in * BYTES_PER_ELEMENT
 
 
 def input_batch_bytes(spec, h, w, bs):
-    return bs * spec.input_channels * h * w * spec.bpe
+    return bs * spec.input_channels * h * w * BYTES_PER_ELEMENT
 
 
 def executor_peak(spec, mode, h, w, bs):
@@ -433,7 +430,7 @@ def executor_peak(spec, mode, h, w, bs):
             raise RuntimeError(f"{spec.name}: a {mode.value}-mode event holds {l1}, {l2} "
                                f"and {l3} bytes, not fixed + per-sample + per-pixel bytes")
         peak = max(peak, 2 * l1 - l2 + per_sample * bs + per_pixel * bs * h * w)
-    return peak * spec.bpe // BYTES_PER_ELEMENT  # the dry runs hold f32 elements
+    return peak
 
 
 def _dry_run(spec, mode, side, bs):
@@ -519,7 +516,7 @@ def _replay(spec, mode, bs):
     items = place(spec)
     kept, cached, final = _saved(spec, mode)
     head = spec.head()
-    logits = bs * head.c_out * spec.bpe
+    logits = bs * head.c_out * BYTES_PER_ELEMENT
     led = _Ledger(weight_bytes(spec) + stats_bytes(spec, bs) + logits,
                   sum(kept.values(), final))
     led.note("saved")
@@ -528,7 +525,7 @@ def _replay(spec, mode, bs):
     led.alloc("bwd logits grad", FIXED, logits)
     led.alloc("bwd head", GRAD, grad)
     led.free(FIXED, 2 * logits)
-    led.free(FIXED, bs * head.c_in * spec.bpe)
+    led.free(FIXED, bs * head.c_in * BYTES_PER_ELEMENT)
 
     for it in reversed(items[:-1]):
         label = f"bwd {it.index}"
@@ -539,8 +536,6 @@ def _replay(spec, mode, bs):
                 # a transient on top of the records kept since the forward.
                 led.bump(f"{label} replay", ACT, it.volume / 2)
                 led.note(label)
-                led.free(ACT, kept[it.index])
-                grad = it.volume
             elif mode is BackpropMode.BLOCK_REVERSIBLE:
                 # Inverting re-records the internals.  The module inputs
                 # alias the activation pair while inverting, so less than
@@ -556,7 +551,6 @@ def _replay(spec, mode, bs):
                 led.alloc(f"{label} record", ACT, internals)
                 led.note(label)
                 led.free(ACT, internals)
-                grad = it.volume
             else:
                 # Hybrid walk: one branch value at a time, invconv halves
                 # as scratch, pair and gradients swapped in place.
@@ -566,42 +560,24 @@ def _replay(spec, mode, bs):
                     led.alloc(f"{label} {phase} value", ACT, half)
                     led.bump(f"{label} {phase} scratch", ACT, quarter)
                     led.free(ACT, half)
-                grad = it.volume
-            led.free(FIXED, cached[it.index])
-            continue
-        pl = it.placed[0]
-        kind = it.kind
-        if it.index in kept:
-            if kind == "bn":
-                led.note(label)  # elementwise gradients run in place
-            else:
-                led.alloc(label, GRAD, pl.a)
-                led.free(GRAD, grad)
-            if stored:
-                led.free(ACT, kept[it.index])
-                grad = pl.a
-            else:
-                # the kept input becomes the walked value below this point
-                led.free(ACT, value)
-                grad, value = pl.a, pl.a
-        elif stored:
-            if kind in POOL_KINDS or kind in ("conv", "invconv"):
-                led.alloc(label, GRAD, pl.a)
-                led.free(GRAD, grad)
-                grad = pl.a
-            else:
-                led.note(label)  # elementwise gradients run in place
-                grad = pl.a
-        elif it.index == 0:
-            led.alloc(label, GRAD, pl.a)
-            led.free(GRAD, grad)
-            led.free(ACT, value)
-            grad, value = pl.a, Fraction(0)
-        else:
-            if kind == "invconv":
-                led.bump(f"{label} walk", ACT, pl.a / 2)
+        elif not stored and it.index > 0 and it.index not in kept:
+            # a walk inverts the layer in place
+            if it.kind == "invconv":
+                led.bump(f"{label} walk", ACT, it.volume / 2)
             led.note(label)
-            grad, value = pl.a, pl.a
+        elif it.kind in ("bn", "lrelu") and (stored or it.index > 0):
+            led.note(label)  # elementwise gradients run in place
+        else:
+            led.alloc(label, GRAD, it.volume)
+            led.free(GRAD, grad)
+        grad = it.volume
+        if stored:
+            led.free(ACT, kept.get(it.index, 0))
+        elif it.index in kept or it.index == 0:
+            # the kept input, or at the stem the caller's batch, becomes the
+            # walked value below this point
+            led.free(ACT, value)
+            value = kept.get(it.index, Fraction(0))
         led.free(FIXED, cached[it.index])
     led.note("done")
     return led.events
@@ -614,7 +590,7 @@ def simulate_schedule(spec, mode, h, w, bs):
     Returns (peak_bytes, events); events are (label, live_bytes) pairs, the
     first labelled "saved".
     """
-    px_bytes = h * w * bs * spec.bpe
+    px_bytes = h * w * bs * BYTES_PER_ELEMENT
     live = [(label, fixed + (z + g) * px_bytes)
             for label, fixed, z, g in _replay(spec, mode, bs)]
     return max(b for _, b in live), [(label, float(b)) for label, b in live]
@@ -629,16 +605,16 @@ def per_pixel_elems(spec, mode):
 
 
 def activation_bytes_per_pixel(spec, mode):
-    return float(per_pixel_elems(spec, mode)[0] * spec.bpe)
+    return float(per_pixel_elems(spec, mode)[0] * BYTES_PER_ELEMENT)
 
 
 def gradient_bytes_per_pixel(spec, mode):
-    return float(per_pixel_elems(spec, mode)[1] * spec.bpe)
+    return float(per_pixel_elems(spec, mode)[1] * BYTES_PER_ELEMENT)
 
 
 def bytes_per_pixel(spec, mode):
     z, g = per_pixel_elems(spec, mode)
-    return float((z + g) * spec.bpe)
+    return float((z + g) * BYTES_PER_ELEMENT)
 
 
 # -- reports -------------------------------------------------------------------
@@ -719,8 +695,8 @@ def memory_report(spec, mode, h, w, bs):
         w=w,
         bs=bs,
         weight_bytes=weight_bytes(spec),
-        activation_bytes_per_pixel=float(z * spec.bpe),
-        gradient_bytes_per_pixel=float(g * spec.bpe),
+        activation_bytes_per_pixel=float(z * BYTES_PER_ELEMENT),
+        gradient_bytes_per_pixel=float(g * BYTES_PER_ELEMENT),
         stats_bytes=stats_bytes(spec, bs),
         input_batch_bytes=input_batch_bytes(spec, h, w, bs),
         momentum_bytes=weight_bytes(spec),
@@ -737,14 +713,13 @@ def report_csv(report):
 
 # -- architecture files --------------------------------------------------------
 
-_META_KEYS = ("name", "mode", "input_channels", "classes", "bpe")
+_META_KEYS = ("name", "mode", "input_channels", "classes")
 _LAYER_KEYS = ("kind", "c_in", "c_out", "k", "block", "branch")
 _INT_LAYER_KEYS = ("c_in", "c_out", "k", "block")
 
 
 def parse_arch_text(text, source="<arch>"):
-    meta = {"name": "arch", "mode": "stored", "input_channels": 3, "classes": 10,
-            "bpe": BYTES_PER_ELEMENT}
+    meta = {"name": "arch", "mode": "stored", "input_channels": 3, "classes": 10}
     layers = []
     section = None
     current = None
@@ -790,7 +765,7 @@ def parse_arch_text(text, source="<arch>"):
         if section == "meta":
             if key not in _META_KEYS:
                 fail(lineno, f"unknown meta key {key!r}")
-            if key in ("input_channels", "classes", "bpe"):
+            if key in ("input_channels", "classes"):
                 try:
                     meta[key] = int(value)
                 except ValueError:
@@ -832,7 +807,6 @@ def format_arch(spec):
         f"mode = {spec.mode}",
         f"input_channels = {spec.input_channels}",
         f"classes = {spec.classes}",
-        f"bpe = {spec.bpe}",
     ]
     for layer in spec.layers:
         lines.append("")

@@ -21,6 +21,10 @@ which modes a model admits):
                      inverted: a walk costs what `block` costs plus two
                      convolutions per InvConv past a branch's first layer.
 
+The forward leaves what the backward reads: a `SavedState` whose `vals`
+holds each anchor at the chain position where the interpreter takes it,
+and whose `records` holds stored mode's block records.
+
 Backward is one interpreter, `_backward_chain`, run over the model's items
 and over each block branch.  Walking last to first, it takes each input
 from a saved anchor, else from the layer's inverse of its output (walks),
@@ -362,27 +366,23 @@ class SnrTrace:
 
 @dataclass
 class SavedState:
-    """What the forward pass kept around for backward, by mode."""
+    """What the forward leaves for backward, as `_backward_chain` reads it.
+
+    vals maps chain positions to anchors: the inputs `keeps_input` keeps, a
+    stored-mode block's output as a callable rebuilding it from its record
+    (unless the next item keeps that output as its input), and, in a walk,
+    the last feature map at len(items).  records maps a stored-mode block's
+    item index to its (F, G) records.  Backward consumes both.
+    """
 
     mode: BackpropMode
-    stored: dict = field(default_factory=dict)
-    block_records: dict = field(default_factory=dict)
-    final: np.ndarray | None = None
+    vals: dict = field(default_factory=dict)
+    records: dict = field(default_factory=dict)
 
     def activation_bytes(self, model=None):
         """Bytes held for backward: saved tensors, BN stats, head cache."""
-        total = 0
-        for arr in self.stored.values():
-            total += arr.nbytes
-        for f_rec, g_rec in self.block_records.values():
-            seen = set()
-            for rec in (f_rec, g_rec):
-                for arr in rec.values():
-                    if id(arr) not in seen:
-                        seen.add(id(arr))
-                        total += arr.nbytes
-        if self.final is not None:
-            total += self.final.nbytes
+        total = sum(v.nbytes for v in self.vals.values() if not callable(v))
+        total += sum(a.nbytes for rec in self.records.values() for r in rec for a in r.values())
         if model is not None:
             for _, layer in model.named_layers():
                 if layer.kind == "bn" and layer.cached_stats is not None:
@@ -449,29 +449,22 @@ class SequentialModel:
         differs, so logits match bitwise across modes.
         """
         mode = self.validate_mode(mode)
-        if not train:
-            for item in self.items:
-                if isinstance(item, ReversibleBlock):
-                    x = item.forward(x, train=False)
-                else:
-                    x = _apply_layer(item, x, train=False)
-            return self.head.forward(x), None
-
-        saved = SavedState(mode=mode)
+        saved = SavedState(mode=mode) if train else None
+        record = train and mode is BackpropMode.STORED
         for i, item in enumerate(self.items):
             if isinstance(item, ReversibleBlock):
-                if mode is BackpropMode.STORED:
-                    x, saved.block_records[i] = item.forward(x, record=True)
+                if record:
+                    x, saved.records[i] = item.forward(x, record=True)
+                    saved.vals[i + 1] = partial(item._recorded_output, saved.records[i])
                 else:
-                    x = item.forward(x)
+                    x = item.forward(x, train=train)
             else:
-                if mm.keeps_input(mode, item.kind, i):
-                    saved.stored[str(i)] = x
-                x = _apply_layer(item, x)
-        if mode is not BackpropMode.STORED:
-            saved.final = x
-        logits = self.head.forward(x)
-        return logits, saved
+                if train and mm.keeps_input(mode, item.kind, i):
+                    saved.vals[i] = x
+                x = _apply_layer(item, x, train=train)
+        if train and not record:
+            saved.vals[len(self.items)] = x
+        return self.head.forward(x), saved
 
     # -- backward ----------------------------------------------------------
 
@@ -497,26 +490,17 @@ class SequentialModel:
         grads = {f"head.{name}": arr for name, arr in head_grads.items()}
         # The interpreter consumes vals and records, so every saved tensor
         # is freed as soon as backward has passed it.
-        vals = {int(k): v for k, v in saved.stored.items()}
-        vals[0] = x_input
-        saved.stored.clear()
-        records = saved.block_records
-        if mode is BackpropMode.STORED:
-            for i, rec in records.items():
-                vals.setdefault(i + 1, partial(self.items[i]._recorded_output, rec))
-        else:
-            vals[len(self.items)] = saved.final
-            saved.final = None
+        saved.vals[0] = x_input
 
         def block_backward(i, block, y, g):
             if mode is BackpropMode.STORED:
-                return (None, *block.backward_stored(g, records.pop(i)))
+                return (None, *block.backward_stored(g, saved.records.pop(i)))
             if mode is BackpropMode.BLOCK_REVERSIBLE:
                 return block.backward_blockrev(y, g)
             return block.backward_hybrid(y, g, trace=snr, prefix=f"{i}.")
 
         walk = mode is not BackpropMode.STORED
-        grads.update(_backward_chain(self.items, grad, vals, walk, block_backward, snr)[2])
+        grads.update(_backward_chain(self.items, grad, saved.vals, walk, block_backward, snr)[2])
         return grads, snr
 
     def _shadow_truth(self, x):

@@ -72,7 +72,7 @@ import threading
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .memtrack import track
 
 FLOAT_DTYPES = (np.float32, np.float64)
@@ -471,6 +471,8 @@ def unpool_batch(y):
 
 
 def default_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

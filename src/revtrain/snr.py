@@ -242,6 +242,8 @@ def random_bn_cases(n_configs, channels=16, seed=0, noise_std=1e-5, n_samples=10
     """
     if n_configs < 1:
         raise ConfigError(f"need at least one configuration, got {n_configs}")
+    if channels < 1:
+        raise ConfigError(f"need at least one channel, got {channels}")
     rng = ops.default_rng(seed)
     rows = []
     for i in range(n_configs):

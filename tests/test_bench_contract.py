@@ -1,18 +1,22 @@
-"""The benchmark's span tracer patches revtrain entry points by name.
+"""The benchmark calls revtrain in-process, so its breakage is a failure here.
 
-perfbench/tracer.py looks each one up with vars(owner)[attr], so renaming,
-removing or moving an entry point to a base class breaks the benchmark;
-these tests make that a test failure here too.
+perfbench/tracer.py looks each entry point up with vars(owner)[attr], so
+renaming, removing or moving one to a base class breaks the benchmark.
+perfbench/bench.py calls forward, backward and `SavedState.activation_bytes`
+directly; its measurement functions run here on a small spec.
 """
 
 import importlib.util
 import inspect
 import json
+import math
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from revtrain import ops
+from revtrain import ops, train, zoo
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,3 +49,35 @@ def test_conv_padding_is_keyword_only(op):
     assert op in load_tracer().CONV_OPS
     param = inspect.signature(getattr(ops, op)).parameters["padding"]
     assert param.kind is inspect.Parameter.KEYWORD_ONLY
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench/bench.py, which imports its sibling tracer module by name."""
+    here = str(ROOT / "perfbench")
+    sys.path.insert(0, here)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_bench", ROOT / "perfbench" / "bench.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+    finally:
+        sys.path.remove(here)
+    return bench
+
+
+def test_bench_measurements_run_in_process(bench):
+    # small-hybrid at 8x8, batch 2: every admitted mode's step, gate and SNR
+    spec = zoo.small_hybrid_spec()
+    x = ops.gaussian((2, spec.input_channels, 8, 8), seed=1)
+    labels = np.array([3, 7])
+    modes = bench.accepted_modes(spec)
+    assert modes == ["stored", "block", "hybrid"]
+    for mode in modes:
+        config = train.TrainConfig(arch=spec, mode=mode, batch_size=2)
+        row = bench.measure_step(config, mode, x, labels)
+        assert row["saved_mb"] > 0 and row["tracked_mb"] > 0 and np.isfinite(row["loss"]), mode
+        worst, n = bench.gradient_gate(config, x, labels)
+        assert worst <= bench.GATE_TOL and n == len(zoo.build_model(spec).params()), mode
+        snr = bench.recon_snr_db(config, x, labels)
+        assert (snr == {}) == (mode == "stored") and all(map(math.isfinite, snr.values())), mode
+        assert bench.sim_mb(spec, mode, 2) > 0

@@ -129,9 +129,9 @@ def test_memcost_rejects_non_positive_size(flag, value, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "positive" in err[0]
 
 
-def _arch_text(layers, bpe=4):
+def _arch_text(layers):
     """Arch file text written by hand, since ArchSpec refuses these specs."""
-    lines = ["[meta]", "name = bad", f"bpe = {bpe}"]
+    lines = ["[meta]", "name = bad", "classes = 10"]
     for layer in layers:
         lines.append("[layer]")
         lines += [f"{key} = {value}" for key, value in layer.items()]
@@ -152,13 +152,14 @@ BAD_ARCHS = {
     **{f"conv-k{k}": (_arch_text([_conv(3, 8, k=k), _HEAD8]), "layer 0") for k in (0, -1, 2)},
     **{f"invconv-k{k}": (_arch_text([_conv(3, 8), dict(kind="invconv", c_in=8, c_out=8, k=k),
                                      _HEAD8]), "layer 1") for k in (0, -1, 2)},
-    "bpe-0": (_arch_text([_conv(3, 8), _HEAD8], bpe=0), "bpe"),
+    "meta-bpe": (_arch_text([_conv(3, 8), _HEAD8]).replace(
+        "classes = 10\n", "classes = 10\nbpe = 4\n"), ":4: unknown meta key 'bpe'"),
     "bn-k5": (_arch_text([_conv(3, 8), dict(kind="bn", c_in=8, c_out=8, k=5), _HEAD8]),
               "layer 1 (bn)"),
     "duplicate-c_out": (_arch_text([_conv(3, 8), _HEAD8]).replace(
         "c_out = 8\n", "c_out = 8\nc_out = 16\n"), ":8: duplicate key 'c_out'"),
     "duplicate-meta-name": (_arch_text([_conv(3, 8), _HEAD8]).replace(
-        "bpe = 4\n", "bpe = 4\nname = again\n"), ":4: duplicate key 'name'"),
+        "classes = 10\n", "classes = 10\nname = again\n"), ":4: duplicate key 'name'"),
 }
 
 
@@ -335,7 +336,10 @@ def test_gradcheck_rejects_a_gradient_off_by_a_thousandth(bn_pair_argv, tensor, 
      "--fd-samples must be at least 1"),
     (["gradcheck", "--config", "pure-block", "--mode", "stored", "--fd-samples", "-3"],
      "--fd-samples must be at least 1"),
-], ids=["empty-sweep", "empty-slopes", "fd-samples-0", "fd-samples-negative"])
+    (["snr-alpha", "--layer", "bn", "--channels", "0"], "need at least one channel, got 0"),
+    (["snr-alpha", "--layer", "bn", "--channels", "-2"], "need at least one channel, got -2"),
+], ids=["empty-sweep", "empty-slopes", "fd-samples-0", "fd-samples-negative", "channels-0",
+        "channels-negative"])
 def test_empty_lists_and_sample_counts_are_config_errors(argv, message, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
@@ -407,6 +411,21 @@ def test_train_rejects_unwalkable_mode(tmp_path, data_dir, capsys):
                    "--data", data_dir, "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "maxpool" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--config", "pure-block", "--mode", "stored"],
+    ["snr-profile", "--config", "pure-block"],
+    ["snr-alpha", "--layer", "bn"],
+    None,
+], ids=["gradcheck", "snr-profile", "snr-alpha", "train"])
+def test_negative_seed_is_a_config_error(argv, tmp_path, data_dir, capsys):
+    argv = train_argv(tmp_path / "out", data_dir, seed=-1) if argv is None else argv + [
+        "--seed", "-1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be non-negative, got -1\n"
 
 
 def test_train_divergence_exits_3(tmp_path, data_dir, capsys):

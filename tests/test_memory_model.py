@@ -161,8 +161,9 @@ def test_stats_bytes_books_the_cached_statistics_that_saved_frees(name, mode):
     # is the running statistics, what `_saved` books per item, and the pool
     spec = zoo.get_spec(name)
     bs = 32
-    running = sum(2 * layer.c_in * spec.bpe for layer in spec.layers if layer.kind == "bn")
-    pooled = bs * spec.head().c_in * spec.bpe
+    running = sum(2 * layer.c_in * mm.BYTES_PER_ELEMENT
+                  for layer in spec.layers if layer.kind == "bn")
+    pooled = bs * spec.head().c_in * mm.BYTES_PER_ELEMENT
     cached = mm._saved(spec, mode)[1]
     assert mm.stats_bytes(spec, bs) == running + sum(cached.values()) + pooled
 
@@ -321,8 +322,8 @@ def stored_saved_bytes(spec, h, w, bs):
     block records, cached batch statistics and the head's pooled features."""
     kept, cached, final = mm._saved(spec, "stored")
     assert final == 0
-    pooled = bs * spec.head().c_in * spec.bpe
-    return sum(kept.values()) * h * w * bs * spec.bpe + sum(cached.values()) + pooled
+    pooled = bs * spec.head().c_in * mm.BYTES_PER_ELEMENT
+    return sum(kept.values()) * h * w * bs * mm.BYTES_PER_ELEMENT + sum(cached.values()) + pooled
 
 
 def test_stored_saved_bytes_matches_executor_chain():
@@ -357,7 +358,7 @@ def test_replay_keeps_exactly_what_stored_mode_saves(name):
     stats = sum(a.nbytes for _, layer in model.named_layers() if layer.kind == "bn"
                 for a in layer.cached_stats)
     saved_bytes = saved.activation_bytes(model) - stats - model.head.cached_pooled.nbytes
-    assert kept * h * w * bs * spec.bpe == saved_bytes
+    assert kept * h * w * bs * mm.BYTES_PER_ELEMENT == saved_bytes
 
 
 @pytest.mark.parametrize("name,mode", sorted(ZOO_BUDGETS))
@@ -372,10 +373,10 @@ def test_saved_event_is_what_the_forward_saves(name, mode):
     model = zoo.build_model(spec, seed=0)
     x = ops.gaussian((bs, spec.input_channels, h, w), seed=1)
     _, saved = model.forward(x, BackpropMode.parse(mode))
-    running = sum(2 * l.c_in * spec.bpe for l in spec.layers if l.kind == "bn")
-    logits = bs * spec.head().c_out * spec.bpe
+    running = sum(2 * l.c_in * mm.BYTES_PER_ELEMENT for l in spec.layers if l.kind == "bn")
+    logits = bs * spec.head().c_out * mm.BYTES_PER_ELEMENT
     assert (label, grad) == ("saved", 0)
-    assert act * h * w * bs * spec.bpe == saved.activation_bytes()
+    assert act * h * w * bs * mm.BYTES_PER_ELEMENT == saved.activation_bytes()
     assert fixed - mm.weight_bytes(spec) - running - logits == (
         saved.activation_bytes(model) - saved.activation_bytes())
 
@@ -393,7 +394,33 @@ def test_saved_event_books_an_elementwise_stems_output(stem, mode):
     _, saved = model.forward(x, BackpropMode.parse(mode))
     act = mm._replay(spec, mode, 2)[0][2]
     assert act == (8 if mode == "stored" else 4)
-    assert act * 8 * 8 * 2 * spec.bpe == saved.activation_bytes()
+    assert act * 8 * 8 * 2 * mm.BYTES_PER_ELEMENT == saved.activation_bytes()
+
+
+def assert_replay_ends_clean(spec, mode):
+    # at "done" only the weights, the running statistics and item 0's input
+    # gradient are live, and no part of the ledger ever goes negative
+    events = mm._replay(spec, mode, 8)
+    running = sum(2 * l.c_in * mm.BYTES_PER_ELEMENT for l in spec.layers if l.kind == "bn")
+    assert events[-1] == ("done", mm.weight_bytes(spec) + running, 0, mm.place(spec)[0].volume)
+    assert all(min(e[1:]) >= 0 for e in events)
+
+
+BLOCK_STEM = mm.ArchSpec("block-stem", 4, [
+    mm.LayerSpec("bn", 2, 2, block=0, branch="f"), mm.LayerSpec("lrelu", 2, 2, block=0, branch="g"),
+    mm.LayerSpec("invconv", 4, 4, k=3), mm.LayerSpec("head", 4, 10)])
+
+
+@pytest.mark.parametrize("name,mode", sorted(ZOO_BUDGETS) + [("block-stem", m) for m in mm.MODES])
+def test_replay_ends_with_weights_stats_and_the_stem_gradient(name, mode):
+    assert_replay_ends_clean(BLOCK_STEM if name == "block-stem" else zoo.get_spec(name), mode)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spec=small_arch_specs())
+def test_replay_of_generated_specs_ends_clean(spec):
+    for mode in zoo.build_model(spec).supported_modes():
+        assert_replay_ends_clean(spec, mode.value)
 
 
 def test_live_models_support_their_modes():
@@ -500,15 +527,6 @@ def test_invconv_kernel_must_be_positive_odd(k):
         mm.ArchSpec("bad", 3, layers)
 
 
-@pytest.mark.parametrize("bpe", [0, -4])
-def test_bpe_must_be_positive(bpe):
-    with pytest.raises(ConfigError, match="bpe"):
-        mm.ArchSpec("bad", 3, [mm.LayerSpec("conv", 3, 8, k=3), _head(8)], bpe=bpe)
-    text = mm.format_arch(zoo.pure_block_spec()).replace("bpe = 4", f"bpe = {bpe}")
-    with pytest.raises(ConfigError, match="bad.cfg: .*bpe"):
-        mm.parse_arch_text(text, source="bad.cfg")
-
-
 # Every entry point that takes a mode name, called with an unknown one.
 UNKNOWN_MODE_CALLS = {
     "parse": lambda spec, model, x: BackpropMode.parse("bogus"),
@@ -600,8 +618,9 @@ def test_parse_rejects_stray_keys():
 
 @pytest.mark.parametrize("text, line, key", [
     ("[layer]\nkind = conv\nc_in = 3\nc_out = 8\nc_out = 16\n", 5, "c_out"),
-    ("[meta]\nname = a\nbpe = 4\nname = b\n", 4, "name"),
-    ("[meta]\nbpe = 4\n[layer]\nkind = conv\nc_in = 3\nc_out = 8\n[meta]\nbpe = 8\n", 8, "bpe"),
+    ("[meta]\nname = a\nclasses = 10\nname = b\n", 4, "name"),
+    ("[meta]\nclasses = 10\n[layer]\nkind = conv\nc_in = 3\nc_out = 8\n[meta]\nclasses = 8\n", 8,
+     "classes"),
 ], ids=["layer", "meta", "meta-twice"])
 def test_parse_rejects_duplicate_keys(text, line, key):
     with pytest.raises(ConfigError, match=f"^dup.cfg:{line}: duplicate key '{key}'$"):

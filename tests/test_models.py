@@ -609,14 +609,14 @@ def test_generated_architectures_agree_across_modes(spec, seed):
     for mode in model.supported_modes():
         logits, saved = model.forward(x, mode)
         # the replay's saved state at this size; the model holds f64, so
-        # elements count x.itemsize bytes and not spec.bpe
+        # elements count x.itemsize bytes and not mm.BYTES_PER_ELEMENT
         kept, cached, final = mm._saved(spec, mode)
         assert saved.activation_bytes(model) == (
             (sum(kept.values()) + final) * 2 * 8 * 8 * x.itemsize
-            + sum(cached.values()) // spec.bpe * x.itemsize
+            + sum(cached.values()) // mm.BYTES_PER_ELEMENT * x.itemsize
             + 2 * spec.head().c_in * x.itemsize)
         grads, _ = model.backward(saved, probe, x)
-        assert saved.stored == {} and saved.block_records == {} and saved.final is None
+        assert saved.vals == {} and saved.records == {}
         if ref is None:
             assert mode is STORED
             ref = grads
