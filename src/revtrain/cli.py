@@ -68,6 +68,11 @@ def _parse_list(text, convert, what):
     return values
 
 
+def _check_tol(tol):
+    if tol is not None and not 0 <= tol < np.inf:
+        raise ConfigError(f"--tol must be finite and non-negative, got {tol}")
+
+
 # -- subcommands ---------------------------------------------------------------------
 
 
@@ -85,11 +90,14 @@ def cmd_train(args):
         test_subset=args.test_subset,
         data_dir=args.data,
     )
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: cannot create directory ({exc.strerror or exc})") from None
     result = train_mod.train_run(cfg, on_epoch=lambda m: print(
         f"epoch {m.epoch:3d}: loss {m.train_loss:.4f} train {m.train_acc:.4f} "
         f"test {m.test_acc:.4f} ({m.seconds:.0f}s)", file=sys.stderr, flush=True))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(train_mod.metrics_csv(result.history))
     train_mod.save_checkpoint(out / "checkpoint.rvtn", train_mod.model_state(result.model))
     last = result.history[-1]
@@ -138,6 +146,7 @@ def _check_golden(spec, mode, report):
 
 
 def cmd_snr_alpha(args):
+    _check_tol(args.tol)
     if args.layer in ("bn-toy", "lrelu"):
         default_values = {"bn-toy": [1, 2, 5, 10, 100], "lrelu": [1.25, 2, 5, 10]}
         values = (_parse_list(args.sweep, float, "numbers") if args.sweep
@@ -210,6 +219,7 @@ def _fd_loss(logits, labels):
 
 
 def cmd_gradcheck(args):
+    _check_tol(args.tol)
     if args.fd_samples < 1:
         raise ConfigError(f"--fd-samples must be at least 1, got {args.fd_samples}")
     spec = resolve_spec(args.config)

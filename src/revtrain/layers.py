@@ -17,8 +17,9 @@ Conventions shared by every layer:
 InvConv and model.ReversibleBlock share one additive coupling,
 y1 = x1 + F(x2), y2 = x2 + G(y1), over the channel halves (views) of one
 buffer (RevNet, Gomez et al., arXiv 1707.04585; i-RevNet, Jacobsen et al.,
-arXiv 1802.07088): the _coupling_* and _uncouple helpers below hold its
-arithmetic, with the branches passed in.
+arXiv 1802.07088): the _coupling_* helpers below hold its arithmetic, with
+the branches passed in. ReversibleBlock's backward rebuilds its input one
+half at a time (model._rebuild), each just before that branch's backward.
 
 Only a buffer handed over in a _Cell is written in place: public forward,
 inverse and backward never mutate their arguments. The backward interpreter
@@ -107,23 +108,12 @@ def _coupling_forward(x, f, g):
     return y
 
 
-def _uncouple(x, f, g):
-    """Rebuild the coupling input in place in x, which holds the output.
-
-    A generator: x2 = y2 - g(y1), a yield, then x1 = y1 - f(x2), so a caller
-    can backprop one branch before the next is rebuilt.
-    """
-    h1, h2 = ops.split_channels(x)  # y1, y2, turning into x1, x2
-    h2 -= g(h1)
-    yield
-    h1 -= f(h2)
-
-
 def _coupling_inverse(y, f, g):
     """x2 = y2 - g(y1), x1 = y1 - f(x2), in y's buffer if y is a _Cell."""
     x = _own(y)
-    for _ in _uncouple(x, f, g):
-        pass
+    h1, h2 = ops.split_channels(x)  # y1, y2, turning into x1, x2
+    h2 -= g(h1)
+    h1 -= f(h2)
     return x
 
 
@@ -290,8 +280,8 @@ class InvLeakyReLU:
     backward_reads = ("x",)
 
     def __init__(self, n=2.0):
-        if n <= 1.0:
-            raise ConfigError(f"negative-slope divisor must exceed 1, got {n}")
+        if not 1.0 < n < np.inf:
+            raise ConfigError(f"negative-slope divisor must be finite and exceed 1, got {n}")
         self.n = float(n)
 
     def params(self):

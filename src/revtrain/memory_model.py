@@ -211,8 +211,8 @@ class Placed:
     """A layer with its position in the pixel/batch geometry.
 
     p is the pixel fraction per input pixel at the layer's input, b the
-    batch multiplier; a and o are input/output element counts per input
-    pixel, exact dyadic fractions.
+    batch multiplier; a is the input element count per input pixel, an
+    exact dyadic fraction.
     """
 
     layer: LayerSpec
@@ -224,20 +224,6 @@ class Placed:
     @property
     def a(self):
         return self.b * self.p * self.layer.c_in
-
-    @property
-    def o(self):
-        p, b = _pooled(self.layer.kind, self.p, self.b)
-        return b * p * self.layer.c_out
-
-
-def _pooled(kind, p, b):
-    """(p, b) past a layer of `kind`: a pool quarters p, and pool_b moves it into b."""
-    if kind in POOL_KINDS:
-        p = p / 4
-        if kind == "pool_b":
-            b = b * 4
-    return p, b
 
 
 @dataclass(frozen=True)
@@ -288,7 +274,10 @@ def place(spec):
         if layer.block is None:
             pl = Placed(layer, pos, len(items), p, b)
             items.append(Item(len(items), None, [pl]))
-            p, b = _pooled(layer.kind, p, b)
+            if layer.kind in POOL_KINDS:  # a pool quarters p; pool_b moves it into b
+                p /= 4
+                if layer.kind == "pool_b":
+                    b *= 4
             pos += 1
         else:
             bid = layer.block
@@ -530,7 +519,6 @@ def _replay(spec, mode, bs):
     for it in reversed(items[:-1]):
         label = f"bwd {it.index}"
         if not it.standalone:
-            internals = _kept_internals(it)
             if stored:
                 # Coupling gradients swap in place; branch value chains are
                 # a transient on top of the records kept since the forward.
@@ -541,13 +529,13 @@ def _replay(spec, mode, bs):
                 # alias the activation pair while inverting, so less than
                 # the full record is ever new; at the coupling step all
                 # recorded tensors count.
+                internals = _kept_internals(it)
                 aliased = sum(
                     (it.branch(n)[0].a for n in ("f", "g")
-                     if it.branch(n) and it.branch(n)[0].layer.kind in PARAM_KINDS),
+                     if it.branch(n)[0].layer.kind in PARAM_KINDS),
                     Fraction(0),
                 )
-                led.bump(f"{label} invert", ACT,
-                         max(internals - aliased + it.volume / 2, Fraction(0)))
+                led.bump(f"{label} invert", ACT, internals - aliased + it.volume / 2)
                 led.alloc(f"{label} record", ACT, internals)
                 led.note(label)
                 led.free(ACT, internals)

@@ -58,7 +58,6 @@ from .layers import (
     _coupling_inverse,
     _own,
     _take,
-    _uncouple,
 )
 
 __all__ = [
@@ -211,49 +210,46 @@ class Module:
         return _backward_chain(self.layers, grad, vals, walk=True, trace=trace, prefix=prefix)
 
 
+def _rebuild(module, t, h, walk):
+    """Rebuild one coupling half in place, h -= module(t), from the branch
+    input t; returns the branch's record, or for a walk (t, the output in a
+    cell), which the walk takes over."""
+    if walk:
+        out = _Cell(module.apply(t, True, False))
+        h -= out.v
+        return t, out
+    v, rec = module.apply_record(t, True, False)
+    h -= v
+    return rec
+
+
 class ReversibleBlock:
     """Additive coupling y1 = x1 + F(x2), y2 = x2 + G(y1)."""
 
     kind = "block"
-    invertible = True
 
     def __init__(self, f_module, g_module):
         self.F = f_module
         self.G = g_module
 
-    def _branches(self, train, update_running, keep=None):
-        """(f, g, kept): branch callables for the coupling helpers.
-
-        keep="record" appends each branch's apply_record record to kept,
-        keep="walk" each branch's (input, output in a cell), to seed a walk
-        at both ends; kept fills in call order, F then G forward and G then
-        F inverting.
-        """
-        kept = []
-
-        def branch(module):
-            def run(t):
-                if keep == "record":
-                    v, rec = module.apply_record(t, train, update_running)
-                    kept.append(rec)
-                    return v
-                v = module.apply(t, train, update_running)
-                if keep == "walk":
-                    kept.append((t, _Cell(v)))
-                return v
-
-            return run
-
-        return branch(self.F), branch(self.G), kept
-
     def forward(self, x, train=True, update_running=True, record=False):
-        f, g, recs = self._branches(train, update_running, "record" if record else None)
-        y = _coupling_forward(x, f, g)
+        if not record:
+            f, g = (partial(m.apply, train=train, update_running=update_running)
+                    for m in (self.F, self.G))
+            return _coupling_forward(x, f, g)
+        recs = []
+
+        def recorded(module, t):
+            v, rec = module.apply_record(t, train, update_running)
+            recs.append(rec)
+            return v
+
+        y = _coupling_forward(x, partial(recorded, self.F), partial(recorded, self.G))
         # records copy their branch input: a view would pin the coupling buffer
-        return (y, tuple({**rec, 0: track(rec[0].copy())} for rec in recs)) if record else y
+        return y, tuple({**rec, 0: track(rec[0].copy())} for rec in recs)
 
     def inverse(self, y):
-        f, g, _ = self._branches(True, False)
+        f, g = (partial(m.apply, update_running=False) for m in (self.F, self.G))
         return _coupling_inverse(y, f, g)
 
     def _recorded_output(self, rec):
@@ -267,43 +263,32 @@ class ReversibleBlock:
         np.add(f_rec[0], self.G.apply(y1, update_running=False), out=out2)
         return y
 
-    @staticmethod
-    def _branch_backward(module, grad, src, trace, prefix):
-        """(grad_in, param_grads) of a branch replayed from a record or
-        walked between its (input, output)."""
-        if isinstance(src, dict):
-            return module.backward_from_record(grad, src)
-        return module.walk_backward(grad, *src, trace, prefix)[::2]
-
     def _backward(self, grad, rec=None, y=None, walk=False, trace=None, prefix=""):
         """The one coupling backward; returns (x or None, grad_in, param_grads).
 
-        With rec (stored mode) the branches replay from the forward's record.
-        Otherwise the input is rebuilt in y's buffer one branch at a time,
-        each just before its own backward (x2 = y2 - G(y1) before G's,
-        x1 = y1 - F(x2) before F's), so F's values are never held through
-        G's backward.  Rebuilding re-records the branch, or for a walk keeps
-        its input and output to seed the walk at both ends, so no walk
-        inverts a branch's first layer: G's input y1 stays untouched until
-        G's walk ends, and F's is the rebuilt x2.  Nothing is kept beyond
-        the block.
+        G's backward runs first, then F's; each branch first gets its source.
+        With rec (stored mode) that is the forward's record.  Otherwise the
+        input is rebuilt in y's buffer one half at a time, each just before
+        its branch's backward: x2 = y2 - G(y1) before G's, x1 = y1 - F(x2)
+        before F's, so F's values are never held through G's backward.  A
+        rebuild re-records the branch, or for a walk hands over its input
+        and output to seed the walk at both ends, so no walk inverts a
+        branch's first layer: G's input y1 stays untouched until G's walk
+        ends, and F's is the rebuilt x2.  Nothing is kept beyond the block.
         """
-        if rec is None:
-            x = _own(y)
-            f, g, kept = self._branches(True, False, "walk" if walk else "record")
-            steps = _uncouple(x, f, g)
-        else:
-            x, kept, steps = None, list(rec), iter(())
+        x = None if rec is not None else _own(y)
+        halves = None if x is None else ops.split_channels(x)  # y1, y2, turning into x1, x2
 
-        def source():
-            # G's record or output first, then F's, each rebuilt on demand
-            next(steps, None)
-            return kept.pop()
+        def branch(j, module, g):
+            # j = 0 for F, whose input is the second half and which rebuilds
+            # the first; j = 1 for G the other way round
+            src = rec[j] if rec is not None else _rebuild(module, halves[1 - j], halves[j], walk)
+            if walk:
+                return module.walk_backward(g, *src, trace, f"{prefix}{'FG'[j]}.")[::2]
+            return module.backward_from_record(g, src)
 
         grad, f_grads, g_grads = _coupling_backward(
-            grad,
-            lambda gy1: self._branch_backward(self.F, gy1, source(), trace, f"{prefix}F."),
-            lambda g2: self._branch_backward(self.G, g2, source(), trace, f"{prefix}G."),
+            grad, partial(branch, 0, self.F), partial(branch, 1, self.G)
         )
         grads = {f"G.{k}": v for k, v in g_grads.items()}
         grads.update({f"F.{k}": v for k, v in f_grads.items()})

@@ -48,8 +48,8 @@ def _alpha_two_gains(r):
 
 def alpha_bn_toy(rho):
     """SNR reduction of a two-channel normalization with gains [1, rho]."""
-    if rho <= 0:
-        raise ConfigError(f"channel gain ratio must be positive, got {rho}")
+    if not 0 < rho < np.inf:
+        raise ConfigError(f"channel gain ratio must be positive and finite, got {rho}")
     return _alpha_two_gains(rho)
 
 
@@ -59,8 +59,8 @@ def alpha_lrelu(n):
     Valid in the small-noise regime where reconstruction noise almost never
     flips an activation across zero.
     """
-    if n < 1:
-        raise ConfigError(f"negative-slope divisor must be at least 1, got {n}")
+    if not 1 <= n < np.inf:
+        raise ConfigError(f"negative-slope divisor must be finite and at least 1, got {n}")
     return _alpha_two_gains(n)
 
 
@@ -156,8 +156,8 @@ def measure_alpha(layer, input_dist, noise_std=1e-5, n_samples=100_000, seed=0,
     aggregate input SNR against the aggregate output SNR. The standard error
     comes from splitting the samples into independent chunks.
     """
-    if noise_std <= 0:
-        raise ConfigError(f"noise_std must be positive, got {noise_std}")
+    if not 0 < noise_std < np.inf:
+        raise ConfigError(f"noise_std must be positive and finite, got {noise_std}")
     if n_samples < 2 * chunks:
         raise ConfigError(f"need at least {2 * chunks} samples, got {n_samples}")
     rng = ops.default_rng(seed)

@@ -45,8 +45,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.lr_max <= 0:
-            raise ConfigError(f"lr_max must be positive, got {self.lr_max}")
+        if not 0 < self.lr_max < np.inf:
+            raise ConfigError(f"lr_max must be positive and finite, got {self.lr_max}")
         if not 0.0 <= self.momentum_low <= self.momentum_high < 1.0:
             raise ConfigError(
                 f"momentum range must satisfy 0 <= low <= high < 1, "

@@ -42,6 +42,27 @@ def test_every_declared_layer_metric_has_a_traced_method():
             assert ".".join(parts[:-1]) in names, metric["name"]
 
 
+@pytest.mark.parametrize("mode, shim, methods", [
+    ("stored", "backward_stored", {"apply_record", "backward_from_record"}),
+    ("block", "backward_blockrev", {"apply", "apply_record", "backward_from_record"}),
+    ("hybrid", "backward_hybrid", {"apply", "walk_backward"}),
+])
+def test_each_mode_runs_through_its_traced_entry_points(mode, shim, methods):
+    # a step that bypasses a traced shim or Module method still leaves it
+    # defined, but the benchmark's per-layer metric for it would read 0
+    spec = zoo.small_hybrid_spec()
+    model = zoo.build_model(spec, seed=0)
+    x = ops.gaussian((2, spec.input_channels, 8, 8), seed=1)
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        logits, saved = model.forward(x, mode)
+        model.backward(saved, ops.gaussian(logits.shape, seed=2), x)
+    names = {span[0] for span in tracer.spans}
+    assert {n for n in names if n.startswith("model.block_backward.")} == {
+        f"model.block_backward.{shim}"}
+    assert {f"model.module.{m}" for m in methods} <= names
+
+
 @pytest.mark.parametrize("op", ["conv2d_forward", "conv2d_backward_input", "conv2d_backward_weight"])
 def test_conv_padding_is_keyword_only(op):
     # the tracer derives each conv call's FLOPs and workspace from padding read

@@ -348,6 +348,37 @@ def test_empty_lists_and_sample_counts_are_config_errors(argv, message, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["snr-profile", "--family", "layerwise", "--depths", "1", "--slopes", "nan"],
+     "negative-slope divisor"),
+    (["snr-profile", "--family", "layerwise", "--depths", "1", "--slopes", "inf"],
+     "negative-slope divisor"),
+    (["snr-alpha", "--layer", "lrelu", "--sweep", "nan"], "negative-slope divisor"),
+    (["snr-alpha", "--layer", "lrelu", "--sweep", "inf"], "negative-slope divisor"),
+    (["snr-alpha", "--layer", "bn-toy", "--sweep", "nan"], "channel gain ratio"),
+    (["snr-alpha", "--layer", "bn-toy", "--sweep", "inf"], "channel gain ratio"),
+    (["snr-alpha", "--layer", "bn", "--configs", "1", "--noise", "nan"], "noise_std"),
+    (["snr-alpha", "--layer", "lrelu", "--noise", "inf"], "noise_std"),
+    (["snr-alpha", "--layer", "lrelu", "--check", "--tol", "nan"], "--tol"),
+    (["gradcheck", "--config", "pure-block", "--mode", "block", "--tol", "nan"], "--tol"),
+    (["gradcheck", "--config", "pure-block", "--mode", "block", "--tol", "-1"], "--tol"),
+    (None, "lr_max"),
+], ids=["slopes-nan", "slopes-inf", "lrelu-sweep-nan", "lrelu-sweep-inf", "bn-toy-sweep-nan",
+        "bn-toy-sweep-inf", "noise-nan", "noise-inf", "snr-alpha-tol-nan", "gradcheck-tol-nan",
+        "gradcheck-tol-negative", "lr-max-inf"])
+def test_nan_infinite_and_out_of_range_numbers_are_config_errors(argv, message, tmp_path,
+                                                                  data_dir, capsys):
+    if argv is None:
+        argv = train_argv(tmp_path / "out", data_dir)
+        argv[argv.index("--lr-max") + 1] = "inf"
+    elif argv[0] == "snr-alpha":
+        argv = argv + ["--samples", "1000"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
 def test_gradcheck_deep_layerwise_f32_exceeds_tolerance(deep_chain_cfg, capsys):
     rc = cli.main(["gradcheck", "--config", deep_chain_cfg, "--mode", "hybrid",
                    "--dtype", "f32", "--tol", "1e-4"])
@@ -395,6 +426,15 @@ def test_train_missing_dataset_names_path(tmp_path, capsys):
     rc = cli.main(train_argv(tmp_path / "out", str(tmp_path / "nowhere")))
     assert rc == 2
     assert "nowhere" in capsys.readouterr().err
+
+
+def test_train_unusable_out_fails_before_training(tmp_path, data_dir, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(train_argv(taken, data_dir)) == 2
+    captured = capsys.readouterr()
+    assert "epoch" not in captured.err
+    assert captured.err.startswith(f"error: --out {taken}") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", ["--subset", "--test-subset"])

@@ -346,6 +346,49 @@ def test_hybrid_never_inverts_a_branch_first_layer(monkeypatch):
     assert sorted(inverted) == sorted(p for p in branch_layers if not p.endswith(".0"))
 
 
+def _spy_module_calls(monkeypatch, names):
+    """(name of the module, method) for each Module call, names by id."""
+    calls = []
+    for meth in ("apply", "apply_record", "backward_from_record", "walk_backward"):
+
+        def spy(self, *args, meth=meth, original=getattr(Module, meth), **kwargs):
+            calls.append((names[id(self)], meth))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Module, meth, spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode, rebuild, backward", [
+    (BLOCK, "apply_record", "backward_from_record"),
+    (HYBRID, "apply", "walk_backward"),
+])
+def test_each_half_is_rebuilt_just_before_its_branch_backward(mode, rebuild, backward,
+                                                              monkeypatch):
+    # G's rebuild and backward end before F runs: F's values are never held
+    # through G's backward
+    model = hybrid_model(c=8, depth=1, seed=3)
+    block = model.items[0]
+    x = ops.gaussian((2, 8, 4, 4), seed=4)
+    logits, saved = model.forward(x, mode)
+    calls = _spy_module_calls(monkeypatch, {id(block.F): "F", id(block.G): "G"})
+    model.backward(saved, ops.gaussian(logits.shape, seed=5), x)
+    assert calls == [("G", rebuild), ("G", backward), ("F", rebuild), ("F", backward)]
+
+
+def test_stored_mode_runs_no_branch_forward_in_backward(monkeypatch):
+    # a block followed by a block: the second's records hold all it reads,
+    # so the first's output is never rebuilt from its record
+    model = hybrid_model(c=8, depth=2, seed=3)
+    x = ops.gaussian((2, 8, 4, 4), seed=4)
+    logits, saved = model.forward(x, STORED)
+    names = {id(m): f"{i}.{b}" for i, blk in enumerate(model.items)
+             for b, m in (("F", blk.F), ("G", blk.G))}
+    calls = _spy_module_calls(monkeypatch, names)
+    model.backward(saved, ops.gaussian(logits.shape, seed=5), x)
+    assert calls == [(f"{i}.{b}", "backward_from_record") for i in (1, 0) for b in "GF"]
+
+
 def test_peak_memory_ordering_across_modes():
     rng = ops.default_rng(47)
 
