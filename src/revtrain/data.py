@@ -221,11 +221,6 @@ def ensure_dataset(root):
 # -- augmentation ------------------------------------------------------------------
 
 
-def hflip(batch):
-    """Mirror every image left-right."""
-    return np.ascontiguousarray(batch[..., ::-1])
-
-
 def augment(batch, seed, pad=4):
     """Random horizontal flip and random crop from zero padding, per image."""
     n, c, h, w = batch.shape

@@ -17,9 +17,11 @@ Conventions shared by every layer:
 InvConv and model.ReversibleBlock share one additive coupling,
 y1 = x1 + F(x2), y2 = x2 + G(y1), over the channel halves (views) of one
 buffer (RevNet, Gomez et al., arXiv 1707.04585; i-RevNet, Jacobsen et al.,
-arXiv 1802.07088): the _coupling_* helpers below hold its arithmetic, with
-the branches passed in. ReversibleBlock's backward rebuilds its input one
-half at a time (model._rebuild), each just before that branch's backward.
+arXiv 1802.07088): _coupling_forward and _coupling_backward hold its forward
+and gradient arithmetic, with the branches passed in. Its inverse is written
+where it runs: InvConv.inverse subtracts both halves in place, and
+ReversibleBlock's backward rebuilds its input one half at a time
+(model._rebuild), each just before that branch's backward.
 
 Only a buffer handed over in a _Cell is written in place: public forward,
 inverse and backward never mutate their arguments. The backward interpreter
@@ -106,15 +108,6 @@ def _coupling_forward(x, f, g):
     np.add(x1, f(x2), out=y1)
     np.add(x2, g(y1), out=y2)
     return y
-
-
-def _coupling_inverse(y, f, g):
-    """x2 = y2 - g(y1), x1 = y1 - f(x2), in y's buffer if y is a _Cell."""
-    x = _own(y)
-    h1, h2 = ops.split_channels(x)  # y1, y2, turning into x1, x2
-    h2 -= g(h1)
-    h1 -= f(h2)
-    return x
 
 
 def _coupling_backward(grad, f_backward, g_backward):
@@ -307,21 +300,19 @@ class InvLeakyReLU:
         return x
 
     def backward(self, grad_out, x=None, y=None):
-        """Divide gradients by n or 1; the branch comes from the sign of x, or
-        of y when x is not given.  Built in grad_out's buffer if grad_out is a
-        _Cell.
+        """Divide gradients by n or 1 by the sign of x.  Built in grad_out's
+        buffer if grad_out is a _Cell.
 
-        Input and output have the same sign on both sides of the kink, so
-        either works.  The divisor is looked up by the sign mask's bytes, so
-        the division runs without a branch.
+        The divisor is looked up by the sign mask's bytes, so the division
+        runs without a branch.
         """
         g, gx = _dest(grad_out)
-        sign_source = y if x is None else x
-        if g.shape != sign_source.shape:
-            raise ShapeError(f"grad {g.shape} vs sign source {sign_source.shape}")
+        ops.check_tensor(x, "x")
+        if g.shape != x.shape:
+            raise ShapeError(f"grad {g.shape} does not match x {x.shape}")
         divisor = np.array([self.n, 1.0], dtype=g.dtype)
-        for gb, sb, out in zip(g, sign_source, gx):
-            np.divide(gb, divisor.take((sb > 0).view(np.uint8)), out=out)
+        for gb, xb, out in zip(g, x, gx):
+            np.divide(gb, divisor.take((xb > 0).view(np.uint8)), out=out)
         return gx, {}
 
 
@@ -373,7 +364,12 @@ class InvConv:
         return _coupling_forward(x, self._f, self._g)
 
     def inverse(self, y):
-        return _coupling_inverse(y, self._f, self._g)
+        """x2 = y2 - G(y1), x1 = y1 - F(x2), in y's buffer if y is a _Cell."""
+        x = _own(y)
+        h1, h2 = ops.split_channels(x)  # y1, y2, turning into x1, x2
+        h2 -= self._g(h1)
+        h1 -= self._f(h2)
+        return x
 
     def backward(self, grad_out, x=None, y=None):
         """Exact coupling gradients; pass y to skip recomputing y1 from x."""

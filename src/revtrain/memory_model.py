@@ -217,7 +217,6 @@ class Placed:
 
     layer: LayerSpec
     pos: int
-    item: int
     p: Fraction
     b: int
 
@@ -272,7 +271,7 @@ def place(spec):
     while pos < len(spec.layers):
         layer = spec.layers[pos]
         if layer.block is None:
-            pl = Placed(layer, pos, len(items), p, b)
+            pl = Placed(layer, pos, p, b)
             items.append(Item(len(items), None, [pl]))
             if layer.kind in POOL_KINDS:  # a pool quarters p; pool_b moves it into b
                 p /= 4
@@ -283,7 +282,7 @@ def place(spec):
             bid = layer.block
             run = []
             while pos < len(spec.layers) and spec.layers[pos].block == bid:
-                run.append(Placed(spec.layers[pos], pos, len(items), p, b))
+                run.append(Placed(spec.layers[pos], pos, p, b))
                 pos += 1
             items.append(Item(len(items), bid, run))
     return items
@@ -369,7 +368,7 @@ def _kept_internals(item):
     return total
 
 
-def _cached_stats_bytes(spec, item):
+def _cached_stats_bytes(item):
     """Bytes of the batch statistics (mean and variance) that an item's bn
     layers cache in forward and the backward frees."""
     return sum(2 * pl.layer.c_in * BYTES_PER_ELEMENT for pl in item.placed if pl.layer.kind == "bn")
@@ -378,7 +377,7 @@ def _cached_stats_bytes(spec, item):
 def stats_bytes(spec, bs):
     """Running plus cached batch statistics, and the head's pooled features."""
     running = sum(2 * layer.c_in * BYTES_PER_ELEMENT for layer in spec.layers if layer.kind == "bn")
-    cached = sum(_cached_stats_bytes(spec, it) for it in place(spec))
+    cached = sum(_cached_stats_bytes(it) for it in place(spec))
     return running + cached + bs * spec.head().c_in * BYTES_PER_ELEMENT
 
 
@@ -475,7 +474,8 @@ def _saved(spec, mode):
     per item index, the activation elements per pixel it keeps (a stored-mode
     block's record, a standalone input where `keeps_input` says so) and the
     bytes of its cached batch statistics; and the last feature map's elements
-    per pixel, which every mode but stored keeps."""
+    per pixel, which every mode but stored keeps unless it is the caller's
+    batch (no item before the head)."""
     mode = validate_mode(spec, mode)
     items = place(spec)
     kept, cached = {}, {}
@@ -485,8 +485,9 @@ def _saved(spec, mode):
                 kept[it.index] = _kept_internals(it)
         elif keeps_input(mode, it.kind, it.index):
             kept[it.index] = it.placed[0].a
-        cached[it.index] = _cached_stats_bytes(spec, it)
-    final = Fraction(0) if mode is BackpropMode.STORED else items[-1].placed[0].a
+        cached[it.index] = _cached_stats_bytes(it)
+    keeps_final = mode is not BackpropMode.STORED and len(items) > 1
+    final = items[-1].placed[0].a if keeps_final else Fraction(0)
     return kept, cached, final
 
 

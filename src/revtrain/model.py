@@ -31,7 +31,10 @@ from a saved anchor, else from the layer's inverse of its output (walks),
 else by replaying forward from the nearest anchor below (stored: a BN
 affine re-application, never an extra convolution except a G branch after
 a block).  Blocks dispatch to one coupling backward whose branches are
-either replayed from a record (stored, block) or walked (hybrid).
+either replayed from a record (stored, block) or walked (hybrid); a
+block's input is rebuilt only there, one half at a time (`_rebuild`).
+The interpreter knows chain positions, not names: an SnrTrace keys each
+truth by its step object and holds the step's path.
 
 Parameters and their gradients are flat dicts keyed by the layer paths of
 `SequentialModel.named_layers`, e.g. ``"3.F.0.f_kernel"`` for item 3's
@@ -55,7 +58,6 @@ from .layers import (
     _Cell,
     _coupling_backward,
     _coupling_forward,
-    _coupling_inverse,
     _own,
     _take,
 )
@@ -102,7 +104,7 @@ def _replay(steps, vals, i):
     return x
 
 
-def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, prefix=""):
+def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None):
     """Backprop through steps last to first.
 
     vals maps chain positions to values at hand, position i being the input
@@ -113,7 +115,8 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, pr
     below.  A layer gets only what its backward reads, the rest released
     first, so an anchor in a walk keeps y for a layer that reads it.
     block_backward(i, block, y, grad) takes y in a cell and returns
-    (x or None, grad_in, param_grads).
+    (x or None, grad_in, param_grads).  trace, if given, records each
+    rebuilt input against its step (see SnrTrace).
 
     The interpreter owns every value in vals above position 0, so it hands
     y over in a cell to a block, and to a layer whose backward does not
@@ -123,7 +126,7 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, pr
     the caller's (a branch's entry gradient is a view of its coupling's
     gradient buffer) and is never written.
 
-    Returns (grad_in, input, param_grads), keys "<position>.<name>".
+    Returns (grad_in, param_grads), keys "<position>.<name>".
     """
     owned = isinstance(grad, _Cell)
     grad = _take(grad)
@@ -136,7 +139,7 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, pr
         if isinstance(step, ReversibleBlock):
             x, grad, pg = block_backward(i, step, _Cell(y), grad)
             if trace is not None:
-                trace.record(f"{prefix}{i}", "block_input", x)
+                trace.record(step, x)
         else:
             reads = step.backward_reads
             if "y" not in reads:
@@ -145,14 +148,14 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, pr
             if walk and x is None:
                 if not step.invertible:
                     raise ConfigError(
-                        f"layer {prefix}{i} ({step.kind}) is not invertible and has "
+                        f"layer {i} ({step.kind}) is not invertible and has "
                         "no saved input; a walk cannot pass through it"
                     )
                 x = step.inverse(y)
                 # a pool's input is its output permuted, so its record would
                 # only repeat the one above
                 if trace is not None and "x" in reads:
-                    trace.record(f"{prefix}{i}", step.kind, x)
+                    trace.record(step, x)
             if "y" not in reads:
                 y = None
             if not walk and "x" in reads:
@@ -163,7 +166,8 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, pr
             vals[i] = x
         for name, g in pg.items():
             grads[f"{i}.{name}"] = g
-    return grad, vals.pop(0, None), grads
+    vals.clear()  # only the input at 0 is left
+    return grad, grads
 
 
 class Module:
@@ -177,7 +181,7 @@ class Module:
             x = _apply_layer(layer, x, train, update_running)
         return x
 
-    def apply_record(self, x, train=True, update_running=True):
+    def apply_record(self, x, update_running=True):
         """Forward pass that keeps what stored mode keeps, plus the input.
 
         Position 0 is always anchored so unparameterised prefixes can be
@@ -188,7 +192,7 @@ class Module:
         for i, layer in enumerate(self.layers):
             if mm.keeps_input(BackpropMode.STORED, layer.kind, i):
                 rec[i] = x
-            x = _apply_layer(layer, x, train, update_running)
+            x = _apply_layer(layer, x, update_running=update_running)
         return x, rec
 
     def backward_from_record(self, grad, rec):
@@ -196,18 +200,18 @@ class Module:
 
         Returns (grad_in, param_grads).
         """
-        return _backward_chain(self.layers, grad, rec, walk=False)[::2]
+        return _backward_chain(self.layers, grad, rec, walk=False)
 
-    def walk_backward(self, grad, x, y, trace=None, prefix=""):
+    def walk_backward(self, grad, x, y, trace=None):
         """Layer-wise inverse walk from the output y down to the input x:
         rebuild each layer's input while gradients flow.
 
         Every layer past the first must be invertible; the first is never
         inverted, its input being x.  The walk rebuilds values in y's buffer
-        if y is a cell, else in a copy.  Returns (grad_in, x, param_grads).
+        if y is a cell, else in a copy.  Returns (grad_in, param_grads).
         """
         vals = {0: x, len(self.layers): _own(y)}
-        return _backward_chain(self.layers, grad, vals, walk=True, trace=trace, prefix=prefix)
+        return _backward_chain(self.layers, grad, vals, walk=True, trace=trace)
 
 
 def _rebuild(module, t, h, walk):
@@ -215,10 +219,10 @@ def _rebuild(module, t, h, walk):
     input t; returns the branch's record, or for a walk (t, the output in a
     cell), which the walk takes over."""
     if walk:
-        out = _Cell(module.apply(t, True, False))
+        out = _Cell(module.apply(t, update_running=False))
         h -= out.v
         return t, out
-    v, rec = module.apply_record(t, True, False)
+    v, rec = module.apply_record(t, update_running=False)
     h -= v
     return rec
 
@@ -232,25 +236,20 @@ class ReversibleBlock:
         self.F = f_module
         self.G = g_module
 
-    def forward(self, x, train=True, update_running=True, record=False):
+    def forward(self, x, train=True, record=False):
         if not record:
-            f, g = (partial(m.apply, train=train, update_running=update_running)
-                    for m in (self.F, self.G))
+            f, g = (partial(m.apply, train=train) for m in (self.F, self.G))
             return _coupling_forward(x, f, g)
         recs = []
 
         def recorded(module, t):
-            v, rec = module.apply_record(t, train, update_running)
+            v, rec = module.apply_record(t)
             recs.append(rec)
             return v
 
         y = _coupling_forward(x, partial(recorded, self.F), partial(recorded, self.G))
         # records copy their branch input: a view would pin the coupling buffer
         return y, tuple({**rec, 0: track(rec[0].copy())} for rec in recs)
-
-    def inverse(self, y):
-        f, g = (partial(m.apply, update_running=False) for m in (self.F, self.G))
-        return _coupling_inverse(y, f, g)
 
     def _recorded_output(self, rec):
         """The output, rebuilt from a stored-mode record: the branch inputs
@@ -263,7 +262,7 @@ class ReversibleBlock:
         np.add(f_rec[0], self.G.apply(y1, update_running=False), out=out2)
         return y
 
-    def _backward(self, grad, rec=None, y=None, walk=False, trace=None, prefix=""):
+    def _backward(self, grad, rec=None, y=None, walk=False, trace=None):
         """The one coupling backward; returns (x or None, grad_in, param_grads).
 
         G's backward runs first, then F's; each branch first gets its source.
@@ -284,7 +283,7 @@ class ReversibleBlock:
             # the first; j = 1 for G the other way round
             src = rec[j] if rec is not None else _rebuild(module, halves[1 - j], halves[j], walk)
             if walk:
-                return module.walk_backward(g, *src, trace, f"{prefix}{'FG'[j]}.")[::2]
+                return module.walk_backward(g, *src, trace)
             return module.backward_from_record(g, src)
 
         grad, f_grads, g_grads = _coupling_backward(
@@ -303,10 +302,10 @@ class ReversibleBlock:
         through the records; returns (x, grad_in, param_grads)."""
         return self._backward(grad, y=y)
 
-    def backward_hybrid(self, y, grad, trace=None, prefix=""):
+    def backward_hybrid(self, y, grad, trace=None):
         """Rebuild the input from y and walk G and F layer by layer; returns
         (x, grad_in, param_grads)."""
-        return self._backward(grad, y=y, walk=True, trace=trace, prefix=prefix)
+        return self._backward(grad, y=y, walk=True, trace=trace)
 
 
 def _layers(item):
@@ -320,33 +319,32 @@ class SnrRecord:
     index: int
     kind: str
     snr: float
-    path: str = ""
+    path: str
 
 
 @dataclass
 class SnrTrace:
     """Reconstruction quality of every activation rebuilt during backward.
 
-    Records appear in backward encounter order; for each block the internal
-    records precede the block-input record.  snr = |x|^2 / |x_rec - x|^2
-    (inf when the reconstruction is exact, 0 when its error is not finite:
-    no signal is left).
+    The truth maps every step (item or block branch layer) to its
+    `named_layers` path (a block's item index) and its input in a shadow
+    stored-mode forward; the interpreter passes only the step.  Records
+    appear in backward encounter order; for each block the internal records
+    precede the block-input record.  snr = |x|^2 / |x_rec - x|^2 (inf when
+    the reconstruction is exact, 0 when its error is not finite: no signal
+    is left).
     """
 
     records: list = field(default_factory=list)
     _truth: dict = field(default_factory=dict, repr=False)
 
-    def record(self, path, kind, reconstructed):
-        true = self._truth.get(path)
-        if true is None:
-            return
+    def record(self, step, reconstructed):
+        path, true = self._truth[step]
+        kind = "block_input" if step.kind == "block" else step.kind
         err = ops.sum_sq_norm(np.asarray(reconstructed, dtype=np.float64) - true)
         sig = ops.sum_sq_norm(true)
         snr = float("inf") if err == 0.0 else sig / err if np.isfinite(err) else 0.0
         self.records.append(SnrRecord(len(self.records), kind, snr, path))
-
-    def min_snr(self):
-        return min(r.snr for r in self.records)
 
 
 @dataclass
@@ -356,8 +354,9 @@ class SavedState:
     vals maps chain positions to anchors: the inputs `keeps_input` keeps, a
     stored-mode block's output as a callable rebuilding it from its record
     (unless the next item keeps that output as its input), and, in a walk,
-    the last feature map at len(items).  records maps a stored-mode block's
-    item index to its (F, G) records.  Backward consumes both.
+    the last feature map at len(items) unless it is the caller's batch.
+    records maps a stored-mode block's item index to its (F, G) records.
+    Backward consumes both.
     """
 
     mode: BackpropMode
@@ -447,7 +446,7 @@ class SequentialModel:
                 if train and mm.keeps_input(mode, item.kind, i):
                     saved.vals[i] = x
                 x = _apply_layer(item, x, train=train)
-        if train and not record:
+        if train and not record and self.items:  # else x is the caller's batch
             saved.vals[len(self.items)] = x
         return self.head.forward(x), saved
 
@@ -482,27 +481,28 @@ class SequentialModel:
                 return (None, *block.backward_stored(g, saved.records.pop(i)))
             if mode is BackpropMode.BLOCK_REVERSIBLE:
                 return block.backward_blockrev(y, g)
-            return block.backward_hybrid(y, g, trace=snr, prefix=f"{i}.")
+            return block.backward_hybrid(y, g, trace=snr)
 
         walk = mode is not BackpropMode.STORED
-        grads.update(_backward_chain(self.items, grad, saved.vals, walk, block_backward, snr)[2])
+        grads.update(_backward_chain(self.items, grad, saved.vals, walk, block_backward, snr)[1])
         return grads, snr
 
     def _shadow_truth(self, x):
-        """Noise-free reference activations, keyed like trace paths."""
+        """Noise-free reference inputs, {step: (path, input)} as SnrTrace
+        reads them."""
         truth = {}
 
         def branch(path, module):
             def run(v):
                 for j, layer in enumerate(module.layers):
-                    truth[f"{path}.{j}"] = np.asarray(v, dtype=np.float64)
+                    truth[layer] = (f"{path}.{j}", np.asarray(v, dtype=np.float64))
                     v = _replay_layer(layer, v)
                 return v
 
             return run
 
         for i, item in enumerate(self.items):
-            truth[str(i)] = np.asarray(x, dtype=np.float64)
+            truth[item] = (str(i), np.asarray(x, dtype=np.float64))
             if isinstance(item, ReversibleBlock):
                 x = _coupling_forward(x, branch(f"{i}.F", item.F), branch(f"{i}.G", item.G))
             else:

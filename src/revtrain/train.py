@@ -131,10 +131,6 @@ def softmax_cross_entropy(logits, labels):
     return loss, grad.astype(logits.dtype)
 
 
-def accuracy(logits, labels):
-    return float((np.argmax(logits, axis=1) == labels).mean())
-
-
 @dataclass
 class EpochMetrics:
     epoch: int

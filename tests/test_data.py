@@ -167,12 +167,6 @@ def test_augment_crops_from_zero_padding(dataset):
     assert (border == 0).any()
 
 
-def test_hflip_is_an_involution(dataset):
-    batch = dataset.train_images[:8]
-    assert np.array_equal(data.hflip(data.hflip(batch)), batch)
-    assert not np.array_equal(data.hflip(batch), batch)
-
-
 def test_take_subset(dataset):
     xs, ys = data.take_subset(dataset.train_images, dataset.train_labels, 500, seed=1)
     xs2, ys2 = data.take_subset(dataset.train_images, dataset.train_labels, 500, seed=1)

@@ -397,6 +397,23 @@ def test_saved_event_books_an_elementwise_stems_output(stem, mode):
     assert act * 8 * 8 * 2 * mm.BYTES_PER_ELEMENT == saved.activation_bytes()
 
 
+def test_head_only_spec_costs_the_same_in_every_mode():
+    # with no item before the head its input is the caller's batch, which
+    # neither the forward nor the replay books as a saved final map
+    spec = mm.ArchSpec("head-only", 3, [_head(3)])
+    model = zoo.build_model(spec, seed=0)
+    x = ops.gaussian((4, 3, 8, 8), seed=1)
+    modes = model.supported_modes()
+    assert modes == [BackpropMode.STORED, BackpropMode.HYBRID]
+    costs = {(mm.bytes_per_pixel(spec, mode), mm.simulate_schedule(spec, mode, 8, 8, 4)[0])
+             for mode in modes}
+    assert len(costs) == 1
+    for mode in modes:
+        _, saved = model.forward(x, mode)
+        assert saved.activation_bytes() == 0
+        assert mm._replay(spec, mode, 4)[0][2] == 0
+
+
 def assert_replay_ends_clean(spec, mode):
     # at "done" only the weights, the running statistics and item 0's input
     # gradient are live, and no part of the ledger ever goes negative

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from revtrain import memory_model as mm
@@ -126,6 +126,14 @@ def test_logits_bitwise_identical_stored_vs_layerwise():
     assert np.array_equal(a, b)
 
 
+# A block's input is rebuilt only inside its backward (model._rebuild), so
+# these round trips read the input that block mode's backward rebuilds.
+
+
+def _rebuilt_input(block, y):
+    return block.backward_blockrev(y, ops.gaussian(y.shape, seed=99, dtype=y.dtype))[0]
+
+
 def test_zeroed_branches_make_block_identity():
     rng = ops.default_rng(0)
     f = Module([Conv2D(2, 2, k=3, rng=rng)])
@@ -136,7 +144,7 @@ def test_zeroed_branches_make_block_identity():
     x = ops.gaussian((2, 4, 5, 5), seed=1)
     y = block.forward(x)
     assert np.array_equal(y, x)
-    assert np.array_equal(block.inverse(y), x)
+    assert np.array_equal(_rebuilt_input(block, y), x)
 
 
 def test_block_inverse_round_trip_f32():
@@ -144,7 +152,7 @@ def test_block_inverse_round_trip_f32():
     block = ReversibleBlock(invertible_branch(4, rng), invertible_branch(4, rng))
     x = ops.gaussian((2, 8, 6, 6), seed=2)
     y = block.forward(x)
-    assert rel_err(block.inverse(y), x) < 1e-6
+    assert rel_err(_rebuilt_input(block, y), x) < 1e-6
 
 
 def test_twenty_chained_blocks_round_trip():
@@ -158,7 +166,7 @@ def test_twenty_chained_blocks_round_trip():
     for block in blocks:
         y = block.forward(y)
     for block in reversed(blocks):
-        y = block.inverse(y)
+        y = _rebuilt_input(block, y)
     assert rel_err(y, x) < 1e-4
 
 
@@ -505,6 +513,46 @@ def test_layerwise_trace_snr_decays_with_depth():
     assert bottom < top / 10
 
 
+def assert_trace_names_the_rebuilt_steps(model, x):
+    # The interpreter hands the trace each step, not a name: every record
+    # must carry the named_layers path of a layer the walk inverted, of the
+    # same kind, or the item index of a block for a block input
+    layers = dict(model.named_layers())
+    blocks = {str(i) for i, item in enumerate(model.items) if isinstance(item, ReversibleBlock)}
+    inverted = []
+    for path, layer in layers.items():
+        if layer.invertible:
+
+            def spy(y, path=path, inverse=layer.inverse):
+                inverted.append(path)
+                return inverse(y)
+
+            layer.inverse = spy
+    logits, saved = model.forward(x, HYBRID)
+    _, trace = model.backward(saved, ops.gaussian(logits.shape, seed=3), x, trace=True)
+    walked = []
+    for rec in trace.records:
+        if rec.kind == "block_input":
+            assert rec.path in blocks
+        else:
+            assert rec.path in inverted and layers[rec.path].kind == rec.kind
+            walked.append(rec.path)
+        branch_path = rec.path.split(".")
+        assert not (len(branch_path) == 3 and branch_path[2] == "0"), rec.path
+    # a pool's input is its output permuted, so only pools go unrecorded
+    assert sorted(walked) == sorted(p for p in inverted if "x" in layers[p].backward_reads)
+    assert sorted(r.path for r in trace.records if r.kind == "block_input") == sorted(blocks)
+
+
+@pytest.mark.parametrize("name", ["hybrid", "layerwise", "pure-block", "small-hybrid"])
+def test_trace_names_the_rebuilt_steps_on_the_zoo(name):
+    spec = zoo.get_spec(name)
+    model = zoo.build_model(spec, seed=0)
+    assert HYBRID in model.supported_modes()
+    assert_trace_names_the_rebuilt_steps(model, ops.gaussian((2, spec.input_channels, 16, 16),
+                                                             seed=1))
+
+
 def test_trace_requires_reversible_mode():
     model = hybrid_model(c=8, depth=1)
     x = ops.gaussian((2, 8, 6, 6), seed=60)
@@ -668,6 +716,14 @@ def test_generated_architectures_agree_across_modes(spec, seed):
         assert max_param_rel_err(ref, grads) < 1e-6, mode
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(spec=small_arch_specs())
+def test_trace_names_the_rebuilt_steps_on_generated_specs(spec):
+    model = zoo.build_model(spec, seed=0)
+    assume(HYBRID in model.supported_modes())
+    assert_trace_names_the_rebuilt_steps(model, ops.gaussian((2, 3, 8, 8), seed=1))
+
+
 def _block(block, f, g):
     """LayerSpecs of coupling block `block` on 4 channels: (kind, k) lists
     for its F and G branches."""
@@ -825,7 +881,6 @@ def test_block_methods_leave_their_arguments_unchanged():
     assert_leaves_arguments(lambda v: block.forward(v, record=True), x)
     y, rec = block.forward(x, record=True)
     grad = ops.gaussian(y.shape, seed=17, dtype=np.float64)
-    assert_leaves_arguments(block.inverse, y)
     assert_leaves_arguments(block.backward_stored, grad, rec)
     assert_leaves_arguments(block.backward_blockrev, y, grad)
     assert_leaves_arguments(block.backward_hybrid, y, grad)
@@ -856,7 +911,7 @@ def test_walks_leave_a_bare_gradient_view_unchanged():
     buf = ops.gaussian((2, 4, 4, 4), seed=23, dtype=np.float64)
     grad = ops.split_channels(buf)[1]
     before = buf.tobytes(), y.tobytes()
-    g_walk, _, walk_grads = module.walk_backward(grad, x, y)
+    g_walk, walk_grads = module.walk_backward(grad, x, y)
     g_rec, rec_grads = module.backward_from_record(grad, rec)
     assert (buf.tobytes(), y.tobytes()) == before
     assert rel_err(g_walk, g_rec) < 1e-12

@@ -112,11 +112,6 @@ def test_cross_entropy_is_shift_invariant_and_float32_safe():
     assert loss == pytest.approx(small, rel=1e-6)
 
 
-def test_accuracy_counts_argmax_hits():
-    logits = np.array([[0.1, 0.9], [0.8, 0.2], [0.3, 0.7]])
-    assert train.accuracy(logits, np.array([1, 0, 0])) == pytest.approx(2 / 3)
-
-
 # -- schedule ------------------------------------------------------------------------
 
 
