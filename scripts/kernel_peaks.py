@@ -3,11 +3,13 @@
 
 Builds a zoo spec (or an arch file), runs one warm-up step, then runs one
 more forward and backward from fresh weights under `tracemalloc`, counted
-from just before forward, as perfbench's memory ladder does. Each call of a
-hot kernel records the allocator's peak during the call, the bytes live at
-its entry, and their difference: the call's scratch plus its output. One row
-per kernel and input shape, for the call with the highest peak, largest
-first:
+from just before forward, as perfbench's memory ladder does. The header line
+gives that step peak, the memtrack peak above the bytes live before forward
+(what `memtrack` sees: no kernel scratch) and their ratio, real over
+tracked. Each call of a hot kernel records the allocator's peak during the
+call, the bytes live at its entry, and their difference: the call's scratch
+plus its output. One row per kernel and input shape, for the call with the
+highest peak, largest first:
 
     python3 scripts/kernel_peaks.py --config small-hybrid --mode block --batch 32
 
@@ -39,7 +41,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from revtrain import layers, ops, train, zoo  # noqa: E402
+from revtrain import layers, memtrack, ops, train, zoo  # noqa: E402
 from revtrain.cli import resolve_spec  # noqa: E402
 from revtrain.memory_model import BackpropMode  # noqa: E402
 
@@ -193,15 +195,20 @@ def main(argv=None):
     model = zoo.build_model(spec, seed=args.seed)
     tracemalloc.start()
     try:
-        run_wrapped(ledger.wrap, model, mode, x, labels)
+        with memtrack.MeasureScope() as scope:
+            before = memtrack.live_bytes()
+            run_wrapped(ledger.wrap, model, mode, x, labels)
         step_peak = ledger.step_peak()
     finally:
         tracemalloc.stop()
+    tracked = scope.peak_bytes - before
     timer = Timer(load_baseline(args.baseline) if args.baseline else None)
     run_wrapped(timer.wrap, model, mode, x, labels)
 
     print(f"{spec.name} {mode.value} batch {args.batch} at {args.size}x{args.size}: "
-          f"step peak {step_peak / 1e6:.2f} MB (tracemalloc, from just before forward)")
+          f"step peak {step_peak / 1e6:.2f} MB real (tracemalloc, from just before forward), "
+          f"{tracked / 1e6:.2f} MB tracked (memtrack, above the live bytes before forward), "
+          f"real over tracked {step_peak / tracked:.3f}")
     ab = f" {'base ms':>8} {'change':>7}" if args.baseline else ""
     print(f"{'kernel':<22} {'input shape':<20} {'calls':>5} {'ms/call':>8}{ab} {'peak MB':>9} "
           f"{'entry MB':>9} {'scratch+out MB':>15}")

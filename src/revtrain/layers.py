@@ -146,9 +146,10 @@ class Conv2D:
     def forward(self, x):
         return ops.conv2d_forward(x, self.kernel, self.bias, padding=self.padding)
 
-    def backward(self, grad_out, x=None, y=None):
+    def backward(self, grad_out, x=None, y=None, input_grad=True):
+        """Without input_grad, the input gradient is None (not computed)."""
         grad_out = _take(grad_out)
-        gx = ops.conv2d_backward_input(grad_out, self.kernel, padding=self.padding)
+        gx = ops.conv2d_backward_input(grad_out, self.kernel, padding=self.padding) if input_grad else None
         gk, gb = ops.conv2d_backward_weight(x, grad_out, padding=self.padding)
         return gx, {"kernel": gk, "bias": gb}
 

@@ -556,6 +556,9 @@ def _replay(spec, mode, bs):
             led.note(label)
         elif it.kind in ("bn", "lrelu") and (stored or it.index > 0):
             led.note(label)  # elementwise gradients run in place
+        elif it.kind == "conv" and it.index == 0:
+            led.note(label)  # a conv stem computes no input batch gradient
+            led.free(GRAD, grad)
         else:
             led.alloc(label, GRAD, it.volume)
             led.free(GRAD, grad)

@@ -6,10 +6,10 @@ weakref finalizers, which fire deterministically under CPython refcounting.
 after every event, from which `memory_model.executor_peak` predicts the peak.
 Kernel-internal scratch (the conv column workspace, numpy expression
 temporaries) is deliberately untracked. The conv kernels build their column
-workspace in slices of at most min(ops.WORKSPACE_CAP_BYTES, max(input bytes,
-the columns of ops.GEMM_PIXELS pixels)), read from the unpadded input, so one
-conv call's untracked scratch stays near that budget plus one slice's GEMM
-result (and, for batch-innermost slices, one copy of the slice's input).
+workspace in slices of at most ops.COLUMN_BYTES (1.18 MB), read from the
+unpadded input, so one conv call's untracked scratch stays near that budget
+plus one slice's GEMM result (and, for batch-innermost slices, one copy of
+the slice's input).
 InvBatchNorm's train forward holds its output and one image slice of the
 squared deviations (at most ops.BN_SLICE_BYTES, or one image), no second
 volume; its backward one untracked volume (u) and one image slice of a

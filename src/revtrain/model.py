@@ -104,7 +104,7 @@ def _replay(steps, vals, i):
     return x
 
 
-def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None):
+def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, input_grad=True):
     """Backprop through steps last to first.
 
     vals maps chain positions to values at hand, position i being the input
@@ -116,7 +116,8 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None):
     first, so an anchor in a walk keeps y for a layer that reads it.
     block_backward(i, block, y, grad) takes y in a cell and returns
     (x or None, grad_in, param_grads).  trace, if given, records each
-    rebuilt input against its step (see SnrTrace).
+    rebuilt input against its step (see SnrTrace).  Without input_grad, a
+    conv at position 0 computes no input gradient: grad_in is then None.
 
     The interpreter owns every value in vals above position 0, so it hands
     y over in a cell to a block, and to a layer whose backward does not
@@ -160,7 +161,10 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None):
                 y = None
             if not walk and "x" in reads:
                 x = _replay(steps, vals, i)
-            grad, pg = step.backward(grad, x, y)
+            if i == 0 and not input_grad and step.kind == "conv":
+                grad, pg = step.backward(grad, x, y, input_grad=False)
+            else:
+                grad, pg = step.backward(grad, x, y)
         owned = True
         if x is not None:
             vals[i] = x
@@ -484,7 +488,9 @@ class SequentialModel:
             return block.backward_hybrid(y, g, trace=snr)
 
         walk = mode is not BackpropMode.STORED
-        grads.update(_backward_chain(self.items, grad, saved.vals, walk, block_backward, snr)[1])
+        # nothing reads the gradient of the input batch, so a conv stem skips it
+        grads.update(_backward_chain(self.items, grad, saved.vals, walk, block_backward, snr,
+                                     input_grad=False)[1])
         return grads, snr
 
     def _shadow_truth(self, x):

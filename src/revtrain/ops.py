@@ -16,25 +16,24 @@ image) plane shifted by dy*w + dx for the tap's offset (dy, dx) = (ky-q,
 kx-q), after which the border columns the shift wrapped and the rows it read
 outside the source are zeroed. Any other geometry copies the tap's valid
 window and zeroes the rest. The columns are untracked scratch built in
-slices, of batch elements for the forward and input-gradient kernels and of
-input channels for the weight gradient (but at least one element or
-channel). A slice's columns take at most the conv's input bytes, unless that
-would narrow the GEMM below GEMM_PIXELS pixels: the budget is
-min(WORKSPACE_CAP_BYTES, max(input bytes, the columns of GEMM_PIXELS
-pixels)). A call's scratch is thus about that budget plus one slice's GEMM
-result (and, in batch-innermost slices, one copy of the slice's input), not
-the whole-batch column matrix (9x the input for a 3x3 kernel). The input
+slices of at most COLUMN_BYTES: for the forward and input-gradient kernels,
+slices of batch elements and, within one, of output rows; for the weight
+gradient, slices of input channels (but at least one row of one element, or
+one channel). A call's scratch is thus about COLUMN_BYTES plus one slice's
+GEMM result (and, in batch-innermost slices, one copy of the slice's input),
+not the whole-batch column matrix (9x the input for a 3x3 kernel). The input
 gradient correlates grad_out, padded by k-1-p, with the flipped kernel, so it
 computes exactly the input's window rather than the full correlation.
 
 Column pixels are ordered (b, i, j), except in forward and input-gradient
-batch slices of kernels larger than 1x1 whose output planes hold fewer than
-SHORT_PLANE pixels: those copy the slice once with the batch innermost and
-order pixels (i, j, b), so a tap copy moves runs of a plane times the batch
-instead of one plane. The weight gradient keeps (b, i, j), because its pixels
-are the reduction axis and reordering them would change the sums; so do the
-small GEMMs issued in the im2col layout (see SMALL_GEMM_MACS). The order
-changes no bits: each output still reduces over the same (channel, ky, kx)
+calls of kernels larger than 1x1 whose output planes hold fewer than
+SHORT_PLANE pixels: those copy each batch slice once with the batch
+innermost, order pixels (i, j, b) and slice output rows of the whole slice,
+so a tap copy moves runs of rows times the batch instead of one plane. The
+weight gradient keeps (b, i, j), because its pixels are the reduction axis
+and reordering them would change the sums; so do the small GEMMs issued in
+the im2col layout (see SMALL_GEMM_MACS). Neither the order nor the slicing
+changes bits: each output still reduces over the same (channel, ky, kx)
 order on BLAS's packed path with the same PIXEL_TILE padding, and only its
 column moves.
 
@@ -59,6 +58,8 @@ Under this convention a plain backward costs ~1x the forward application
 count, block-reversible and hybrid ~2x (reconstruction sweeps included).
 Hybrid adds two per InvConv past a branch's first layer: rebuilding the
 coupling runs the whole branch forward, and the walk then inverts it.
+A model's conv stem computes no input gradient (nothing reads the input
+batch's), which takes one application off every backward.
 
 Random sampling uses numpy's PCG64 (permuted congruential generator, XSL-RR
 128/64 variant) seeded through SeedSequence, so sampled tensors are
@@ -100,22 +101,19 @@ def check_tensor(x, name: str = "tensor"):
     return x
 
 
-# Column budget of one slice: min(WORKSPACE_CAP_BYTES, max(conv input bytes,
-# the columns of GEMM_PIXELS pixels)); see the module docstring. Timings are
-# medians on 2 cores. The input bound keeps a narrow conv's scratch near its
-# input: small-hybrid's (32, 8, 32, 32) 3x3 conv built 3 slices of 3.5 MB
-# under the old flat 4 MiB budget, and builds 9 batch slices of about 1 MB
-# (forward, input gradient) and 8 one-channel slices of 1.2 MB (weight
-# gradient) under this one. That sets each call's peak 2.5 MB lower, for
-# 0.1-0.2 ms more a call in the forward and input gradient (2.6 ms) and
-# 0.7 ms more in the weight gradient (3.9 ms). GEMM_PIXELS keeps BLAS's
-# speed on wide convs at small maps. Under the input bound alone, hybrid's
-# (16, 128, 8, 8) convs run one-image, 64-pixel GEMMs: the forward is 69%
-# slower (2.35 -> 3.96 ms), the input gradient 74%, and a hybrid-mode step
-# 21%. A flat 1 MiB floor instead makes that step 20% slower. The cap is
-# the old flat budget, under which those convs keep their 2 slices.
-GEMM_PIXELS = 2048
-WORKSPACE_CAP_BYTES = 4 << 20
+# Column bytes of one slice: the columns of 256 pixels of hybrid's widest
+# conv (128 channels, 3x3: 1152 rows), the narrowest width at which BLAS runs
+# its GEMMs at speed. Medians on 2 BLAS threads: 128-row GEMMs (K = 1152) run
+# at 119 GFLOP/s on 128 pixels and 126-128 on 256 to 512; 32-row GEMMs
+# (K = 288), which get 1024 pixels under this budget, at 82-98 from 256 to
+# 2048. Under it hybrid-hybrid's real step peak is 23.18 MB
+# (scripts/kernel_peaks.py), against 24.49 MB when hybrid's (16, 32, 16, 16)
+# and (16, 128, 8, 8) convs held twice these columns; small-hybrid's
+# (32, 8, 32, 32) convs take 1.18 MB either way. The price is twice the GEMMs
+# on hybrid's wide convs, each of which packs the kernel again (about 0.1 ms
+# at 128 channels): their forward and input gradient take 5-14% longer a call
+# (in-process A/B).
+COLUMN_BYTES = 1152 * 256 * 4
 
 # Rounding. The column kernels reproduce the whole-batch im2col GEMMs bit for
 # bit. BLAS rounds an output the same whatever the operand layout, size and
@@ -125,33 +123,30 @@ WORKSPACE_CAP_BYTES = 4 << 20
 #     small-matrix kernels) is issued exactly as that form issues it: one
 #     call, columns as rows ("im2col layout");
 #   - every other GEMM gets more than SMALL_GEMM_MACS multiply-adds and a
-#     pixel count that is a multiple of PIXEL_TILE, padding with zero columns.
+#     pixel count that is a multiple of PIXEL_TILE, padding with zero
+#     columns (_packed_width); _slices cuts no slice below that count.
 SMALL_GEMM_MACS = 1 << 20
 PIXEL_TILE = 16
 
 # In (b, i, j) order a tap copy moves one (channel, image) plane per run.
 # Convs whose output planes hold fewer pixels than this order them (i, j, b)
 # instead, for runs of a plane times the batch; on larger planes the two
-# transposes that needs (a batch-innermost copy of the slice, and the GEMM
-# result back) cost more than they save. In-process A/B of 3x3 convs on 2
-# cores: (b, i, j) is 1-4% slower on 16x16 and 8x8 planes and 14-15% slower
-# on 4x4, and 13-20% faster on 32x32. So are the transposes for 1x1 kernels,
-# whose columns are one copy of the input.
-SHORT_PLANE = 32 * 32
+# transposes that needs (a batch-innermost copy of the input, and the GEMM
+# result back) cost more than they save. In-process A/B of hybrid's 3x3 convs
+# on 2 cores, under COLUMN_BYTES: (b, i, j) is 0-7% faster on 16x16 and 8x8
+# planes, and holds no input copy (0.52 MB at the step peak), and 8-12%
+# slower on 4x4. So are the transposes for 1x1 kernels, whose columns are one
+# copy of the input.
+SHORT_PLANE = 8 * 8
 
 
-def _workspace_budget(src, depth: int) -> int:
-    """Column bytes one slice may take, for a conv with input src whose
-    columns have depth rows (channels x kernel taps)."""
-    return min(WORKSPACE_CAP_BYTES, max(src.nbytes, depth * GEMM_PIXELS * src.itemsize))
-
-
-def _slices(total: int, unit_bytes: int, budget: int, macs: int):
-    """Near-equal slices of range(total), each unit taking unit_bytes of
-    columns, that fit the budget but keep a GEMM of macs multiply-adds above
-    SMALL_GEMM_MACS per slice."""
-    n = -(-total // max(1, budget // unit_bytes))
-    n = max(1, min(n, macs // (2 * SMALL_GEMM_MACS)))
+def _slices(total: int, unit_bytes: int, unit_macs: int):
+    """The fewest near-equal slices of range(total), each unit taking
+    unit_bytes of columns and unit_macs multiply-adds, whose columns fit
+    COLUMN_BYTES (at least one unit a slice), but none so small that its GEMM
+    has at most SMALL_GEMM_MACS multiply-adds while the whole has more."""
+    n = -(-total // max(1, COLUMN_BYTES // unit_bytes))
+    n = max(1, min(n, total // (SMALL_GEMM_MACS // unit_macs + 1)))
     return [slice(i * total // n, (i + 1) * total // n) for i in range(n)]
 
 
@@ -162,61 +157,66 @@ def _packed_width(npix: int, macs_per_pixel: int) -> int:
     return -(-need // PIXEL_TILE) * PIXEL_TILE
 
 
-def _inside(d: int, size: int, out: int):
-    """Output index range [lo, hi) of an out-long axis whose index i reads
-    i + d of a size-long source, clamped to be empty when none does."""
-    lo = max(0, -d)
-    return lo, max(min(out, size - d), lo)
+def _inside(d: int, size: int, start: int, stop: int):
+    """Range [lo, hi) of the output indices start..stop-1 (counted from
+    start) whose index i reads i + d of a size-long source, clamped to be
+    empty when none does."""
+    lo = max(start, -d)
+    return lo - start, max(min(stop, size - d), lo) - start
 
 
-def _columns(src, k: int, pad: int, out_hw, width=None, batch_last: bool = False):
-    """(c*k*k, width) column matrix of src (n, c, h, w) zero-padded by pad under
-    a k x k kernel, for an (oh, ow) = out_hw output: row (ci, ky, kx), column
-    (b, i, j), or (i, j, b) with batch_last, holds src[b, ci, i+dy, j+dx] with
-    (dy, dx) = (ky-pad, kx-pad), or zero outside src; columns past n*oh*ow (the
-    default width) are zero. Read from src itself, or with batch_last from one
-    batch-innermost copy of it; no padded copy is made. A same-size output
-    fills each tap with one flat copy per plane shifted by dy*w + dx, then
-    zeroes its out-of-range rows and the border columns the shift wrapped; any
-    other geometry copies the tap's valid window into zeroed columns."""
-    n, c, h, w = src.shape
-    oh, ow = out_hw
-    npix = n * oh * ow
-    same = (oh, ow) == (h, w)
-    cols = (np.empty if same else np.zeros)((c * k * k, width or npix), dtype=src.dtype)
-    # planes (c, m, h, w, r) and taps (c, k, k, m, oh, ow, r): m images of
-    # batch-outer planes, or one plane with the batch r innermost
+def _planes(src, batch_last: bool):
+    """src (n, c, h, w) as planes (c, m, h, w, r): m = n batch-outer planes
+    of one image each (a view), or with batch_last one batch-innermost copy
+    (m = 1, r = n)."""
     if batch_last:
-        m, r = 1, n
-        planes = np.ascontiguousarray(src.transpose(1, 2, 3, 0))[:, None]
-    else:
-        m, r = n, 1
-        planes = src.transpose(1, 0, 2, 3)[..., None]
-    taps = cols[:, :npix].reshape(c, k, k, m, oh, ow, r)
-    # output rows [i0, i1) and columns [j0, j1) of each kernel row and column
-    # read inside src
-    rows = [_inside(ky - pad, h, oh) for ky in range(k)]
-    columns = [_inside(kx - pad, w, ow) for kx in range(k)]
+        return np.ascontiguousarray(src.transpose(1, 2, 3, 0))[:, None]
+    return src.transpose(1, 0, 2, 3)[..., None]
+
+
+def _columns(planes, k: int, pad: int, out_hw, band=slice(None), width=None):
+    """(c*k*k, width) column matrix of planes (c, m, h, w, r) zero-padded by
+    pad under a k x k kernel, for the output rows band of an (oh, ow) =
+    out_hw output: row (ci, ky, kx), column (m, i, j, r) holds the planes'
+    value at (ci, m, i+dy, j+dx, r) with (dy, dx) = (ky-pad, kx-pad), or zero
+    outside them; columns past the band's pixels (the default width) are
+    zero. No padded copy is made. A same-size output fills each tap with one
+    flat copy per plane shifted by (dy*w + dx)*r, then zeroes its
+    out-of-range rows and the border columns the shift wrapped; any other
+    geometry copies the tap's valid window into zeroed columns."""
+    c, m, h, w, r = planes.shape
+    oh, ow = out_hw
+    start, stop, _ = band.indices(oh)
+    nr = stop - start
+    npix = m * nr * ow * r
+    same = (oh, ow) == (h, w)
+    cols = (np.empty if same else np.zeros)((c * k * k, width or npix), dtype=planes.dtype)
+    taps = cols[:, :npix].reshape(c, k, k, m, nr, ow, r)
+    # band rows [i0, i1) and columns [j0, j1) of each kernel row and column
+    # that read inside the planes
+    rows = [_inside(ky - pad, h, start, stop) for ky in range(k)]
+    columns = [_inside(kx - pad, w, 0, ow) for kx in range(k)]
     if not same:
         for (ky, (i0, i1)), (kx, (j0, j1)) in itertools.product(enumerate(rows), enumerate(columns)):
-            dy, dx = ky - pad, kx - pad
+            dy, dx = start + ky - pad, kx - pad
             taps[:, ky, kx, :, i0:i1, j0:j1] = planes[:, :, i0 + dy : i1 + dy, j0 + dx : j1 + dx]
         return cols
     cols[:, npix:] = 0
     flat_planes = planes.reshape(c, m, h * w * r)
-    flat_taps = taps.reshape(c, k, k, m, h * w * r)
+    flat_taps = taps.reshape(c, k, k, m, nr * w * r)
+    lo, hi = start * w * r, stop * w * r
     for ky, kx in itertools.product(range(k), repeat=2):
-        shift = (ky - pad) * w + kx - pad
-        run = (h * w - abs(shift)) * r
-        if run > 0:
-            to, fro = max(0, -shift) * r, max(0, shift) * r
-            flat_taps[:, ky, kx, :, to : to + run] = flat_planes[:, :, fro : fro + run]
-    # zero what lies outside src: rows the shifted copies left unwritten, and
-    # border columns into which they wrapped row ends
+        shift = ((ky - pad) * w + kx - pad) * r
+        # band positions q whose source q + shift lies in the planes
+        q0, q1 = max(lo, -shift), min(hi, h * w * r - shift)
+        if q1 > q0:
+            flat_taps[:, ky, kx, :, q0 - lo : q1 - lo] = flat_planes[:, :, q0 + shift : q1 + shift]
+    # zero what lies outside the planes: rows the shifted copies left
+    # unwritten, and border columns into which they wrapped row ends
     for ky, (i0, i1) in enumerate(rows):
         if i0 > 0:
             taps[:, ky, :, :, :i0] = 0
-        if i1 < oh:
+        if i1 < nr:
             taps[:, ky, :, :, i1:] = 0
     for kx, (j0, j1) in enumerate(columns):
         if j0 > 0:
@@ -226,32 +226,46 @@ def _columns(src, k: int, pad: int, out_hw, width=None, batch_last: bool = False
     return cols
 
 
-def _correlate(src, kmat, k: int, out, pad: int, im2col: bool):
-    """Column core: out[b, o, i, j] = kmat[o] . column(b, i, j), written in place,
-    where the columns are those of src zero-padded by pad. Batch slices bound
-    the workspace; im2col issues one whole-batch GEMM in the im2col layout
-    instead (see SMALL_GEMM_MACS). Batch slices of output planes smaller than
-    SHORT_PLANE under kernels larger than 1x1 order their pixels (i, j, b)."""
+def _correlate(src, kmat, k: int, out, pad: int):
+    """Column core: out[b, o, i, j] = kmat[o] . column(b, i, j), written in
+    place, where the columns are those of src zero-padded by pad.
+    Slices of images, and within them of output rows, bound the workspace.
+    Output planes smaller than SHORT_PLANE under kernels larger than 1x1
+    order their pixels (i, j, b), from one batch-innermost copy of each
+    image slice."""
     bs = src.shape[0]
     rows, depth = kmat.shape
     oh, ow = out.shape[2:]
-    macs = rows * depth * bs * oh * ow
-    batch_last = not im2col and k > 1 and oh * ow < SHORT_PLANE
-    budget = _workspace_budget(src, depth)
-    for sl in [slice(0, bs)] if im2col else _slices(bs, depth * oh * ow * src.itemsize, budget, macs):
-        n = sl.stop - sl.start
-        npix = n * oh * ow
-        if im2col:
-            cols = np.ascontiguousarray(_columns(src[sl], k, pad, (oh, ow)).T)
-            res = (cols @ kmat.T).T
-        else:
-            cols = _columns(src[sl], k, pad, (oh, ow), _packed_width(npix, rows * depth), batch_last)
+    batch_last = k > 1 and oh * ow < SHORT_PLANE
+    row_bytes, row_macs = depth * ow * src.itemsize, rows * depth * ow
+    # an image slice takes as many images as one of its output rows
+    # ((i, j, b)) or its whole output ((b, i, j)) fits the budget for
+    image_rows = 1 if batch_last else oh
+    for images in _slices(bs, image_rows * row_bytes, oh * row_macs):
+        n = images.stop - images.start
+        planes = _planes(src[images], batch_last)
+        for band in _slices(oh, n * row_bytes, n * row_macs):
+            nr = band.stop - band.start
+            npix = n * nr * ow
+            cols = _columns(planes, k, pad, (oh, ow), band, _packed_width(npix, rows * depth))
             res = (kmat @ cols)[:, :npix]
-        if batch_last:
-            out[sl] = res.reshape(rows, oh, ow, n).transpose(3, 0, 1, 2)
-        else:
-            out[sl] = res.reshape(rows, n, oh, ow).transpose(1, 0, 2, 3)
-        del cols, res  # free this slice's scratch before the next is built
+            if batch_last:
+                res = res.reshape(rows, nr, ow, n).transpose(3, 0, 1, 2)
+            else:
+                res = res.reshape(rows, n, nr, ow).transpose(1, 0, 2, 3)
+            out[images, :, band] = res
+            del cols, res  # free this slice's scratch before the next is built
+        del planes
+    return out
+
+
+def _correlate_im2col(src, kmat, k: int, out, pad: int):
+    """out = one whole-batch GEMM in the im2col layout (see SMALL_GEMM_MACS)."""
+    bs = src.shape[0]
+    oh, ow = out.shape[2:]
+    cols = np.ascontiguousarray(_columns(_planes(src, False), k, pad, (oh, ow)).T)
+    res = (cols @ kmat.T).T
+    out[...] = res.reshape(len(kmat), bs, oh, ow).transpose(1, 0, 2, 3)
     return out
 
 
@@ -278,8 +292,8 @@ def conv2d_forward(x, kernel, bias=None, *, padding: int = 0):
     oh, ow = h + 2 * padding - k + 1, w + 2 * padding - k + 1
     dtype = np.result_type(x, kernel, x if bias is None else bias)
     out = np.empty((bs, cout, oh, ow), dtype=dtype)
-    _correlate(x, kernel.reshape(cout, -1), k, out, padding,
-               im2col=cout * cin * k * k * bs * oh * ow <= SMALL_GEMM_MACS)
+    im2col = cout * cin * k * k * bs * oh * ow <= SMALL_GEMM_MACS
+    (_correlate_im2col if im2col else _correlate)(x, kernel.reshape(cout, -1), k, out, padding)
     if bias is not None:
         out += bias[None, :, None, None]
     return track(out)
@@ -307,10 +321,10 @@ def conv2d_backward_input(grad_out, kernel, *, padding: int = 0):
     gh, gw = oh + k - 1, ow + k - 1
     if k_t.size * bs * gh * gw <= SMALL_GEMM_MACS:
         full = np.empty((bs, cin, gh, gw), dtype=gx.dtype)
-        _correlate(grad_out, k_t, k, full, k - 1, im2col=True)
+        _correlate_im2col(grad_out, k_t, k, full, k - 1)
         gx[...] = full[:, :, padding : padding + h, padding : padding + w]
     else:
-        _correlate(grad_out, k_t, k, gx, k - 1 - padding, im2col=False)
+        _correlate(grad_out, k_t, k, gx, k - 1 - padding)
     return track(gx)
 
 
@@ -331,9 +345,9 @@ def conv2d_backward_weight(x, grad_out, *, padding: int = 0):
     gk = np.empty((cin * k * k, cout), dtype=np.result_type(x, grad_out))
     macs = cin * k * k * n * cout
     im2col = macs <= SMALL_GEMM_MACS
-    budget = _workspace_budget(x, cin * k * k)
-    for sl in [slice(0, cin)] if im2col else _slices(cin, n * k * k * x.itemsize, budget, macs):
-        cols = _columns(x[:, sl], k, padding, (oh, ow))
+    planes = _planes(x, False)
+    for sl in [slice(0, cin)] if im2col else _slices(cin, k * k * n * x.itemsize, k * k * n * cout):
+        cols = _columns(planes[sl], k, padding, (oh, ow))
         if im2col:
             cols = np.ascontiguousarray(cols.T).T
         np.matmul(cols, g_mat, out=gk[sl.start * k * k : sl.stop * k * k])

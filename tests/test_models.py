@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from revtrain import memory_model as mm
 from revtrain import cli, memtrack, ops, zoo
+from revtrain import model as model_mod
 from revtrain.errors import ConfigError, StateError
 from revtrain.layers import (
     BatchPool,
@@ -818,6 +819,32 @@ def test_backward_frees_buffers_no_later_than_before(name, mode):
         _, saved = model.forward(x, BackpropMode.parse(mode))
         model.backward(saved, probe, x)
     assert scope.peak_bytes - before <= LIFETIME_PEAK_BOUNDS[name, mode]
+
+
+@pytest.mark.parametrize("name, mode", sorted(LIFETIME_PEAK_BOUNDS))
+def test_conv_stem_skips_the_input_batch_gradient(name, mode, monkeypatch):
+    # nothing reads the gradient of the input batch: a conv stem saves one
+    # application a step, and every parameter gradient keeps its bits
+    spec = zoo.get_spec(name)
+    x = ops.gaussian((2, spec.input_channels, 16, 16), seed=1)
+    probe = ops.gaussian((2, spec.classes), seed=2)
+
+    def step():
+        model = zoo.build_model(spec, seed=0)
+        before = ops.conv_applies()
+        _, saved = model.forward(x, BackpropMode.parse(mode))
+        grads, _ = model.backward(saved, probe, x)
+        return ops.conv_applies() - before, grads
+
+    applies, grads = step()
+    chain = model_mod._backward_chain
+    monkeypatch.setattr(model_mod, "_backward_chain",
+                        lambda *args, **kwargs: chain(*args, **{**kwargs, "input_grad": True}))
+    applies_all, grads_all = step()
+    assert applies_all - applies == (spec.layers[0].kind == "conv")
+    assert list(grads) == list(grads_all)
+    for key, g in grads.items():
+        assert g.tobytes() == grads_all[key].tobytes(), key
 
 
 # ---------------------------------------------------------------------------

@@ -183,27 +183,53 @@ def test_conv_kernels_bitwise_equal_im2col_reference(shape, k, padding, dtype):
     _check_against_im2col(x, kernel, bias, padding, _bitwise)
 
 
+def _column_slices(call, monkeypatch):
+    """Run call, returning the shape of the planes, the band of output rows
+    and the column count of each column slice it builds."""
+    seen = []
+    columns = ops._columns
+
+    def spy(planes, k, pad, out_hw, band=slice(None), width=None):
+        cols = columns(planes, k, pad, out_hw, band, width)
+        seen.append((planes.shape, band.indices(out_hw[0])[:2], cols.shape[1]))
+        return cols
+
+    monkeypatch.setattr(ops, "_columns", spy)
+    call()
+    monkeypatch.setattr(ops, "_columns", columns)
+    return seen
+
+
+def _slice_pixels(seen, ow):
+    """Pixels of each column slice: images x band rows x ow."""
+    return [m * r * (stop - start) * ow for (c, m, h, w, r), (start, stop), _ in seen]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("f32_shape,cout,k,padding", [
-    ((7, 32, 32, 32), 32, 3, 1),
-    ((7, 12, 32, 32), 16, 5, 2),
-    ((7, 64, 31, 29), 24, 3, 0),
+    ((7, 16, 32, 32), 32, 3, 1),
+    ((7, 4, 32, 32), 16, 5, 2),    # input gradient: bands of rows of one image
+    ((7, 64, 31, 29), 24, 3, 0),   # not same-size: bands of rows of one image
 ])
-def test_conv_kernels_bitwise_equal_im2col_reference_across_slices(f32_shape, cout, k, padding, dtype):
+def test_conv_kernels_bitwise_equal_im2col_reference_across_slices(f32_shape, cout, k, padding, dtype,
+                                                                   monkeypatch):
     # f64 halves the channels, which keeps the byte sizes and so the slicing
     bs, cin, h, w = f32_shape
     cin = cin * 4 // np.dtype(dtype).itemsize
     x, kernel, bias = _conv_case((bs, cin, h, w), cout, k, dtype)
     oh, ow = h + 2 * padding - k + 1, w + 2 * padding - k + 1
-    sample_cols = cin * k * k * oh * ow * x.itemsize
-    macs = cout * cin * k * k * bs * oh * ow
-    # several batch slices of unequal size, and several input-channel slices
-    budget = ops._workspace_budget(x, cin * k * k)
-    batch_slices = ops._slices(bs, sample_cols, budget, macs)
-    assert len(batch_slices) > 1
-    assert len({sl.stop - sl.start for sl in batch_slices}) > 1
-    assert len(ops._slices(cin, bs * sample_cols // cin, budget, macs)) > 1
+    # several forward slices of unequal size, and several input-channel slices
+    pixels = _slice_pixels(_column_slices(lambda: ops.conv2d_forward(x, kernel, padding=padding),
+                                          monkeypatch), ow)
+    assert len(pixels) > 1 and len(set(pixels)) > 1
+    g = np.zeros((bs, cout, oh, ow), dtype)
+    channels = _column_slices(lambda: ops.conv2d_backward_weight(x, g, padding=padding), monkeypatch)
+    assert len(channels) > 1 and sum(planes[0] for planes, _, _ in channels) == cin
     _check_against_im2col(x, kernel, bias, padding, _bitwise)
+
+
+# wide shapes whose forward slices are of unequal size
+UNEQUAL_FORWARD_SLICES = {(64, 128, 9, 9), (16, 128, 7, 7)}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -211,20 +237,41 @@ def test_conv_kernels_bitwise_equal_im2col_reference_across_slices(f32_shape, co
     ((64, 128, 4, 4), 128, 3, 1),   # the 4x4 stage after batch pooling
     ((16, 128, 8, 8), 128, 3, 1),
     ((64, 128, 9, 9), 128, 3, 1),   # odd size
+    ((16, 128, 7, 7), 128, 3, 1),   # batch-innermost bands of 1 and 2 rows
 ])
-def test_conv_kernels_bitwise_equal_im2col_reference_at_wide_small_maps(f32_shape, cout, k, padding, dtype):
+def test_conv_kernels_bitwise_equal_im2col_reference_at_wide_small_maps(f32_shape, cout, k, padding, dtype,
+                                                                        monkeypatch):
     # the batch-innermost columns reorder pixels, never a reduction
     bs, cin, h, w = f32_shape
     cin = cin * 4 // np.dtype(dtype).itemsize
     x, kernel, bias = _conv_case((bs, cin, h, w), cout, k, dtype)
     oh, ow = h + 2 * padding - k + 1, w + 2 * padding - k + 1
-    macs = cout * cin * k * k * bs * oh * ow
-    budget = ops._workspace_budget(x, cin * k * k)
-    assert len(ops._slices(bs, cin * k * k * oh * ow * x.itemsize, budget, macs)) > 1
-    g = np.empty((bs, cout, oh, ow), dtype)
-    budget = ops._workspace_budget(g, cout * k * k)
-    assert len(ops._slices(bs, cout * k * k * h * w * x.itemsize, budget, cin * cout * k * k * bs * h * w)) > 1
+    g = np.zeros((bs, cout, oh, ow), dtype)
+    # several GEMMs, each a whole number of PIXEL_TILE columns; the forward's
+    # (whose byte sizes the f64 case keeps) unequal where the shape says so
+    forward, backward = (_column_slices(call, monkeypatch) for call in (
+        lambda: ops.conv2d_forward(x, kernel, padding=padding),
+        lambda: ops.conv2d_backward_input(g, kernel, padding=padding)))
+    for seen in (forward, backward):
+        pixels = _slice_pixels(seen, ow)
+        assert len(pixels) > 1
+        assert all(width % ops.PIXEL_TILE == 0 and width >= p for p, (_, _, width) in zip(pixels, seen))
+    assert (len(set(_slice_pixels(forward, ow))) > 1) == (f32_shape in UNEQUAL_FORWARD_SLICES)
     _check_against_im2col(x, kernel, bias, padding, _bitwise)
+
+
+@pytest.mark.parametrize("bs,forward_slices,weight_slices", [(32, 4, 3), (16, 2, 2)])
+def test_stem_convs_take_the_fewest_slices_the_budget_allows(bs, forward_slices, weight_slices, monkeypatch):
+    # the 3-channel stems of small-hybrid (batch 32) and hybrid (batch 16):
+    # ten images of forward columns fit the budget, and one channel of
+    # weight-gradient columns at batch 32 (two at 16)
+    x = ops.gaussian((bs, 3, 32, 32), seed=1)
+    kernel = ops.gaussian((32, 3, 3, 3), seed=2)
+    g = ops.gaussian((bs, 32, 32, 32), seed=3)
+    forward = _column_slices(lambda: ops.conv2d_forward(x, kernel, padding=1), monkeypatch)
+    weight = _column_slices(lambda: ops.conv2d_backward_weight(x, g, padding=1), monkeypatch)
+    assert (len(forward), len(weight)) == (forward_slices, weight_slices)
+    assert all(planes[1] * 27 * 1024 * 4 <= ops.COLUMN_BYTES for planes, _, _ in forward)
 
 
 @pytest.mark.parametrize("shape,k,padding", [
@@ -244,17 +291,21 @@ def test_packed_columns_are_im2col_columns_with_pixels_ordered_ijb(shape, k, pad
     for dtype in (np.float32, np.float64):
         x = ops.gaussian(shape, seed=4, dtype=dtype)
         want, oh, ow = im2col(np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)), k, k, 1)
-        npix = bs * oh * ow
-        ijb = want.reshape(bs, oh, ow, -1).transpose(3, 1, 2, 0).reshape(-1, npix)
+        bij = want.T.reshape(-1, bs, oh, ow)
         # batch-innermost packed columns, and the (b, i, j) order that the
-        # weight gradient and the im2col path keep, byte for byte
-        for batch_last, order in [(True, ijb), (False, want.T)]:
-            for width in (npix + 7, None):
-                cols = ops._columns(x, k, padding, (oh, ow), width, batch_last)
-                assert cols.dtype == x.dtype and not np.shares_memory(cols, x)
-                got = np.ascontiguousarray(cols[:, :npix]).tobytes()
-                assert got == np.ascontiguousarray(order).tobytes(), (dtype, batch_last, width)
-                assert not cols[:, npix:].any()
+        # weight gradient and the im2col path keep, byte for byte, of all
+        # output rows and of a band of them
+        for band in (slice(0, oh), slice(oh // 2, oh), slice(0, (oh + 1) // 2)):
+            rows = bij[:, :, band]
+            ijb = rows.transpose(0, 2, 3, 1).reshape(len(rows), -1)
+            npix = ijb.shape[1]
+            for batch_last, order in [(True, ijb), (False, rows.reshape(len(rows), -1))]:
+                for width in (npix + 7, None):
+                    cols = ops._columns(ops._planes(x, batch_last), k, padding, (oh, ow), band, width)
+                    assert cols.dtype == x.dtype and not np.shares_memory(cols, x)
+                    got = np.ascontiguousarray(cols[:, :npix]).tobytes()
+                    assert got == np.ascontiguousarray(order).tobytes(), (dtype, batch_last, band, width)
+                    assert not cols[:, npix:].any()
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-14)])
@@ -274,28 +325,27 @@ def test_conv_kernels_match_im2col_reference_to_rounding_in_matrix_vector_cases(
 
 
 def test_conv_workspace_stays_within_the_slice_budget():
-    # hot narrow-conv shape, whose whole-batch im2col matrix alone is 9x the
-    # input; a wide conv on small maps, whose slices order pixels (i, j, b);
-    # and a 1x1 projection, whose columns are one copy of the input
-    for shape, k, padding in [((32, 8, 32, 32), 3, 1), ((64, 32, 8, 8), 3, 1), ((32, 64, 16, 16), 1, 0)]:
+    for shape, cout, k, padding in [
+        ((32, 8, 32, 32), 8, 3, 1),      # hot narrow conv: its im2col matrix is 9x the input
+        ((64, 32, 8, 8), 32, 3, 1),
+        ((32, 64, 16, 16), 64, 1, 0),    # 1x1 projection: columns are one copy of the input
+        ((16, 32, 16, 16), 32, 3, 1),    # hybrid's three wide convs
+        ((16, 128, 8, 8), 128, 3, 1),
+        ((64, 128, 4, 4), 128, 3, 1),    # pixels ordered (i, j, b)
+    ]:
         bs, c, h, w = shape
         x = ops.gaussian(shape, seed=1)
-        g = ops.gaussian(shape, seed=2)
-        kernel = ops.gaussian((c, c, k, k), seed=3, std=0.1)
-        # the largest slice's columns (of images, or for the weight gradient
-        # of channels; both have c*k*k rows per pixel), the output (for the
-        # weight gradient, its grad_out copy), and the slice's GEMM result and,
-        # in (i, j, b) order, its input copy; input and output have the same
-        # size. Also the input gradient's flipped kernel, and 8 KiB of Python
-        # objects
-        budget = ops._workspace_budget(x, c * k * k)
-        macs = c * c * k * k * bs * h * w
-        image_cols = c * k * k * h * w * x.itemsize
-        images = max(sl.stop - sl.start for sl in ops._slices(bs, image_cols, budget, macs))
-        channels = max(sl.stop - sl.start for sl in ops._slices(c, image_cols * bs // c, budget, macs))
-        columns = max(images, channels * bs // c) * image_cols
+        g = ops.gaussian((bs, cout, h, w), seed=2)
+        kernel = ops.gaussian((cout, c, k, k), seed=3, std=0.1)
+        # one slice's columns, the output (for the weight gradient, its
+        # grad_out copy) and, in (i, j, b) order, the batch-innermost copy of
+        # the input (all at most the size of x or g), the slice's GEMM result
+        # (its columns over k^2, times the output over the input channels),
+        # the flipped or transposed kernel, and 8 KiB of Python objects
+        volume = max(x.nbytes, g.nbytes)
         copies = 1 + (k > 1 and h * w < ops.SHORT_PLANE)
-        bound = columns + x.nbytes + copies * images * x.nbytes // bs + kernel.nbytes + 8192
+        result = ops.COLUMN_BYTES * max(cout, c) // (min(cout, c) * k * k)
+        bound = ops.COLUMN_BYTES + copies * volume + result + 2 * kernel.nbytes + 8192
         if k == 3:
             assert 9 * x.nbytes > bound
         for name, call in _kernel_calls(x, kernel, g, padding).items():
