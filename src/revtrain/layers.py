@@ -232,19 +232,26 @@ class InvBatchNorm:
         x += _col(mean)
         return x
 
-    def backward(self, grad_out, x=None, y=None):
+    def backward(self, grad_out, x=None, y=None, cached=False):
         """Gradients of the train-mode forward, treating batch stats as functions of x.
 
+        With cached, x is the very input this layer last normalized in train
+        mode, so its statistics are read from cached_stats; a walk's rebuilt
+        x recomputes them instead, which cancels its per-channel error.
         The input gradient is built in grad_out's buffer if grad_out is a
         _Cell.  Besides it, the only full-size buffer is u, the deviations
-        from ops.channel_mean_var: the products u * u, g * u and gu * u are
-        reduced one image slice at a time (see ops.slice_sums).
+        x - mean: the products u * u, g * u and gu * u are reduced one image
+        slice at a time (see ops.slice_sums).
         """
         g, gu = _dest(grad_out)
         self._check(x)
         if g.shape != x.shape:
             raise ShapeError(f"grad_out {g.shape} does not match x {x.shape}")
-        _, var, u = ops.channel_mean_var(x)
+        if cached:
+            mean, var = self.cached_stats
+            u = np.subtract(x, _col(mean))
+        else:
+            _, var, u = ops.channel_mean_var(x)
         sqrt_v = _col(np.sqrt(var))
         denom = sqrt_v + self.eps
         u /= denom

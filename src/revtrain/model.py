@@ -118,6 +118,8 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, in
     (x or None, grad_in, param_grads).  trace, if given, records each
     rebuilt input against its step (see SnrTrace).  Without input_grad, a
     conv at position 0 computes no input gradient: grad_in is then None.
+    Outside a walk, a batch norm's x is the input its last train-mode
+    forward saw, so its backward reads the cached statistics.
 
     The interpreter owns every value in vals above position 0, so it hands
     y over in a cell to a block, and to a layer whose backward does not
@@ -163,6 +165,8 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, in
                 x = _replay(steps, vals, i)
             if i == 0 and not input_grad and step.kind == "conv":
                 grad, pg = step.backward(grad, x, y, input_grad=False)
+            elif not walk and step.kind == "bn":
+                grad, pg = step.backward(grad, x, y, cached=True)
             else:
                 grad, pg = step.backward(grad, x, y)
         owned = True

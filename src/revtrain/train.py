@@ -228,7 +228,7 @@ def train_run(config, dataset=None, on_epoch=None):
             epoch=epoch,
             train_loss=loss_sum / n,
             train_acc=hit_sum / n,
-            test_acc=evaluate(model, dataset, test_x, test_y),
+            test_acc=evaluate(model, dataset, test_x, test_y, batch_size=config.batch_size),
             peak_bytes=peak,
             conv_applies=ops.conv_applies() - applies_before,
             seconds=time.perf_counter() - t0,

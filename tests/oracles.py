@@ -204,3 +204,15 @@ def whole_split_channel_constants(images):
     """Per-channel mean and std over the whole split's float32 copy."""
     scaled = images.astype(np.float32) / 255.0
     return scaled.mean(axis=(0, 2, 3)), scaled.std(axis=(0, 2, 3))
+
+
+def read_split(root, names):
+    """A split's uint8 images (n, 3, 32, 32) and int64 labels, parsed from
+    the whole record files held in memory."""
+    from revtrain import data
+
+    records = np.concatenate([
+        np.frombuffer((root / name).read_bytes(), dtype=np.uint8).reshape(-1, data.RECORD_BYTES)
+        for name in names
+    ])
+    return records[:, 1:].reshape(-1, *data.IMAGE_SHAPE), records[:, 0].astype(np.int64)

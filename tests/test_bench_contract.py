@@ -11,12 +11,13 @@ import inspect
 import json
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from revtrain import ops, train, zoo
+from revtrain import data, ops, train, zoo
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,3 +103,36 @@ def test_bench_measurements_run_in_process(bench):
         snr = bench.recon_snr_db(config, x, labels)
         assert (snr == {}) == (mode == "stored") and all(map(math.isfinite, snr.values())), mode
         assert bench.sim_mb(spec, mode, 2) > 0
+
+
+def test_traced_load_is_one_span_and_every_span_nests(tmp_path, monkeypatch):
+    # the constants threads call no traced function: the tracer keeps one
+    # span stack, which a worker's span would interleave with this thread's
+    monkeypatch.setattr(data, "RECORDS_PER_FILE", 300)
+    monkeypatch.setattr(data, "CHUNK_RECORDS", 64)
+    data.synthesize_cifar_like(tmp_path, seed=3)
+    plain = data.load_cifar10(tmp_path)
+    threads = set()
+
+    class ThreadNoting(load_tracer().Tracer):
+        def _wrap(self, name, fn):
+            traced = super()._wrap(name, fn)
+
+            def noted(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return traced(*args, **kwargs)
+
+            return noted
+
+    tracer = ThreadNoting()
+    with tracer.installed():
+        traced = data.load_cifar10(tmp_path)
+    assert threads == {threading.get_ident()}
+    spans = tracer.spans
+    assert [span[0] for span in spans].count("data.load_cifar10") == 1
+    for name, start, end, parent, _, _ in spans:
+        assert start <= end, name
+        if parent >= 0:
+            assert spans[parent][1] <= start and end <= spans[parent][2], (name, spans[parent][0])
+    assert traced.mean.tobytes() == plain.mean.tobytes()
+    assert traced.std.tobytes() == plain.std.tobytes()

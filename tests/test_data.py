@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from revtrain import data
 from revtrain.errors import ConfigError, DataFormatError
 
-from oracles import oneshot_synthesize_cifar_like, whole_split_channel_constants
+from oracles import oneshot_synthesize_cifar_like, read_split, whole_split_channel_constants
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,23 @@ def test_channel_constants_match_whole_split_bitwise(records):
     assert std.tobytes() == ref_std.tobytes()
 
 
+def test_channel_constants_keep_their_bits_under_thread_switching(monkeypatch):
+    # more threads than cores and a switch every microsecond: a run written
+    # into a buffer still being summed would move the bits
+    monkeypatch.setattr(data, "_worker_threads", lambda: 4)
+    monkeypatch.setattr(data, "CHUNK_RECORDS", 16)
+    images = np.random.default_rng(4).integers(0, 256, size=(333, *data.IMAGE_SHAPE), dtype=np.uint8)
+    ref_mean, ref_std = whole_split_channel_constants(images)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            mean, std = data.channel_constants(images)
+            assert mean.tobytes() == ref_mean.tobytes() and std.tobytes() == ref_std.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_chunk_size_changes_no_loaded_value(monkeypatch, synth_root, dataset):
     # 3000 does not divide a file's 10000 records, so each file ends on a
     # short chunk
@@ -100,18 +118,81 @@ def test_chunk_size_changes_no_loaded_value(monkeypatch, synth_root, dataset):
         assert np.array_equal(getattr(other, field), getattr(dataset, field)), field
 
 
-def test_load_holds_only_the_uint8_splits_and_one_chunk(synth_root):
-    splits = 60_000 * (data.PIXELS_PER_RECORD + 8)  # uint8 images, int64 labels
-    # one float32 chunk of images for the statistics, one chunk of raw records
-    # for reading, and a megabyte for everything small
-    allowance = data.CHUNK_RECORDS * (4 * data.PIXELS_PER_RECORD + data.RECORD_BYTES) + 2**20
+def test_load_holds_no_split(synth_root):
+    # the images stay in the mapped files: the labels, the two float32 chunks
+    # the constants threads work in, and a megabyte for everything small
+    allowance = 60_000 * 8 + 2 * data.CHUNK_RECORDS * 4 * data.PIXELS_PER_RECORD + 2**20
     tracemalloc.start()
     try:
         data.load_cifar10(synth_root)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= splits + allowance, (peak, splits, allowance)
+    assert peak <= allowance, (peak, allowance)
+
+
+def test_gathered_records_match_a_hand_parse(synth_root, dataset):
+    # records 9999 and 10000 sit on either side of the first file boundary,
+    # 49999 is the split's last
+    raw = {name: (synth_root / name).read_bytes() for name in data.TRAIN_FILES}
+
+    def record(i):
+        name = data.TRAIN_FILES[i // data.RECORDS_PER_FILE]
+        at = (i % data.RECORDS_PER_FILE) * data.RECORD_BYTES
+        return raw[name][at], raw[name][at + 1 : at + data.RECORD_BYTES]
+
+    picks = [9999, 10000, 49999, *np.random.default_rng(8).integers(0, 50_000, 29)]
+    batch = dataset.train_images[np.array(picks)]
+    assert batch.shape == (32, *data.IMAGE_SHAPE) and batch.dtype == np.uint8
+    for i, image in zip(picks, batch):
+        label, pixels = record(i)
+        assert dataset.train_labels[i] == label
+        assert image.tobytes() == pixels, i
+        assert dataset.train_images[i].tobytes() == pixels, i
+    assert dataset.train_images[-1].tobytes() == record(49999)[1]
+    across = dataset.train_images[9998:10002]
+    assert b"".join(record(i)[1] for i in range(9998, 10002)) == across.tobytes()
+
+
+def test_mapped_split_matches_whole_files(tmp_path, monkeypatch):
+    # 128 does not divide a file's 300 records, so each file ends on a short run
+    monkeypatch.setattr(data, "RECORDS_PER_FILE", 300)
+    monkeypatch.setattr(data, "CHUNK_RECORDS", 128)
+    data.synthesize_cifar_like(tmp_path, seed=6)
+    ds = data.load_cifar10(tmp_path)
+    images, labels = read_split(tmp_path, data.TRAIN_FILES)
+    mean, std = whole_split_channel_constants(images)
+    assert ds.mean.tobytes() == mean.tobytes() and ds.std.tobytes() == std.tobytes()
+    assert np.array_equal(ds.train_labels, labels)
+    assert len(ds.train_images) == 1500 and ds.train_images.shape == images.shape
+    assert ds.train_images.dtype == images.dtype
+    rng = np.random.default_rng(2)
+    for key in (0, -1, 299, 300, slice(None), slice(290, 610), slice(7, None, 13),
+                rng.integers(0, 1500, 64), rng.integers(-1500, 0, (4, 5)), [1499, 0, 300],
+                (5, 2, 31), (slice(295, 305), 1)):
+        got = ds.train_images[key]
+        assert got.shape == images[key].shape and np.array_equal(got, images[key]), key
+    assert np.array_equal(ds.test_images[:], read_split(tmp_path, (data.TEST_FILE,))[0])
+    for bad in (1500, -1501, np.array([3, 1500])):
+        with pytest.raises(IndexError):
+            ds.train_images[bad]
+    with pytest.raises(IndexError):
+        ds.train_images[np.array([0.5])]
+
+
+@pytest.mark.parametrize("n", [1, 32, 500])
+def test_normalize_builds_the_batch_in_one_buffer(dataset, n):
+    images = np.random.default_rng(n).integers(0, 256, size=(n, *data.IMAGE_SHAPE), dtype=np.uint8)
+    want = (images.astype(np.float32) / 255.0 - dataset.mean.reshape(1, 3, 1, 1)) \
+        / dataset.std.reshape(1, 3, 1, 1)
+    tracemalloc.start()
+    try:
+        got = dataset.normalize(images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    assert peak < got.nbytes + 64 * 1024, (peak, got.nbytes)
 
 
 def test_pixel_mean_std_matches_numpy():

@@ -847,6 +847,49 @@ def test_conv_stem_skips_the_input_batch_gradient(name, mode, monkeypatch):
         assert g.tobytes() == grads_all[key].tobytes(), key
 
 
+# statistics calls per backward: (recomputing every batch norm's, reading
+# the cached ones outside walks); hybrid mode walks everywhere
+BN_STATS_CALLS = {
+    ("small-hybrid", "block"): (33, 17),
+    ("small-hybrid", "stored"): (17, 0),
+    ("hybrid", "stored"): (25, 0),
+    ("hybrid", "hybrid"): (49, 49),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name, mode", sorted(LIFETIME_PEAK_BOUNDS))
+def test_bn_backward_reads_cached_stats_outside_walks(name, mode, dtype, monkeypatch):
+    # outside a walk a batch norm's input is the one its forward saw, so the
+    # cached statistics are its own, bit for bit
+    spec = zoo.get_spec(name)
+    x = ops.gaussian((2, spec.input_channels, 16, 16), seed=1).astype(dtype)
+    probe = ops.gaussian((2, spec.classes), seed=2).astype(dtype)
+    calls = []
+    stats = ops.channel_mean_var
+    monkeypatch.setattr(ops, "channel_mean_var", lambda x: calls.append(1) or stats(x))
+
+    model = zoo.build_model(spec, seed=0, dtype=dtype)
+
+    def step():
+        _, saved = model.forward(x, BackpropMode.parse(mode))
+        calls.clear()
+        grads, _ = model.backward(saved, probe, x)
+        return len(calls), grads
+
+    cached_calls, grads = step()
+    backward = InvBatchNorm.backward
+    monkeypatch.setattr(InvBatchNorm, "backward",
+                        lambda self, g, x=None, y=None, cached=False: backward(self, g, x, y))
+    all_calls, grads_all = step()
+    if (name, mode) in BN_STATS_CALLS:
+        assert (all_calls, cached_calls) == BN_STATS_CALLS[name, mode]
+    assert cached_calls <= all_calls
+    assert list(grads) == list(grads_all)
+    for key, g in grads.items():
+        assert g.tobytes() == grads_all[key].tobytes(), key
+
+
 # ---------------------------------------------------------------------------
 # ownership: a coupling writes in place only into buffers handed over in a
 # _Cell, so public forward, inverse and backward leave their arguments alone

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,32 @@ def test_block_mode_first_step_gradients_match_stored_to_rounding(dataset):
         got = grads["block"][name]
         assert got.dtype == np.float32
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want), name
+
+
+def test_epoch_test_acc_equals_a_batch_500_evaluate(dataset):
+    # train_run evaluates at its training batch; eval logits do not depend on
+    # the batch, so the default batch of 500 scores the same weights equally
+    cfg = train.TrainConfig(arch=chain_spec(), epochs=1, batch_size=32, subset=128,
+                            test_subset=600, lr_max=0.02, seed=5, augment=False)
+    result = train.train_run(cfg, dataset=dataset)
+    test_x, test_y = data.take_subset(dataset.test_images, dataset.test_labels, 600, cfg.seed)
+    assert result.history[0].test_acc == train.evaluate(result.model, dataset, test_x, test_y)
+
+
+def test_hybrid_run_stays_under_what_the_splits_held(cifar_seed0_root):
+    # load, steps and evaluation of a hybrid-mode epoch together peak below
+    # the 184.8 MB that the uint8 splits alone held when they were read in
+    splits = 60_000 * (data.PIXELS_PER_RECORD + 8)
+    cfg = train.TrainConfig(arch=zoo.get_spec("hybrid"), mode="hybrid", epochs=1, batch_size=16,
+                            subset=32, test_subset=32, seed=0, data_dir=str(cifar_seed0_root))
+    tracemalloc.start()
+    try:
+        history = run_history(cfg, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(history[0].train_loss)
+    assert peak < splits, peak
 
 
 def test_divergence_names_step_and_lr(dataset):
