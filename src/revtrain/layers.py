@@ -36,6 +36,11 @@ ReLU one batch element's slice and its mask; InvBatchNorm's train forward
 one image slice of the squared deviations, which it turns into its output
 in place; its backward one volume (u) and one slice of a product.
 
+InvBatchNorm's train forward only normalizes and caches its batch statistics,
+which the inverse, forward_cached and the cached backward read; the running
+statistics that eval mode uses change only in fold_running_stats, which
+SequentialModel.forward calls once per training step.
+
 Normalization uses scale = |gamma| + eps_i rather than |gamma + eps_i|: the
 floor keeps the per-channel scale away from zero for every gamma value, so the
 inverse never divides by a vanishing number. The denominator is sqrt(var) + eps
@@ -158,12 +163,13 @@ class InvBatchNorm:
     kind = "bn"
     invertible = True
     backward_reads = ("x",)
+    MOMENTUM = 0.9  # weight of the old running statistics in each fold
 
-    def __init__(self, channels, eps=1e-5, eps_i=0.1, momentum=0.9, dtype=np.float32):
+    def __init__(self, channels, eps=1e-5, eps_i=0.1, dtype=np.float32):
         if eps <= 0 or eps_i < 0:
             raise ConfigError(f"need eps > 0 and eps_i >= 0, got {eps}, {eps_i}")
         self.channels = channels
-        self.eps, self.eps_i, self.momentum = float(eps), float(eps_i), float(momentum)
+        self.eps, self.eps_i = float(eps), float(eps_i)
         self.gamma = track(np.ones(channels, dtype=dtype))
         self.beta = track(np.zeros(channels, dtype=dtype))
         self.running_mean = track(np.zeros(channels, dtype=dtype))
@@ -181,12 +187,12 @@ class InvBatchNorm:
     def _scale(self):
         return np.abs(self.gamma) + self.eps_i
 
-    def forward(self, x, train=True, update_running=True):
+    def forward(self, x, train=True):
         """Normalize with batch stats (train) or running stats (eval).
 
-        Train mode caches the batch stats for a later inverse. update_running
-        is switched off when a reversible backward pass re-applies the layer,
-        so recomputation does not double-count into the running averages.
+        Train mode caches the batch stats for a later inverse, replay or
+        fold_running_stats; it never touches the running statistics, so a
+        backward that re-applies the layer leaves them as they were.
         """
         self._check(x)
         if not train:
@@ -195,11 +201,17 @@ class InvBatchNorm:
             raise ShapeError("batch statistics need at least 2 values per channel")
         mean, var, dev = ops.channel_mean_var(x)
         self.cached_stats = (track(mean), track(var))
-        if update_running:
-            m = self.momentum
-            self.running_mean = track((m * self.running_mean + (1 - m) * mean).astype(x.dtype))
-            self.running_var = track((m * self.running_var + (1 - m) * var).astype(x.dtype))
         return self._affine(track(dev), var)
+
+    def fold_running_stats(self):
+        """Fold the cached batch stats into the running statistics, once per
+        training step (SequentialModel.forward does it after its train pass)."""
+        if self.cached_stats is None:
+            raise StateError("no cached batch statistics; run forward(train=True) first")
+        mean, var = self.cached_stats
+        m = self.MOMENTUM
+        self.running_mean = track((m * self.running_mean + (1 - m) * mean).astype(mean.dtype))
+        self.running_var = track((m * self.running_var + (1 - m) * var).astype(var.dtype))
 
     def _affine(self, y, var):
         """Finish scale * (x - mean) / denom + beta in y, which holds x - mean,

@@ -23,16 +23,23 @@ which modes a model admits):
 
 The forward leaves what the backward reads: a `SavedState` whose `vals`
 holds each anchor at the chain position where the interpreter takes it,
-and whose `records` holds stored mode's block records.
+and whose `records` holds stored mode's block records.  It is also the only
+place where batch norm's running statistics change: a train-mode forward
+folds each layer's batch statistics into them once, after its pass
+(`InvBatchNorm.fold_running_stats`), so the backward's rebuilds and
+replays, which only recompute or read the cached statistics, leave them
+as that forward left them.
 
 Backward is one interpreter, `_backward_chain`, run over the model's items
 and over each block branch.  Walking last to first, it takes each input
 from a saved anchor, else from the layer's inverse of its output (walks),
 else by replaying forward from the nearest anchor below (stored: a BN
-affine re-application, never an extra convolution except a G branch after
-a block).  Blocks dispatch to one coupling backward whose branches are
-either replayed from a record (stored, block) or walked (hybrid); a
-block's input is rebuilt only there, one half at a time (`_rebuild`).
+affine re-application with the cached statistics; a block's output is G
+replayed from its record's last anchor, so it convolves again only where
+G's last parameterised layer is a convolution, in no zoo spec).  Blocks
+dispatch to one coupling backward whose branches are either replayed from
+a record (stored, block) or walked (hybrid); a block's input is rebuilt
+only there, one half at a time (`_rebuild`).
 The interpreter knows chain positions, not names: an SnrTrace keys each
 truth by its step object and holds the step's path.
 
@@ -73,9 +80,9 @@ __all__ = [
 ]
 
 
-def _apply_layer(layer, x, train=True, update_running=True):
+def _apply_layer(layer, x, train=True):
     if layer.kind == "bn":
-        return layer.forward(x, train=train, update_running=update_running)
+        return layer.forward(x, train=train)
     return layer.forward(x)
 
 
@@ -184,12 +191,12 @@ class Module:
     def __init__(self, layers):
         self.layers = list(layers)
 
-    def apply(self, x, train=True, update_running=True):
+    def apply(self, x, train=True):
         for layer in self.layers:
-            x = _apply_layer(layer, x, train, update_running)
+            x = _apply_layer(layer, x, train)
         return x
 
-    def apply_record(self, x, update_running=True):
+    def apply_record(self, x):
         """Forward pass that keeps what stored mode keeps, plus the input.
 
         Position 0 is always anchored so unparameterised prefixes can be
@@ -200,7 +207,7 @@ class Module:
         for i, layer in enumerate(self.layers):
             if mm.keeps_input(BackpropMode.STORED, layer.kind, i):
                 rec[i] = x
-            x = _apply_layer(layer, x, update_running=update_running)
+            x = _apply_layer(layer, x)
         return x, rec
 
     def backward_from_record(self, grad, rec):
@@ -227,10 +234,10 @@ def _rebuild(module, t, h, walk):
     input t; returns the branch's record, or for a walk (t, the output in a
     cell), which the walk takes over."""
     if walk:
-        out = _Cell(module.apply(t, update_running=False))
+        out = _Cell(module.apply(t))
         h -= out.v
         return t, out
-    v, rec = module.apply_record(t, update_running=False)
+    v, rec = module.apply_record(t)
     h -= v
     return rec
 
@@ -261,13 +268,14 @@ class ReversibleBlock:
 
     def _recorded_output(self, rec):
         """The output, rebuilt from a stored-mode record: the branch inputs
-        are x2 and y1, so only G runs again."""
+        are x2 and y1, so only G is replayed, from its record's last anchor
+        with the cached statistics; the record itself is left whole."""
         f_rec, g_rec = rec
         y1 = g_rec[0]
         y = track(np.empty((len(y1), 2 * y1.shape[1], *y1.shape[2:]), dtype=y1.dtype))
         out1, out2 = ops.split_channels(y)
         out1[...] = y1
-        np.add(f_rec[0], self.G.apply(y1, update_running=False), out=out2)
+        np.add(f_rec[0], _replay(self.G.layers, dict(g_rec), len(self.G.layers)), out=out2)
         return y
 
     def _backward(self, grad, rec=None, y=None, walk=False, trace=None):
@@ -438,7 +446,9 @@ class SequentialModel:
         """Run the model; returns (logits, SavedState or None if not train).
 
         The computation is identical for every mode; only the saved state
-        differs, so logits match bitwise across modes.
+        differs, so logits match bitwise across modes.  A train-mode pass
+        then folds every batch norm's batch statistics into its running
+        statistics, once.
         """
         mode = self.validate_mode(mode)
         saved = SavedState(mode=mode) if train else None
@@ -456,6 +466,10 @@ class SequentialModel:
                 x = _apply_layer(item, x, train=train)
         if train and not record and self.items:  # else x is the caller's batch
             saved.vals[len(self.items)] = x
+        if train:
+            for _, layer in self.named_layers():
+                if layer.kind == "bn":
+                    layer.fold_running_stats()
         return self.head.forward(x), saved
 
     # -- backward ----------------------------------------------------------

@@ -117,12 +117,6 @@ def gaussian_input(channels, mean=None, std=None, h=1, w=1):
     return draw
 
 
-def _forward(layer, x):
-    if getattr(layer, "kind", None) == "bn":
-        return layer.forward(x, train=True, update_running=False)
-    return layer.forward(x)
-
-
 def _layer_theory(layer, x):
     kind = getattr(layer, "kind", None)
     if kind == "lrelu":
@@ -166,7 +160,7 @@ def measure_alpha(layer, input_dist, noise_std=1e-5, n_samples=100_000, seed=0,
         raise ConfigError(
             f"input_dist must return (n_samples, c, h, w), got shape {x.shape}"
         )
-    y = np.asarray(_forward(layer, x), dtype=np.float64)
+    y = np.asarray(layer.forward(x), dtype=np.float64)
     noise = rng.normal(0.0, noise_std, size=y.shape)
     x_rec = np.asarray(layer.inverse(y + noise), dtype=np.float64)
 

@@ -59,42 +59,44 @@ class TrainConfig:
         return parse_arch_file(self.arch)
 
 
+# one-cycle shape: the lr starts at lr_max / DIV_FACTOR, rises over the first
+# WARMUP_FRAC of the steps, falls back over the next COOLDOWN_FRAC, then
+# anneals to lr_max / FINAL_DIV_FACTOR
+DIV_FACTOR = 10.0
+FINAL_DIV_FACTOR = 1000.0
+WARMUP_FRAC = 0.45
+COOLDOWN_FRAC = 0.45
+
+
 @dataclass
 class OneCycleSchedule:
     """Linear warmup, cooldown, and final anneal; momentum anti-cycles lr."""
 
     total_steps: int
     lr_max: float
-    div_factor: float = 10.0
-    final_div_factor: float = 1000.0
     momentum_high: float = 0.95
     momentum_low: float = 0.85
-    warmup_frac: float = 0.45
-    cooldown_frac: float = 0.45
 
     def __post_init__(self):
         if self.total_steps < 1:
             raise ConfigError(f"total_steps must be at least 1, got {self.total_steps}")
-        if self.warmup_frac + self.cooldown_frac >= 1.0 + 1e-12:
-            raise ConfigError("warmup and cooldown fractions must leave room to anneal")
 
     def lr_momentum(self, step):
         """Learning rate and momentum for step in [0, total_steps)."""
         if not 0 <= step < self.total_steps:
             raise ConfigError(f"step {step} outside 0..{self.total_steps - 1}")
         t = step / max(self.total_steps - 1, 1)
-        lo = self.lr_max / self.div_factor
-        if t < self.warmup_frac:
-            u = t / self.warmup_frac
+        lo = self.lr_max / DIV_FACTOR
+        if t < WARMUP_FRAC:
+            u = t / WARMUP_FRAC
             return lo + u * (self.lr_max - lo), \
                 self.momentum_high + u * (self.momentum_low - self.momentum_high)
-        if t < self.warmup_frac + self.cooldown_frac:
-            u = (t - self.warmup_frac) / self.cooldown_frac
+        if t < WARMUP_FRAC + COOLDOWN_FRAC:
+            u = (t - WARMUP_FRAC) / COOLDOWN_FRAC
             return self.lr_max + u * (lo - self.lr_max), \
                 self.momentum_low + u * (self.momentum_high - self.momentum_low)
-        anneal = 1.0 - self.warmup_frac - self.cooldown_frac
-        u = 0.0 if anneal <= 0 else (t - self.warmup_frac - self.cooldown_frac) / anneal
-        return lo + u * (self.lr_max / self.final_div_factor - lo), self.momentum_high
+        u = (t - WARMUP_FRAC - COOLDOWN_FRAC) / (1.0 - WARMUP_FRAC - COOLDOWN_FRAC)
+        return lo + u * (self.lr_max / FINAL_DIV_FACTOR - lo), self.momentum_high
 
 
 def sgd_step(params, grads, velocity, lr, momentum, weight_decay=0.0):

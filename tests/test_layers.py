@@ -109,12 +109,28 @@ def test_bn_eval_mode_uses_running_stats():
     x = (ops.gaussian((16, 2, 8, 8), seed=7, std=2.0, dtype=np.float64) + 3.0).astype(np.float32)
     for _ in range(80):
         bn.forward(x, train=True)
+        bn.fold_running_stats()
     y_eval = bn.forward(x, train=False)
     y_train = bn.forward(x, train=True)
     assert rel_err(y_eval, y_train) < 1e-2  # running stats converge to batch stats
     bn2 = InvBatchNorm(2)
     y_fresh = bn2.forward(x, train=False)  # running stats still (0, 1)
     assert rel_err(y_fresh, y_train) > 0.1
+
+
+def test_bn_running_stats_change_only_in_the_fold():
+    bn = InvBatchNorm(3)
+    with pytest.raises(StateError):
+        bn.fold_running_stats()
+    x = ops.gaussian((4, 3, 5, 5), seed=10, std=2.0) + 1.0
+    bn.forward(x, train=True)
+    assert bn.running_mean.tobytes() == np.zeros(3, np.float32).tobytes()
+    assert bn.running_var.tobytes() == np.ones(3, np.float32).tobytes()
+    bn.fold_running_stats()
+    m = InvBatchNorm.MOMENTUM
+    mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    np.testing.assert_allclose(bn.running_mean, (1 - m) * mean, rtol=1e-6)
+    np.testing.assert_allclose(bn.running_var, m + (1 - m) * var, rtol=1e-6)
 
 
 def test_bn_backward_matches_finite_differences():

@@ -305,7 +305,7 @@ def test_dry_run_failure_is_a_config_error_naming_the_spec(monkeypatch):
     from revtrain.errors import ShapeError
     from revtrain.layers import InvBatchNorm
 
-    def fail(self, x, train=True, update_running=True):
+    def fail(self, x, train=True):
         raise ShapeError("batch statistics need at least 2 values per channel")
 
     monkeypatch.setattr(InvBatchNorm, "forward", fail)

@@ -850,6 +850,7 @@ def test_conv_stem_skips_the_input_batch_gradient(name, mode, monkeypatch):
 # statistics calls per backward: (recomputing every batch norm's, reading
 # the cached ones outside walks); hybrid mode walks everywhere
 BN_STATS_CALLS = {
+    ("revnet", "stored"): (24, 0),
     ("small-hybrid", "block"): (33, 17),
     ("small-hybrid", "stored"): (17, 0),
     ("hybrid", "stored"): (25, 0),
@@ -888,6 +889,83 @@ def test_bn_backward_reads_cached_stats_outside_walks(name, mode, dtype, monkeyp
     assert list(grads) == list(grads_all)
     for key, g in grads.items():
         assert g.tobytes() == grads_all[key].tobytes(), key
+
+
+# conv applies per backward at batch 2, 16x16 (forward convs and input
+# gradients; weight gradients are not counted)
+BACKWARD_CONV_APPLIES = {
+    ("resnet", "stored"): 18,
+    ("revnet", "stored"): 27,
+    ("revnet", "block"): 51,
+    ("irevnet", "stored"): 22,
+    ("irevnet", "block"): 44,
+    ("layerwise", "stored"): 22,
+    ("layerwise", "hybrid"): 44,
+    ("hybrid", "stored"): 48,
+    ("hybrid", "block"): 96,
+    ("hybrid", "hybrid"): 96,
+    ("small-hybrid", "stored"): 32,
+    ("small-hybrid", "block"): 64,
+    ("small-hybrid", "hybrid"): 80,
+    ("pure-block", "stored"): 8,
+    ("pure-block", "block"): 16,
+    ("pure-block", "hybrid"): 16,
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(LIFETIME_PEAK_BOUNDS))
+def test_backward_conv_applies(name, mode):
+    spec = zoo.get_spec(name)
+    model = zoo.build_model(spec, seed=0)
+    x = ops.gaussian((2, spec.input_channels, 16, 16), seed=1)
+    _, saved = model.forward(x, BackpropMode.parse(mode))
+    before = ops.conv_applies()
+    model.backward(saved, ops.gaussian((2, spec.classes), seed=2), x)
+    applies = ops.conv_applies() - before
+    assert applies == BACKWARD_CONV_APPLIES[name, mode]
+    if mode == "stored":
+        # a stored-mode backward never convolves forward again, not even to
+        # rebuild a block's output (its G branch is replayed from the
+        # record's last anchor): one input gradient per conv past the stem,
+        # one per InvConv branch
+        input_grads = {"conv": 1, "invconv": 2}
+        assert applies == sum(input_grads.get(layer.kind, 0)
+                              for path, layer in model.named_layers() if path != "0")
+
+
+def _running_stats(model):
+    return {f"{path}.{name}": getattr(layer, name).tobytes()
+            for path, layer in model.named_layers() if layer.kind == "bn"
+            for name in ("running_mean", "running_var")}
+
+
+@pytest.mark.parametrize("name", sorted(zoo.ZOO))
+def test_running_stats_change_once_per_training_forward(name):
+    # a training step folds its batch statistics once, whatever the mode and
+    # however often its backward re-applies a batch norm; eval reads only
+    spec = zoo.get_spec(name)
+    x = ops.gaussian((2, spec.input_channels, 16, 16), seed=1)
+    probe = ops.gaussian((2, spec.classes), seed=2)
+    model = zoo.build_model(spec, seed=0)
+    initial = _running_stats(model)
+    model.forward(x)
+    folded = _running_stats(model)
+    m = InvBatchNorm.MOMENTUM
+    bns = [layer for _, layer in model.named_layers() if layer.kind == "bn"]
+    assert bns
+    for layer in bns:  # one fold from (0, 1)
+        mean, var = layer.cached_stats
+        np.testing.assert_allclose(layer.running_mean, (1 - m) * mean, rtol=1e-6)
+        np.testing.assert_allclose(layer.running_var, m + (1 - m) * var, rtol=1e-6)
+    for mode in model.supported_modes():
+        model = zoo.build_model(spec, seed=0)
+        model.forward(x, mode, train=False)
+        assert _running_stats(model) == initial, mode
+        _, saved = model.forward(x, mode)
+        model.backward(saved, probe, x)
+        assert _running_stats(model) == folded, mode
+        model.forward(x, mode, train=False)
+        assert _running_stats(model) == folded, mode
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,6 @@ def test_schedule_momentum_anticycles_lr():
 def test_schedule_rejects_bad_arguments():
     with pytest.raises(ConfigError, match="total_steps"):
         train.OneCycleSchedule(total_steps=0, lr_max=0.1)
-    with pytest.raises(ConfigError, match="anneal"):
-        train.OneCycleSchedule(total_steps=10, lr_max=0.1, warmup_frac=0.6, cooldown_frac=0.5)
     s = train.OneCycleSchedule(total_steps=10, lr_max=0.1)
     with pytest.raises(ConfigError, match="outside"):
         s.lr_momentum(10)
