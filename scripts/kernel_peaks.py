@@ -15,10 +15,12 @@ highest peak, largest first:
 
 The kernels are the three conv kernels in `ops`, the batch statistics
 (`ops.channel_mean_var`), batch norm's forward (`forward` and
-`forward_cached`) and backward, leaky ReLU's backward, and the inverses a
-hybrid-mode walk runs (batch norm, leaky ReLU, InvConv). A kernel that calls
-another (batch norm's forward and backward call `channel_mean_var`, InvConv's
-inverse the conv forward) counts the inner call's bytes in its own peak too.
+`forward_cached`) and backward, leaky ReLU's backward, the inverses a
+hybrid-mode walk runs (batch norm, leaky ReLU) and InvConv's backward, which
+in a walk also rebuilds its input in its output's buffer. A kernel that
+calls another (batch norm's forward and backward call `channel_mean_var`,
+InvConv's backward the conv kernels) counts the inner call's bytes in its
+own peak too, so the InvConv row shows when one of its steps sets the peak.
 
 A third step, run without `tracemalloc`, times every call; each row gives the
 median milliseconds per call of its kernel and shape. With `--baseline SRC`,
@@ -59,7 +61,7 @@ KERNELS = (
     (layers.InvBatchNorm, "inverse", "bn inverse"),
     (layers.InvLeakyReLU, "backward", "lrelu backward"),
     (layers.InvLeakyReLU, "inverse", "lrelu inverse"),
-    (layers.InvConv, "inverse", "invconv inverse"),
+    (layers.InvConv, "backward", "invconv backward"),
 )
 
 

@@ -20,14 +20,17 @@ buffer (RevNet, Gomez et al., arXiv 1707.04585; i-RevNet, Jacobsen et al.,
 arXiv 1802.07088): _coupling_forward and _coupling_backward hold its forward
 and gradient arithmetic, with the branches passed in. Its inverse is written
 where it runs: InvConv.inverse subtracts both halves in place, and
-ReversibleBlock's backward rebuilds its input one half at a time
-(model._rebuild), each just before that branch's backward.
+InvConv's backward in a walk and ReversibleBlock's backward
+(model._rebuild) rebuild the input one half at a time, each just before
+that branch's backward.
 
 Only a buffer handed over in a _Cell is written in place: public forward,
 inverse and backward never mutate their arguments. The backward interpreter
 (model._backward_chain) hands over what it owns: a layer's output gradient
 once the chain owns it, and during a walk the output y of a layer whose
-backward does not read y. Given a cell, InvBatchNorm and InvLeakyReLU rebuild
+backward does not read y, or of an InvConv, whose backward reads only y1
+and x2 and so can rebuild x in y's buffer as it goes, leaving x in the
+cell. Given a cell, InvBatchNorm and InvLeakyReLU rebuild
 the input in y's buffer and build the input gradient in the output gradient's
 buffer, and InvConv adds its branch gradients into that buffer; Conv2D, the
 pools and MaxPool2x2 take the buffer so it is freed as soon as it is read.
@@ -213,21 +216,28 @@ class InvBatchNorm:
         self.running_mean = track((m * self.running_mean + (1 - m) * mean).astype(mean.dtype))
         self.running_var = track((m * self.running_var + (1 - m) * var).astype(var.dtype))
 
-    def _affine(self, y, var):
-        """Finish scale * (x - mean) / denom + beta in y, which holds x - mean,
-        one operation at a time (the product commutes bit for bit)."""
-        np.multiply(_col(self._scale()), y, out=y)
+    def _affine(self, y, var, channels=slice(None)):
+        """Finish scale * (x - mean) / denom + beta in y, which holds x - mean
+        for the given channels, one operation at a time (the product
+        commutes bit for bit)."""
+        np.multiply(_col(self._scale()[channels]), y, out=y)
         y /= _col(np.sqrt(var) + self.eps)
-        y += _col(self.beta)
+        y += _col(self.beta[channels])
         return y
 
-    def forward_cached(self, x):
-        """Re-apply the affine map with the cached batch stats, no side effects."""
-        self._check(x)
+    def forward_cached(self, x, channels=slice(None)):
+        """Re-apply the affine map with the cached batch stats, no side effects.
+
+        x may hold only some channels, named by the slice channels: each
+        channel's values come out as in the whole map, bit for bit.
+        """
+        ops.check_tensor(x, "x")
         if self.cached_stats is None:
             raise StateError("no cached batch statistics; run forward(train=True) first")
-        mean, var = self.cached_stats
-        return self._affine(track(np.subtract(x, _col(mean))), var)
+        mean, var = (s[channels] for s in self.cached_stats)
+        if x.shape[1] != len(mean):
+            raise ShapeError(f"expected {len(mean)} channels, got {x.shape[1]}")
+        return self._affine(track(np.subtract(x, _col(mean))), var, channels)
 
     def inverse(self, y):
         """Undo forward using the cached batch stats, in y's buffer if y is a
@@ -341,6 +351,9 @@ class InvConv:
 
     forward: y1 = x1 + F(x2); y2 = x2 + G(y1)
     inverse: x2 = y2 - G(y1);  x1 = y1 - F(x2)
+
+    The backward reads only x2 and y1, the branch inputs, so a caller hands
+    it just those halves (see backward), and a walk hands it y alone.
     """
 
     kind = "invconv"
@@ -391,14 +404,34 @@ class InvConv:
         h1 -= self._f(h2)
         return x
 
-    def backward(self, grad_out, x=None, y=None):
-        """Exact coupling gradients; pass y to skip recomputing y1 from x."""
-        x1, x2 = ops.split_channels(x)
-        y1 = ops.add(x1, self._f(x2)) if y is None else ops.split_channels(y)[0]
+    def backward(self, grad_out, x=None, y=None, x2=None, y1=None):
+        """Exact coupling gradients, which read only x2 (F's input, the
+        second half of x) and y1 (G's input, the first half of y).
+
+        Pass the two halves alone, or x and y to take them from; without y,
+        y1 is recomputed as x1 + F(x2).  Given only y, in a _Cell, x is
+        rebuilt in y's buffer one half at a time, each just before its
+        branch's backward (x2 = y2 - G(y1) before G's, x1 = y1 - F(x2)
+        before F's), and left in the cell.
+        """
+        halves = None
+        if x2 is None and x is None:
+            halves = ops.split_channels(y.v)  # y1, y2, turning into x1, x2
+            y1, x2 = halves
+        elif x2 is None:
+            x1, x2 = ops.split_channels(x)
+            y1 = ops.add(x1, self._f(x2)) if y is None else ops.split_channels(y)[0]
+
+        def branch(kernel, fn, j, t, g):
+            if halves is not None:  # rebuild half j from the branch input t
+                h = halves[j]
+                h -= fn(t)
+            return self._branch_backward(kernel, t, g)
+
         gx, (gk_f, gb_f), (gk_g, gb_g) = _coupling_backward(
             grad_out,
-            lambda gy1: self._branch_backward(self.f_kernel, x2, gy1),
-            lambda g2: self._branch_backward(self.g_kernel, y1, g2),
+            lambda gy1: branch(self.f_kernel, self._f, 0, x2, gy1),
+            lambda g2: branch(self.g_kernel, self._g, 1, y1, g2),
         )
         return gx, {"f_kernel": gk_f, "f_bias": gb_f, "g_kernel": gk_g, "g_bias": gb_g}
 

@@ -52,6 +52,9 @@ KINDS = ("conv", "bn", "lrelu", "invconv", "pool_c", "pool_b", "maxpool", "head"
 PARAM_KINDS = ("conv", "bn", "invconv", "head")
 POOL_KINDS = ("pool_c", "pool_b", "maxpool")
 INVERTIBLE_KINDS = ("bn", "lrelu", "invconv", "pool_c", "pool_b")
+# each output channel depends on the same input channel alone, so replaying
+# some channels gives their values of a whole replay, bit for bit
+PER_CHANNEL_KINDS = ("bn", "lrelu")
 
 
 class BackpropMode(Enum):
@@ -333,7 +336,12 @@ def keeps_input(mode, kind, index):
     mode those of every layer it cannot invert; hybrid mode keeps nothing,
     as check_mode admits only invertible layers past the stem there.  A block
     record keeps what stored mode keeps inside each branch, plus the branch
-    input.  `mode` is a BackpropMode.
+    input, and the replay books block mode's re-records alike.  The
+    executor's block-mode re-record keeps less, since InvConv's backward
+    reads only x2 and y1: it leaves out an InvConv's input whose x2 half
+    replays through per-channel layers from the anchor below, keeping only
+    y1 of its output once the layer above has read it
+    (`model._x2_replayable`).  `mode` is a BackpropMode.
     """
     if index == 0 or kind == "head":
         return False

@@ -16,6 +16,9 @@ volume; its backward one untracked volume (u) and one image slice of a
 product besides its gradient; InvLeakyReLU's inverse and gradient one batch
 element's slice and its sign mask. Calls handed a buffer in a layers._Cell
 write their result into it, so an in-place step adds no tracked bytes.
+InvConv's backward holds only the halves it reads: walked, it rebuilds its
+input in its output's buffer, and after a block-mode rebuild it gets a
+replayed x2 and a copy of y1, each half a volume.
 """
 
 from __future__ import annotations

@@ -12,6 +12,11 @@ which modes a model admits):
                      reversible blocks are inverted during backward one
                      branch at a time, each rebuild re-recording that
                      branch's internals: one extra forward pass per block.
+                     The re-record is lean (`_x2_replayable`): InvConv's
+                     backward reads only x2 and y1, so an InvConv input
+                     that replays through per-channel layers is left out,
+                     its x2 half replayed just before its backward, and
+                     only y1 of its output outlives the layer above.
 * hybrid          -- keep only the final activation; blocks are inverted
                      analytically like `block`, but their internals, and
                      every layer outside them, are rebuilt by layer
@@ -19,7 +24,9 @@ which modes a model admits):
                      branch walk starts from the branch input the coupling
                      has just rebuilt, so its first layer is never
                      inverted: a walk costs what `block` costs plus two
-                     convolutions per InvConv past a branch's first layer.
+                     convolutions per InvConv past a branch's first layer,
+                     whose backward rebuilds its input in its output's
+                     buffer.
 
 The forward leaves what the backward reads: a `SavedState` whose `vals`
 holds each anchor at the chain position where the interpreter takes it,
@@ -86,11 +93,40 @@ def _apply_layer(layer, x, train=True):
     return layer.forward(x)
 
 
-def _replay_layer(layer, x):
-    """Re-apply a layer during backward without touching any cached state."""
+def _replay_layer(layer, x, channels=slice(None)):
+    """Re-apply a layer during backward without touching any cached state.
+    A per-channel layer's x may hold only the channels sliced by channels."""
     if layer.kind == "bn":
-        return layer.forward_cached(x)
+        return layer.forward_cached(x, channels)
     return layer.forward(x)
+
+
+def _x2_replayable(layers, i):
+    """Whether a lean record leaves out InvConv i's input: its backward reads
+    only x2 and y1, and here x2 replays through per-channel layers from the
+    record's anchor below (position 0 or a batch norm's input) and y1 is
+    the next layer's recorded input."""
+    if layers[i].kind != "invconv" or i + 1 == len(layers):
+        return False
+    if not mm.keeps_input(BackpropMode.STORED, layers[i + 1].kind, i + 1):
+        return False
+    for k in reversed(range(i)):
+        if layers[k].kind not in mm.PER_CHANNEL_KINDS:
+            return False
+        if k == 0 or mm.keeps_input(BackpropMode.STORED, layers[k].kind, k):
+            return True
+    return False
+
+
+def _replay_x2(steps, vals, i):
+    """x2, the second channel half of InvConv i's input, replayed on those
+    channels alone from the nearest value below (see _x2_replayable)."""
+    j = max(j for j in vals if j < i)
+    half = slice(steps[i].channels // 2, None)
+    x = vals[j][:, half]
+    for k in range(j, i):
+        x = _replay_layer(steps[k], x, half)
+    return x
 
 
 def _replay(steps, vals, i):
@@ -120,7 +156,11 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, in
     interpreter consumes it.  At step i, y is the value above; the input x
     is an anchor, else the layer's inverse of y (walk), else a replay from
     below.  A layer gets only what its backward reads, the rest released
-    first, so an anchor in a walk keeps y for a layer that reads it.
+    first, so an anchor in a walk keeps y for a layer that reads it.  An
+    InvConv with no anchor reads halves: a walk hands it y in a cell, in
+    which its backward rebuilds x; outside a walk (a lean record) it gets
+    x2, replayed on its channels alone, and y1, all that the value above
+    keeps once the layer there has read it.
     block_backward(i, block, y, grad) takes y in a cell and returns
     (x or None, grad_in, param_grads).  trace, if given, records each
     rebuilt input against its step (see SnrTrace).  Without input_grad, a
@@ -129,8 +169,9 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, in
     forward saw, so its backward reads the cached statistics.
 
     The interpreter owns every value in vals above position 0, so it hands
-    y over in a cell to a block, and to a layer whose backward does not
-    read y; a walk's inverse rebuilds x in that buffer.  grad may be a
+    y over in a cell to a block, to a layer whose backward does not read
+    y, and to a walked InvConv; a walk's inverse rebuilds x in that
+    buffer.  grad may be a
     cell: the chain owns it then, and always after the first step, and
     hands it over in a cell to every step while it owns it.  A bare grad is
     the caller's (a branch's entry gradient is a view of its coupling's
@@ -150,6 +191,18 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, in
             x, grad, pg = block_backward(i, step, _Cell(y), grad)
             if trace is not None:
                 trace.record(step, x)
+        elif step.kind == "invconv" and i not in vals:
+            # no input at hand: a walk rebuilds it in y's buffer, and a lean
+            # record has kept only y1 and replays x2
+            if walk:
+                y = _Cell(y)
+                grad, pg = step.backward(grad, y=y)
+                x = y.take()
+                if trace is not None:
+                    trace.record(step, x)
+            else:
+                grad, pg = step.backward(grad, x2=_replay_x2(steps, vals, i), y1=y)
+                x = None
         else:
             reads = step.backward_reads
             if "y" not in reads:
@@ -178,6 +231,9 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, in
                 grad, pg = step.backward(grad, x, y)
         owned = True
         if x is not None:
+            if not walk and i > 0 and steps[i - 1].kind == "invconv" and i - 1 not in vals:
+                # the InvConv below reads only y1 of its output
+                x = track(ops.split_channels(x)[0].copy())
             vals[i] = x
         for name, g in pg.items():
             grads[f"{i}.{name}"] = g
@@ -196,16 +252,19 @@ class Module:
             x = _apply_layer(layer, x, train)
         return x
 
-    def apply_record(self, x):
+    def apply_record(self, x, lean=False):
         """Forward pass that keeps what stored mode keeps, plus the input.
 
         Position 0 is always anchored so unparameterised prefixes can be
-        replayed.  Returns (output, record) with record[i] = input of
-        layer i.
+        replayed.  A lean record leaves out each InvConv input whose x2
+        half replays through per-channel layers (_x2_replayable); its
+        backward then keeps only y1 of that InvConv's output.  Returns
+        (output, record) with record[i] = input of layer i.
         """
         rec = {0: x}
         for i, layer in enumerate(self.layers):
-            if mm.keeps_input(BackpropMode.STORED, layer.kind, i):
+            if mm.keeps_input(BackpropMode.STORED, layer.kind, i) and not (
+                    lean and _x2_replayable(self.layers, i)):
                 rec[i] = x
             x = _apply_layer(layer, x)
         return x, rec
@@ -237,7 +296,7 @@ def _rebuild(module, t, h, walk):
         out = _Cell(module.apply(t))
         h -= out.v
         return t, out
-    v, rec = module.apply_record(t)
+    v, rec = module.apply_record(t, lean=True)
     h -= v
     return rec
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import memtrack, ops, zoo
-from .errors import ConfigError, ShapeError, TrainDivergence
+from .errors import ConfigError, NumericError, ShapeError, TrainDivergence
 from .memory_model import ArchSpec, parse_arch_file
 from .model import BackpropMode
 
@@ -116,6 +116,15 @@ def sgd_step(params, grads, velocity, lr, momentum, weight_decay=0.0):
         p -= lr * v
 
 
+def _check_finite(params, grads, step):
+    """Raise NumericError naming the first parameter, in params order, whose
+    gradient holds a non-finite value, before any update applies it."""
+    for name in params:
+        if not np.isfinite(grads[name]).all():
+            raise NumericError(f"gradient of {name} is non-finite at step {step}; "
+                               "no weight was updated")
+
+
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy and its gradient with respect to the logits."""
     z = np.asarray(logits, dtype=np.float64)
@@ -174,6 +183,8 @@ def train_run(config, dataset=None, on_epoch=None):
     """Full training loop; returns the per-epoch metrics history.
 
     on_epoch, when given, is called with each EpochMetrics as it completes.
+    A non-finite loss raises TrainDivergence and a non-finite gradient
+    NumericError, both before the step updates any weight or momentum.
     """
     spec = config.spec()
     model = zoo.build_model(spec, seed=config.seed)
@@ -221,6 +232,7 @@ def train_run(config, dataset=None, on_epoch=None):
                 if not np.isfinite(loss):
                     raise TrainDivergence(step, lr)
                 grads, _ = model.backward(saved, grad_logits, x)
+                _check_finite(params, grads, step)
                 sgd_step(params, grads, velocity, lr, momentum, config.weight_decay)
                 loss_sum += loss * len(idx)
                 hit_sum += int((np.argmax(logits, axis=1) == labels).sum())

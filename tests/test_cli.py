@@ -535,3 +535,14 @@ def test_kernel_peaks_script_lists_each_kernel_and_restores_them(capsys):
     assert {next(l for l in labels if row.startswith(l)) for row in rows} == labels
     peaks = [float(row.split()[-3]) for row in rows]
     assert peaks == sorted(peaks, reverse=True)
+    # in block mode every conv input gradient runs inside an InvConv's
+    # backward (the stem skips its own), so that row's peak covers theirs
+    assert script.main(["--config", "small-hybrid", "--mode", "block", "--batch", "2",
+                        "--size", "8"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+
+    def peak(label):
+        return max((float(row.split()[-3]) for row in rows if row.startswith(label)), default=None)
+
+    outer, inner = peak("invconv backward"), peak("conv input gradient")
+    assert None not in (outer, inner) and outer >= inner

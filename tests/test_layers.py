@@ -321,6 +321,20 @@ def test_invconv_backward_with_cached_output_matches():
         assert rel_err(grads_b[name], grads_a[name]) < 1e-12
 
 
+def test_invconv_backward_reads_only_x2_and_y1():
+    # the halves alone, in their own buffers, give the same bits
+    ic = InvConv(6, k=3, rng=ops.default_rng(24), dtype=np.float64)
+    x = ops.gaussian((2, 6, 4, 4), seed=25, dtype=np.float64)
+    y = ic.forward(x)
+    r = _loss_weight(y.shape, seed=26)
+    gx_a, grads_a = ic.backward(r, x, y)
+    gx_b, grads_b = ic.backward(r, x2=ops.split_channels(x)[1].copy(),
+                                y1=ops.split_channels(y)[0].copy())
+    assert gx_b.tobytes() == gx_a.tobytes()
+    for name in grads_a:
+        assert grads_b[name].tobytes() == grads_a[name].tobytes(), name
+
+
 def test_invconv_rejects_bad_construction():
     with pytest.raises(ShapeError):
         InvConv(5)

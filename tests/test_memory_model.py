@@ -270,6 +270,24 @@ def test_executor_peak_is_the_tracked_peak(name, mode):
     assert tracked_step_peak(spec, mode, 16, 8) == predicted
 
 
+# executor_peak less the weights at the paper's 240x240, batch 32, in B/px,
+# where InvConv's backward is handed only x2 and y1: block mode's rebuilds
+# record no InvConv input past a branch's first layer, and a walk rebuilds
+# an InvConv's input in its output's buffer
+EXECUTOR_BYTES_PER_PIXEL = {
+    ("small-hybrid", "block"): 640,
+    ("layerwise", "hybrid"): 400,
+    ("small-hybrid", "hybrid"): 416,
+}
+
+
+@pytest.mark.parametrize("name,mode", sorted(EXECUTOR_BYTES_PER_PIXEL))
+def test_executor_peak_per_pixel_at_the_papers_geometry(name, mode):
+    spec = zoo.get_spec(name)
+    peak = mm.executor_peak(spec, mode, 240, 240, 32) - mm.weight_bytes(spec)
+    assert round(peak / (32 * 240 * 240)) == EXECUTOR_BYTES_PER_PIXEL[name, mode]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(spec=small_arch_specs())
 def test_grand_total_is_the_tracked_peak_of_generated_specs(spec):

@@ -337,18 +337,36 @@ def test_hybrid_walk_costs_block_plus_deeper_invconv_inverses(name):
     assert len(deeper) == {"small-hybrid": 8, "pure-block": 0, "hybrid": 0}[name]
 
 
+def spy_rebuilds(layers, setattr, inverted):
+    """Append a layer's path to inverted each time it rebuilds its input from
+    its output: an inverse, or an InvConv backward given only y, which
+    rebuilds x in y's buffer."""
+    for path, layer in layers.items():
+        if not layer.invertible:
+            continue
+
+        def inverse(y, path=path, original=layer.inverse):
+            inverted.append(path)
+            return original(y)
+
+        setattr(layer, "inverse", inverse)
+        if layer.kind == "invconv":
+
+            def backward(grad, x=None, y=None, x2=None, y1=None, path=path,
+                         original=layer.backward):
+                if x is None and x2 is None:
+                    inverted.append(path)
+                return original(grad, x, y, x2=x2, y1=y1)
+
+            setattr(layer, "backward", backward)
+
+
 def test_hybrid_never_inverts_a_branch_first_layer(monkeypatch):
     spec = zoo.small_hybrid_spec()
     model = zoo.build_model(spec, seed=0)
     branch_layers = _branch_layers(model)
     inverted = []
-    for path, layer in branch_layers.items():
-
-        def spy(y, path=path, inverse=layer.inverse):
-            inverted.append(path)
-            return inverse(y)
-
-        monkeypatch.setattr(layer, "inverse", spy)
+    spy_rebuilds(branch_layers, monkeypatch.setattr, inverted)
     x = ops.gaussian((2, spec.input_channels, 16, 16), seed=1)
     logits, saved = model.forward(x, HYBRID)
     model.backward(saved, ops.gaussian(logits.shape, seed=2), x)
@@ -383,6 +401,99 @@ def test_each_half_is_rebuilt_just_before_its_branch_backward(mode, rebuild, bac
     calls = _spy_module_calls(monkeypatch, {id(block.F): "F", id(block.G): "G"})
     model.backward(saved, ops.gaussian(logits.shape, seed=5), x)
     assert calls == [("G", rebuild), ("G", backward), ("F", rebuild), ("F", backward)]
+
+
+def _same_grads(got, want):
+    assert list(got) == list(want)
+    for key, g in want.items():
+        assert got[key].tobytes() == g.tobytes(), key
+
+
+def test_lean_block_records_give_the_full_records_gradients(monkeypatch):
+    # block mode records no input of an InvConv past a branch's first layer:
+    # its backward reads only x2, replayed from the batch norm's input below,
+    # and y1, all that is kept of its output once that batch norm has read it
+    spec = zoo.small_hybrid_spec()
+    model = zoo.build_model(spec, seed=0)
+    x = ops.gaussian((2, spec.input_channels, 16, 16), seed=1)
+    logits, saved = model.forward(x, BLOCK)
+    original = Module.backward_from_record
+    left_out = []
+
+    def compared(self, grad, rec):
+        _, full = self.apply_record(rec[0])  # the same rebuild, recorded whole
+        left_out.append(sorted(set(full) - set(rec)))
+        g_full, want = original(self, grad, full)
+        g_lean, got = original(self, grad, rec)
+        assert g_lean.tobytes() == g_full.tobytes()
+        _same_grads(got, want)
+        return g_lean, got
+
+    monkeypatch.setattr(Module, "backward_from_record", compared)
+    model.backward(saved, ops.gaussian(logits.shape, seed=2), x)
+    assert left_out == [[3]] * 8  # four blocks, two branches each
+
+
+@pytest.mark.parametrize("kinds, left_out", [
+    # x2 replays from the branch input through a leaky ReLU
+    (("lrelu", "invconv", "bn", "lrelu"), [1]),
+    # y is no recorded input when a leaky ReLU or nothing follows
+    (("bn", "lrelu", "invconv", "lrelu", "bn", "invconv"), []),
+    # a convolution below is no per-channel layer
+    (("conv", "invconv", "bn", "invconv", "bn"), [3]),
+])
+def test_lean_records_leave_out_only_replayable_invconv_inputs(kinds, left_out):
+    rng = ops.default_rng(5)
+    make = {"conv": lambda: Conv2D(4, 4, k=3, rng=rng, dtype=np.float64),
+            "invconv": lambda: InvConv(4, k=3, rng=rng, dtype=np.float64),
+            "bn": lambda: InvBatchNorm(4, dtype=np.float64), "lrelu": InvLeakyReLU}
+    module = Module([make[kind]() for kind in kinds])
+    t = ops.gaussian((2, 4, 4, 4), seed=6, dtype=np.float64)
+    _, full = module.apply_record(t)
+    y, lean = module.apply_record(t, lean=True)
+    assert sorted(set(full) - set(lean)) == left_out
+    grad = ops.gaussian(y.shape, seed=7, dtype=np.float64)
+    g_full, want = module.backward_from_record(grad, full)
+    g_lean, got = module.backward_from_record(grad, lean)
+    assert g_lean.tobytes() == g_full.tobytes()
+    _same_grads(got, want)
+
+
+@pytest.mark.parametrize("name", ["layerwise", "small-hybrid"])
+def test_walked_invconv_rebuilt_in_place_matches_inverse_then_backward(name, monkeypatch):
+    # a walk hands InvConv's backward only y, whose buffer turns into x half
+    # by half; inverting into a copy and then running the backward on x and
+    # y gives the same bits and costs the same convolutions
+    spec = zoo.get_spec(name)
+    x = ops.gaussian((2, spec.input_channels, 16, 16), seed=1)
+    probe = ops.gaussian((2, spec.classes), seed=2)
+
+    def step():
+        model = zoo.build_model(spec, seed=0)
+        logits, saved = model.forward(x, HYBRID)
+        before = ops.conv_applies()
+        grads, trace = model.backward(saved, probe, x, trace=True)
+        return grads, [(r.kind, r.path, r.snr) for r in trace.records], ops.conv_applies() - before
+
+    grads, records, applies = step()
+    backward = InvConv.backward
+    walked = []
+
+    def inverse_then_backward(self, grad, x=None, y=None, x2=None, y1=None):
+        if x is None and x2 is None:
+            walked.append(self)
+            x = self.inverse(y.v)  # a bare y: x in a copy
+            gx, pg = backward(self, grad, x, y.v)
+            y.v = x
+            return gx, pg
+        return backward(self, grad, x, y, x2=x2, y1=y1)
+
+    monkeypatch.setattr(InvConv, "backward", inverse_then_backward)
+    old_grads, old_records, old_applies = step()
+    assert len(walked) == {"layerwise": 11, "small-hybrid": 8}[name]
+    _same_grads(grads, old_grads)
+    assert records == old_records
+    assert applies == old_applies
 
 
 def test_stored_mode_runs_no_branch_forward_in_backward(monkeypatch):
@@ -429,12 +540,12 @@ def test_peak_memory_ordering_across_modes():
     assert peaks[HYBRID] < peaks[BLOCK] < peaks[STORED]
 
 
-def _real_over_tracked(name, mode, bs):
-    """Bytes by which one step's allocator peak exceeds its tracked peak at
-    32x32, both counted from just before forward (a fresh model's weights
-    excluded), after one warm-up step."""
+def _step_peaks(name, mode, bs, side=32):
+    """(allocator peak, tracked peak) of one step at side x side, both
+    counted from just before forward (a fresh model's weights excluded),
+    after one warm-up step."""
     spec = zoo.get_spec(name)
-    x = ops.gaussian((bs, spec.input_channels, 32, 32), seed=1)
+    x = ops.gaussian((bs, spec.input_channels, side, side), seed=1)
     probe = ops.gaussian((bs, spec.head().c_out), seed=2)
 
     def step(model):
@@ -451,7 +562,7 @@ def _real_over_tracked(name, mode, bs):
         real = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return real - (scope.peak_bytes - live)
+    return real, scope.peak_bytes - live
 
 
 @pytest.mark.parametrize("name, mode, bs, bound", [
@@ -462,7 +573,24 @@ def _real_over_tracked(name, mode, bs):
     ("hybrid", HYBRID, 16, 3_200_000),
 ], ids=["small-hybrid-block", "hybrid-hybrid"])
 def test_real_peak_stays_near_the_tracked_peak(name, mode, bs, bound):
-    assert _real_over_tracked(name, mode, bs) <= bound
+    real, tracked = _step_peaks(name, mode, bs)
+    assert real - tracked <= bound
+
+
+def test_real_per_pixel_peaks_keep_the_papers_mode_ordering():
+    # the paper's claim per input pixel, hybrid < block < stored, read off
+    # the allocator: the slope of one step's peak from 16x16 to 32x32 at
+    # batch 2 (2570, 776 and 584 B/px; tracked 2432, 640 and 416)
+    px = 2 * (32 * 32 - 16 * 16)
+    real = {}
+    for mode in (STORED, BLOCK, HYBRID):
+        (r16, t16), (r32, t32) = (_step_peaks("small-hybrid", mode, 2, side) for side in (16, 32))
+        real[mode], tracked = (r32 - r16) / px, (t32 - t16) / px
+        # at these sizes a conv's columns stay under their budget and grow
+        # with the map: 136-168 B/px of untracked scratch, under half of
+        # the smallest tracked slope
+        assert tracked <= real[mode] <= 1.5 * tracked, mode
+    assert real[STORED] > real[BLOCK] > real[HYBRID]
 
 
 def test_stored_state_bytes_shrink_in_reversible_modes():
@@ -521,14 +649,7 @@ def assert_trace_names_the_rebuilt_steps(model, x):
     layers = dict(model.named_layers())
     blocks = {str(i) for i, item in enumerate(model.items) if isinstance(item, ReversibleBlock)}
     inverted = []
-    for path, layer in layers.items():
-        if layer.invertible:
-
-            def spy(y, path=path, inverse=layer.inverse):
-                inverted.append(path)
-                return inverse(y)
-
-            layer.inverse = spy
+    spy_rebuilds(layers, setattr, inverted)
     logits, saved = model.forward(x, HYBRID)
     _, trace = model.backward(saved, ops.gaussian(logits.shape, seed=3), x, trace=True)
     walked = []
@@ -783,13 +904,13 @@ LIFETIME_PEAK_BOUNDS = {
     ("irevnet", "stored"): 173_421_000,
     ("irevnet", "block"): 171_979_000,
     ("layerwise", "stored"): 31_953_000,
-    ("layerwise", "hybrid"): 30_259_000,
+    ("layerwise", "hybrid"): 30_090_000,
     ("hybrid", "stored"): 18_389_000,
     ("hybrid", "block"): 16_050_000,
     ("hybrid", "hybrid"): 15_727_000,
     ("small-hybrid", "stored"): 4_986_000,
-    ("small-hybrid", "block"): 1_514_000,
-    ("small-hybrid", "hybrid"): 1_061_000,
+    ("small-hybrid", "block"): 1_383_000,
+    ("small-hybrid", "hybrid"): 934_000,
     ("pure-block", "stored"): 149_000,
     ("pure-block", "block"): 90_000,
     ("pure-block", "hybrid"): 85_000,
@@ -1041,8 +1162,16 @@ def test_handed_over_buffers_are_written_in_place(kind):
     y = layer.forward(x)
     grad = ops.gaussian(y.shape, seed=20, dtype=np.float64)
     calls = [(grad, lambda g: layer.backward(g, x, y)[0])]
-    if kind != "invconv":  # its backward reads y, so a walk never hands y over
-        calls.append((y, layer.inverse))
+    inverse = layer.inverse
+    if kind == "invconv":  # given only y, its backward rebuilds x there
+
+        def inverse(v):
+            if not isinstance(v, _Cell):
+                return layer.inverse(v)
+            layer.backward(grad, y=v)
+            return v.v
+
+    calls.append((y, inverse))
     for arg, call in calls:
         buf = arg.copy()
         got = call(_Cell(buf))

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revtrain import data, memtrack, ops, train, zoo
-from revtrain.errors import ConfigError, TrainDivergence
+from revtrain.errors import ConfigError, NumericError, TrainDivergence
 from revtrain.memory_model import ArchSpec, LayerSpec
+from revtrain.layers import InvBatchNorm
 from revtrain.model import BackpropMode
 
 
@@ -292,6 +293,44 @@ def test_divergence_names_step_and_lr(dataset):
                             subset=128, test_subset=64, lr_max=1e7, seed=0, augment=False)
     with pytest.raises(TrainDivergence, match=r"step \d+"):
         train.train_run(cfg, dataset=dataset)
+
+
+def test_non_finite_gradient_stops_the_run_before_the_update(dataset, monkeypatch):
+    # the batch norm's backward returns a NaN gradient at step 1: the run
+    # stops there, naming the step and the parameter, and keeps the weights
+    # and momentum that step 0 left
+    cfg = train.TrainConfig(arch=chain_spec(), epochs=1, batch_size=32, subset=128,
+                            test_subset=64, lr_max=0.02, seed=0, augment=False)
+    backward = InvBatchNorm.backward
+    calls = []
+
+    def poisoned(self, *args, **kwargs):
+        gx, grads = backward(self, *args, **kwargs)
+        calls.append(1)
+        if len(calls) == 2:
+            grads["gamma"] = np.full_like(grads["gamma"], np.nan)
+        return gx, grads
+
+    models, updates = [], []
+    build, sgd = zoo.build_model, train.sgd_step
+    monkeypatch.setattr(zoo, "build_model", lambda *a, **k: models.append(build(*a, **k)) or models[-1])
+
+    def recorded_sgd(params, grads, velocity, *args):
+        sgd(params, grads, velocity, *args)
+        updates.append(({k: p.copy() for k, p in params.items()},
+                        {k: v.copy() for k, v in velocity.items()}, velocity))
+
+    monkeypatch.setattr(train, "sgd_step", recorded_sgd)
+    monkeypatch.setattr(InvBatchNorm, "backward", poisoned)
+    with pytest.raises(NumericError, match=r"gradient of 2\.gamma is non-finite at step 1"):
+        train.train_run(cfg, dataset=dataset)
+    assert len(updates) == 1
+    weights, momentum, velocity = updates[0]
+    for name, p in models[0].params().items():
+        assert p.tobytes() == weights[name].tobytes(), name
+    assert velocity.keys() == momentum.keys()
+    for name, v in velocity.items():
+        assert v.tobytes() == momentum[name].tobytes(), name
 
 
 def test_missing_dataset_dir_errors_with_path(tmp_path):
