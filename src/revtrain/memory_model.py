@@ -20,8 +20,9 @@ the difference, never folded into the budget.
 The mode policy lives here once, for the replay and for the executor:
 `BackpropMode` names the three modes (stored, block, hybrid; see `model.py`)
 and its `parse` is the one check of a mode name, `check_mode` decides which
-modes a chain of items admits, and `keeps_input` which item inputs each
-mode's forward keeps.
+modes a chain of items admits, `keeps_input` which item inputs each
+mode's forward keeps, and `replayed_inputs` which of those block mode
+replays from the input batch instead.
 
 Conventions that the budgets rely on:
   * The input batch is owned by the caller, so the first standalone layer
@@ -38,13 +39,16 @@ Conventions that the budgets rely on:
 """
 
 import gc
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import memtrack, ops
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, NumericError, ShapeError, StateError
 
 BYTES_PER_ELEMENT = 4
 
@@ -333,8 +337,10 @@ def keeps_input(mode, kind, index):
 
     Item 0's input is the caller's batch and the head keeps only its pooled
     features.  Stored mode keeps the inputs of parameterised layers, block
-    mode those of every layer it cannot invert; hybrid mode keeps nothing,
-    as check_mode admits only invertible layers past the stem there.  A block
+    mode those of parameterised layers and max pools (batch norm's too,
+    though it inverts), except the ones `replayed_inputs` has its backward
+    replay; hybrid mode keeps nothing, as check_mode admits only invertible
+    layers past the stem there.  A block
     record keeps what stored mode keeps inside each branch, plus the branch
     input, and the replay books block mode's re-records alike.  The
     executor's block-mode re-record keeps less, since InvConv's backward
@@ -350,6 +356,23 @@ def keeps_input(mode, kind, index):
     if mode is BackpropMode.BLOCK_REVERSIBLE:
         return kind in PARAM_KINDS or kind == "maxpool"
     return False
+
+
+def replayed_inputs(mode, kinds):
+    """Indices of the standalone items whose inputs `mode`'s backward
+    replays instead of its forward keeping them; kinds lists every item's
+    kind before the head, as check_mode's items do.
+
+    Block mode replays each input keeps_input would keep below the first
+    block: nothing reads one until every block's backward is done, and the
+    standalone prefix rebuilds it from the caller's batch with the cached
+    statistics, bit for bit.  The walk reaches the highest such index first
+    and replays every input from 1 up to it in one pass.
+    """
+    if mode is not BackpropMode.BLOCK_REVERSIBLE:
+        return frozenset()
+    first = kinds.index("block")
+    return frozenset(i for i in range(first) if keeps_input(mode, kinds[i], i))
 
 
 def validate_mode(spec, mode):
@@ -400,10 +423,13 @@ def executor_peak(spec, mode, h, w, bs):
     Measured, not modelled.  After each track or release event k, the live
     bytes are F_k + S_k*bs + P_k*bs*h*w (fixed, per-sample and per-pixel
     bytes) in an order that does not depend on size, so three dry runs at
-    the smallest sizes solve F, S and P per event.  At h0 every map is at
+    the smallest sizes solve F, S and P per event.  P may be a fraction, as
+    a map pooled n times holds 4^-n of a pixel's bytes, but P*h0*h0, the
+    bytes per sample at the dry runs' size, is whole.  At h0 every map is at
     least 1x1, and b0 gives batch norm two values per channel.  Only sizes
     with h0 <= min(h, w), or h0 <= 32, are measured, so the dry runs never
-    dwarf the step they cost.
+    dwarf the step they cost.  A dry run that overflows or gives a
+    non-finite parameter gradient raises NumericError.
     """
     mode = validate_mode(spec, mode)
     pools = sum(l.kind in POOL_KINDS for l in spec.layers)
@@ -418,29 +444,39 @@ def executor_peak(spec, mode, h, w, bs):
     if len({len(run) for run in runs}) > 1:
         raise RuntimeError(f"{spec.name}: {mode.value}-mode steps record "
                            f"{[len(run) for run in runs]} events at three sizes")
-    peak, px0 = 0, b0 * h0 * h0
+    peak = 0
     for l1, l2, l3 in zip(*runs):
-        per_pixel, r1 = divmod(l3 - l1, 3 * px0)
-        per_sample, r2 = divmod(l2 - l1 - per_pixel * px0, b0)
-        if r1 or r2:
+        per_pixel = Fraction(l3 - l1, 3 * b0 * h0 * h0)
+        per_sample = Fraction(l2 - l1, b0) - per_pixel * h0 * h0
+        if (per_pixel * h0 * h0).denominator > 1 or per_sample.denominator > 1:
             raise RuntimeError(f"{spec.name}: a {mode.value}-mode event holds {l1}, {l2} "
                                f"and {l3} bytes, not fixed + per-sample + per-pixel bytes")
         peak = max(peak, 2 * l1 - l2 + per_sample * bs + per_pixel * bs * h * w)
-    return peak
+    return math.ceil(peak)
 
 
 def _dry_run(spec, mode, side, bs):
     """Live tracked bytes after each event of one f32 step of a fresh model,
-    above those before it is built, the input batch excluded."""
+    above those before it is built, the input batch excluded.  A step that
+    overflows, or leaves a parameter gradient that is not finite, measured
+    nothing usable and raises NumericError."""
     from . import zoo  # zoo builds models from the specs defined here
 
+    where = f"{spec.name}: a {mode.value}-mode dry run at {side}x{side}, batch {bs}"
     x = ops.gaussian((bs, spec.input_channels, side, side), seed=1)
     gc.collect()  # no earlier garbage may be released mid-run
     base = memtrack.live_bytes()
-    with memtrack.recording() as events:
-        model = zoo.build_model(spec, seed=0)
-        out, saved = model.forward(x, mode)
-        model.backward(saved, ops.gaussian(out.shape, seed=2).astype(out.dtype), x)
+    try:
+        with memtrack.recording() as events, np.errstate(over="raise", invalid="raise",
+                                                         divide="raise"):
+            model = zoo.build_model(spec, seed=0)
+            out, saved = model.forward(x, mode)
+            grads, _ = model.backward(saved, ops.gaussian(out.shape, seed=2).astype(out.dtype), x)
+    except FloatingPointError as err:
+        raise NumericError(f"{where} fails: {err}") from None
+    bad = next((key for key, g in grads.items() if not np.isfinite(g).all()), None)
+    if bad is not None:
+        raise NumericError(f"{where} gives a non-finite gradient ({bad})")
     return [live - base for live in events]
 
 
@@ -483,15 +519,17 @@ def _saved(spec, mode):
     block's record, a standalone input where `keeps_input` says so) and the
     bytes of its cached batch statistics; and the last feature map's elements
     per pixel, which every mode but stored keeps unless it is the caller's
-    batch (no item before the head)."""
+    batch (no item before the head).  An input that `replayed_inputs`
+    names is not kept."""
     mode = validate_mode(spec, mode)
     items = place(spec)
+    replayed = replayed_inputs(mode, [it.kind for it in items[:-1]])
     kept, cached = {}, {}
     for it in items[:-1]:
         if not it.standalone:
             if mode is BackpropMode.STORED:
                 kept[it.index] = _kept_internals(it)
-        elif keeps_input(mode, it.kind, it.index):
+        elif keeps_input(mode, it.kind, it.index) and it.index not in replayed:
             kept[it.index] = it.placed[0].a
         cached[it.index] = _cached_stats_bytes(it)
     keeps_final = mode is not BackpropMode.STORED and len(items) > 1
@@ -513,6 +551,7 @@ def _replay(spec, mode, bs):
     stored = mode is BackpropMode.STORED
     items = place(spec)
     kept, cached, final = _saved(spec, mode)
+    top = max(replayed_inputs(mode, [it.kind for it in items[:-1]]), default=None)
     head = spec.head()
     logits = bs * head.c_out * BYTES_PER_ELEMENT
     led = _Ledger(weight_bytes(spec) + stats_bytes(spec, bs) + logits,
@@ -527,6 +566,12 @@ def _replay(spec, mode, bs):
 
     for it in reversed(items[:-1]):
         label = f"bwd {it.index}"
+        if it.index == top:
+            # the walk replays every input from 1 up to this one from the
+            # caller's batch, and reads them below as kept inputs
+            prefix = {below.index: below.placed[0].a for below in items[1:top + 1]}
+            led.alloc(f"{label} replay", ACT, sum(prefix.values()))
+            kept = {**kept, **prefix}
         if not it.standalone:
             if stored:
                 # Coupling gradients swap in place; branch value chains are
@@ -676,6 +721,7 @@ class MemoryReport:
             ("activations", self.activation_bytes, self.activation_bytes_per_pixel),
             ("gradients", self.gradient_bytes, self.gradient_bytes_per_pixel),
             ("budget_total", float(self.budget_total), self.budget_total / px),
+            ("executor_peak", float(self.executor_peak), self.executor_peak / px),
             ("batch_stats", float(self.stats_bytes), self.stats_bytes / px),
             ("input_batch", float(self.input_batch_bytes), self.input_batch_bytes / px),
             ("momentum", float(self.momentum_bytes), self.momentum_bytes / px),

@@ -8,25 +8,33 @@ which modes a model admits):
 
 * stored          -- keep the input of every parameterised layer and
                      record every block's internals.
-* block           -- keep the inputs of the layers that cannot be inverted;
-                     reversible blocks are inverted during backward one
+* block           -- keep the final activation and, above the first
+                     reversible block, the inputs of parameterised layers
+                     and max pools; the other standalone layers are
+                     inverted.  Blocks are inverted during backward one
                      branch at a time, each rebuild re-recording that
                      branch's internals: one extra forward pass per block.
                      The re-record is lean (`_x2_replayable`): InvConv's
                      backward reads only x2 and y1, so an InvConv input
                      that replays through per-channel layers is left out,
                      its x2 half replayed just before its backward, and
-                     only y1 of its output outlives the layer above.
+                     only y1 of its output outlives the layer above.  The
+                     inputs such layers keep below the first block are
+                     replayed instead (`memory_model.replayed_inputs`):
+                     nothing reads them until every block's backward is
+                     done, so the walk rebuilds them then, forward from the
+                     input batch with the cached statistics.
 * hybrid          -- keep only the final activation; blocks are inverted
                      analytically like `block`, but their internals, and
                      every layer outside them, are rebuilt by layer
                      inverses one at a time while gradients flow.  A
                      branch walk starts from the branch input the coupling
                      has just rebuilt, so its first layer is never
-                     inverted: a walk costs what `block` costs plus two
-                     convolutions per InvConv past a branch's first layer,
-                     whose backward rebuilds its input in its output's
-                     buffer.
+                     inverted: a walk costs what `block` costs, less the
+                     convolutions of block mode's replay below the first
+                     block, plus two convolutions per InvConv past a
+                     branch's first layer, whose backward rebuilds its
+                     input in its output's buffer.
 
 The forward leaves what the backward reads: a `SavedState` whose `vals`
 holds each anchor at the chain position where the interpreter takes it,
@@ -39,14 +47,16 @@ as that forward left them.
 
 Backward is one interpreter, `_backward_chain`, run over the model's items
 and over each block branch.  Walking last to first, it takes each input
-from a saved anchor, else from the layer's inverse of its output (walks),
-else by replaying forward from the nearest anchor below (stored: a BN
-affine re-application with the cached statistics; a block's output is G
-replayed from its record's last anchor, so it convolves again only where
-G's last parameterised layer is a convolution, in no zoo spec).  Blocks
-dispatch to one coupling backward whose branches are either replayed from
-a record (stored, block) or walked (hybrid); a block's input is rebuilt
-only there, one half at a time (`_rebuild`).
+from a saved anchor, else from the layer's inverse of its output (walks,
+but for block mode's replayed inputs), else by replaying forward from the
+nearest anchor below (stored: a BN affine re-application with the cached
+statistics; block mode's replayed inputs: the layers below the first block,
+from the input batch up; a block's output is G replayed from its record's
+last anchor, so it convolves again only where G's last parameterised layer
+is a convolution, in no zoo spec).  Blocks dispatch to one coupling
+backward whose branches are either replayed from a record (stored, block)
+or walked (hybrid); a block's input is rebuilt only there, one half at a
+time (`_rebuild`).
 The interpreter knows chain positions, not names: an SnrTrace keys each
 truth by its step object and holds the step's path.
 
@@ -147,16 +157,18 @@ def _replay(steps, vals, i):
     return x
 
 
-def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, input_grad=True):
+def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, replay=(),
+                    input_grad=True):
     """Backprop through steps last to first.
 
     vals maps chain positions to values at hand, position i being the input
     of step i and len(steps) the output: saved anchors, the output for a
     walk, or a callable rebuilding a block's output from its record.  The
     interpreter consumes it.  At step i, y is the value above; the input x
-    is an anchor, else the layer's inverse of y (walk), else a replay from
-    below.  A layer gets only what its backward reads, the rest released
-    first, so an anchor in a walk keeps y for a layer that reads it.  An
+    is an anchor, else the layer's inverse of y (a walk, unless i is in
+    replay), else a replay from below.  A layer gets only what its backward
+    reads, the rest released first, so an anchor in a walk keeps y for a
+    layer that reads it.  An
     InvConv with no anchor reads halves: a walk hands it y in a cell, in
     which its backward rebuilds x; outside a walk (a lean record) it gets
     x2, replayed on its channels alone, and y1, all that the value above
@@ -165,8 +177,9 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, in
     (x or None, grad_in, param_grads).  trace, if given, records each
     rebuilt input against its step (see SnrTrace).  Without input_grad, a
     conv at position 0 computes no input gradient: grad_in is then None.
-    Outside a walk, a batch norm's x is the input its last train-mode
-    forward saw, so its backward reads the cached statistics.
+    Outside a walk, and at a position in replay, a batch norm's x is the
+    input its last train-mode forward saw, so its backward reads the cached
+    statistics.
 
     The interpreter owns every value in vals above position 0, so it hands
     y over in a cell to a block, to a layer whose backward does not read
@@ -191,7 +204,7 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, in
             x, grad, pg = block_backward(i, step, _Cell(y), grad)
             if trace is not None:
                 trace.record(step, x)
-        elif step.kind == "invconv" and i not in vals:
+        elif step.kind == "invconv" and i not in vals and i not in replay:
             # no input at hand: a walk rebuilds it in y's buffer, and a lean
             # record has kept only y1 and replays x2
             if walk:
@@ -208,7 +221,7 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, in
             if "y" not in reads:
                 y = _Cell(y)
             x = vals.get(i) if walk else None
-            if walk and x is None:
+            if walk and x is None and i not in replay:
                 if not step.invertible:
                     raise ConfigError(
                         f"layer {i} ({step.kind}) is not invertible and has "
@@ -221,11 +234,11 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, in
                     trace.record(step, x)
             if "y" not in reads:
                 y = None
-            if not walk and "x" in reads:
+            if x is None and "x" in reads:
                 x = _replay(steps, vals, i)
             if i == 0 and not input_grad and step.kind == "conv":
                 grad, pg = step.backward(grad, x, y, input_grad=False)
-            elif not walk and step.kind == "bn":
+            elif step.kind == "bn" and (not walk or i in replay):
                 grad, pg = step.backward(grad, x, y, cached=True)
             else:
                 grad, pg = step.backward(grad, x, y)
@@ -426,10 +439,12 @@ class SnrTrace:
 class SavedState:
     """What the forward leaves for backward, as `_backward_chain` reads it.
 
-    vals maps chain positions to anchors: the inputs `keeps_input` keeps, a
-    stored-mode block's output as a callable rebuilding it from its record
-    (unless the next item keeps that output as its input), and, in a walk,
-    the last feature map at len(items) unless it is the caller's batch.
+    vals maps chain positions to anchors: the inputs `keeps_input` keeps,
+    less those `replayed_inputs` has the backward replay from the input
+    batch, a stored-mode block's output as a callable rebuilding it from its
+    record (unless the next item keeps that output as its input), and, in a
+    walk, the last feature map at len(items) unless it is the caller's
+    batch.
     records maps a stored-mode block's item index to its (F, G) records.
     Backward consumes both.
     """
@@ -489,15 +504,10 @@ class SequentialModel:
             mode, [(item.kind, [l.kind for l in _layers(item)]) for item in self.items]
         )
 
-    def supported_modes(self):
-        out = []
-        for mode in BackpropMode:
-            try:
-                self.validate_mode(mode)
-            except ConfigError:
-                continue
-            out.append(mode)
-        return out
+    def _replayed(self, mode):
+        """Item indices whose inputs `mode`'s backward replays rather than
+        its forward keeping them (`memory_model.replayed_inputs`)."""
+        return mm.replayed_inputs(mode, [item.kind for item in self.items])
 
     # -- forward -----------------------------------------------------------
 
@@ -512,6 +522,7 @@ class SequentialModel:
         mode = self.validate_mode(mode)
         saved = SavedState(mode=mode) if train else None
         record = train and mode is BackpropMode.STORED
+        replayed = self._replayed(mode)
         for i, item in enumerate(self.items):
             if isinstance(item, ReversibleBlock):
                 if record:
@@ -520,7 +531,7 @@ class SequentialModel:
                 else:
                     x = item.forward(x, train=train)
             else:
-                if train and mm.keeps_input(mode, item.kind, i):
+                if train and mm.keeps_input(mode, item.kind, i) and i not in replayed:
                     saved.vals[i] = x
                 x = _apply_layer(item, x, train=train)
         if train and not record and self.items:  # else x is the caller's batch
@@ -567,7 +578,7 @@ class SequentialModel:
         walk = mode is not BackpropMode.STORED
         # nothing reads the gradient of the input batch, so a conv stem skips it
         grads.update(_backward_chain(self.items, grad, saved.vals, walk, block_backward, snr,
-                                     input_grad=False)[1])
+                                     replay=self._replayed(mode), input_grad=False)[1])
         return grads, snr
 
     def _shadow_truth(self, x):

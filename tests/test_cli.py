@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from revtrain import cli, data, zoo
+from revtrain import memory_model as mm
 from revtrain.model import SequentialModel
 from revtrain.memory_model import ArchSpec, LayerSpec, format_arch, write_arch_file
 
@@ -39,8 +40,34 @@ def test_memcost_prints_component_table(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "component,bytes,bytes_per_pixel"
     names = [l.split(",")[0] for l in lines[1:]]
-    assert names[:4] == ["weights", "activations", "gradients", "budget_total"]
+    assert names[:5] == ["weights", "activations", "gradients", "budget_total", "executor_peak"]
     assert names[-1] == "grand_total"
+
+
+def test_memcost_prints_the_executors_own_peak(capsys):
+    # the measured peak reads off its own row, which grand_total extends by
+    # the input batch and momentum and executor_overhead compares with the
+    # schedule's budget and batch statistics
+    assert cli.main(["memcost", "--config", "small-hybrid", "--mode", "block"]) == 0
+    rows = {l.split(",")[0]: (float(l.split(",")[1]), float(l.split(",")[2]))
+            for l in capsys.readouterr().out.strip().splitlines()[1:]}
+    peak, per_px = rows["executor_peak"]
+    assert peak == mm.executor_peak(zoo.small_hybrid_spec(), "block", 32, 32, 32)
+    assert abs(per_px - peak / (32 * 32 * 32)) <= 5e-4
+    assert peak == rows["grand_total"][0] - rows["input_batch"][0] - rows["momentum"][0]
+    assert peak == (rows["executor_overhead"][0] + rows["budget_total"][0]
+                    + rows["batch_stats"][0])
+
+
+def test_memcost_reports_a_dry_run_that_overflows(tmp_path, capsys):
+    path = tmp_path / "layerwise-d64.cfg"
+    write_arch_file(zoo.layerwise_family(64), path)
+    assert cli.main(["memcost", "--config", str(path), "--height", "32", "--width", "32",
+                     "--batch", "8"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: layerwise-d64: a hybrid-mode dry run")
 
 
 def test_memcost_trivial_size_is_affine_intercept_plus_slope(capsys):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from revtrain import memory_model as mm
 from revtrain import ops, zoo
-from revtrain.errors import ConfigError
+from revtrain.errors import ConfigError, NumericError
 from revtrain.model import BackpropMode
-from test_models import small_arch_specs
+from test_models import admitted_modes, small_arch_specs
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +125,10 @@ ZOO_BUDGETS = {
     ("layerwise", "stored"): (2816, 128),
     ("layerwise", "hybrid"): (192, 128),
     ("hybrid", "stored"): (3264, 128),
-    ("hybrid", "block"): (512, 128),
+    ("hybrid", "block"): (384, 128),
     ("hybrid", "hybrid"): (224, 128),
     ("small-hybrid", "stored"): (2240, 128),
-    ("small-hybrid", "block"): (768, 128),
+    ("small-hybrid", "block"): (640, 128),
     ("small-hybrid", "hybrid"): (224, 128),
     ("pure-block", "stored"): (54, 12),
     ("pure-block", "block"): (36, 12),
@@ -271,14 +271,32 @@ def test_executor_peak_is_the_tracked_peak(name, mode):
 
 
 # executor_peak less the weights at the paper's 240x240, batch 32, in B/px,
-# where InvConv's backward is handed only x2 and y1: block mode's rebuilds
-# record no InvConv input past a branch's first layer, and a walk rebuilds
-# an InvConv's input in its output's buffer
+# on every zoo pair.  InvConv's backward is handed only x2 and y1 (block
+# mode's rebuilds record no InvConv input past a branch's first layer, and
+# a walk rebuilds an InvConv's input in its output's buffer), and block mode
+# replays the stem's kept inputs from the batch instead of holding them
 EXECUTOR_BYTES_PER_PIXEL = {
-    ("small-hybrid", "block"): 640,
+    ("hybrid", "stored"): 3456,
+    ("hybrid", "block"): 456,
+    ("hybrid", "hybrid"): 424,
+    ("irevnet", "stored"): 3072,
+    ("irevnet", "block"): 541,
+    ("layerwise", "stored"): 3072,
     ("layerwise", "hybrid"): 400,
+    ("pure-block", "stored"): 72,
+    ("pure-block", "block"): 42,
+    ("pure-block", "hybrid"): 39,
+    ("resnet", "stored"): 1944,
+    ("revnet", "stored"): 1748,
+    ("revnet", "block"): 567,
+    ("small-hybrid", "stored"): 2432,
+    ("small-hybrid", "block"): 512,
     ("small-hybrid", "hybrid"): 416,
 }
+
+
+def test_executor_bytes_per_pixel_cover_every_zoo_pair():
+    assert set(EXECUTOR_BYTES_PER_PIXEL) == set(ZOO_BUDGETS)
 
 
 @pytest.mark.parametrize("name,mode", sorted(EXECUTOR_BYTES_PER_PIXEL))
@@ -288,14 +306,49 @@ def test_executor_peak_per_pixel_at_the_papers_geometry(name, mode):
     assert round(peak / (32 * 240 * 240)) == EXECUTOR_BYTES_PER_PIXEL[name, mode]
 
 
+def test_depth_costs_no_activation_memory_in_the_reversible_modes():
+    # executor_peak less weights and parameter gradients at 32x32, batch 8:
+    # the reversible modes grow only by each block's 256 B of batch
+    # statistics, while stored mode keeps 1,046,336 B more for every block
+    def held(depth, mode):
+        spec = zoo.hybrid_family(depth)
+        return mm.executor_peak(spec, mode, 32, 32, 8) - 2 * mm.weight_bytes(spec)
+
+    depths = (1, 4, 16)
+    for mode in ("hybrid", "block"):
+        peaks = [held(d, mode) for d in depths]
+        assert max(peaks) - min(peaks) <= 4096, mode
+    assert held(1, "hybrid") < held(1, "block") < held(1, "stored")
+    stored = [held(d, "stored") for d in depths]
+    assert [stored[0] + 1_046_336 * (d - 1) for d in depths] == stored
+
+
+def test_dry_run_overflow_is_a_numeric_error():
+    # f32 walks through 64 layer-wise triples overflow at the dry runs' size
+    with pytest.raises(NumericError, match=r"^layerwise-d64: a hybrid-mode dry run at "
+                                           r"2x2, batch 2 fails: overflow"):
+        mm.executor_peak(zoo.layerwise_family(64), "hybrid", 32, 32, 8)
+    assert mm.executor_peak(zoo.layerwise_family(16), "hybrid", 32, 32, 8) > 0
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(spec=small_arch_specs())
 def test_grand_total_is_the_tracked_peak_of_generated_specs(spec):
     # the dry runs use batch 2 or 4, never 6
-    for mode in [m.value for m in zoo.build_model(spec).supported_modes()]:
+    for mode in [m.value for m in admitted_modes(zoo.build_model(spec))]:
         report = mm.memory_report(spec, mode, 8, 8, 6)
         measured = tracked_step_peak(spec, mode, 8, 6)
         assert report.grand_total == measured + report.momentum_bytes, mode
+
+
+def test_executor_peak_solves_fractional_per_pixel_bytes():
+    # past two pools a 4-channel InvConv's half holds 2 * 4 / 16 = 0.5 B per
+    # input pixel, so per-pixel bytes need not be whole
+    spec = mm.ArchSpec("pooled", 3, [
+        mm.LayerSpec("conv", 3, 4), mm.LayerSpec("maxpool", 4, 4), mm.LayerSpec("maxpool", 4, 4),
+        mm.LayerSpec("invconv", 4, 4), _head(4)])
+    predicted = mm.executor_peak(spec, "stored", 8, 8, 6) + mm.input_batch_bytes(spec, 8, 8, 6)
+    assert tracked_step_peak(spec, "stored", 8, 6) == predicted
 
 
 def test_executor_peak_refuses_events_that_depend_on_size(monkeypatch):
@@ -421,7 +474,7 @@ def test_head_only_spec_costs_the_same_in_every_mode():
     spec = mm.ArchSpec("head-only", 3, [_head(3)])
     model = zoo.build_model(spec, seed=0)
     x = ops.gaussian((4, 3, 8, 8), seed=1)
-    modes = model.supported_modes()
+    modes = admitted_modes(model)
     assert modes == [BackpropMode.STORED, BackpropMode.HYBRID]
     costs = {(mm.bytes_per_pixel(spec, mode), mm.simulate_schedule(spec, mode, 8, 8, 4)[0])
              for mode in modes}
@@ -457,7 +510,7 @@ def test_replay_ends_with_weights_stats_and_the_stem_gradient(name, mode):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(spec=small_arch_specs())
 def test_replay_of_generated_specs_ends_clean(spec):
-    for mode in zoo.build_model(spec).supported_modes():
+    for mode in admitted_modes(zoo.build_model(spec)):
         assert_replay_ends_clean(spec, mode.value)
 
 

@@ -29,6 +29,17 @@ BLOCK = BackpropMode.BLOCK_REVERSIBLE
 HYBRID = BackpropMode.HYBRID
 
 
+def admitted_modes(model):
+    """The modes model.validate_mode admits, in BackpropMode order."""
+    modes = []
+    for mode in BackpropMode:
+        try:
+            modes.append(model.validate_mode(mode))
+        except ConfigError:
+            pass
+    return modes
+
+
 def invertible_branch(c, rng, dtype=np.float32, slope=2.0):
     return Module(
         [
@@ -332,9 +343,13 @@ def test_hybrid_walk_costs_block_plus_deeper_invconv_inverses(name):
     ]
     # both modes run each branch forward to rebuild the coupling; a walk then
     # inverts every InvConv past the branch's first layer (two convs), whose
-    # input block mode reads from its record
-    assert applies[HYBRID] - applies[BLOCK] == 2 * len(deeper)
+    # input block mode reads from its record, and block mode replays the
+    # standalone layers below its highest replayed input from the batch
+    replayed = mm.replayed_inputs(BLOCK, [item.kind for item in model.items])
+    prefix_convs = sum(item.kind == "conv" for item in model.items[:max(replayed, default=0)])
+    assert applies[HYBRID] - applies[BLOCK] == 2 * len(deeper) - prefix_convs
     assert len(deeper) == {"small-hybrid": 8, "pure-block": 0, "hybrid": 0}[name]
+    assert prefix_convs == {"small-hybrid": 1, "pure-block": 0, "hybrid": 1}[name]
 
 
 def spy_rebuilds(layers, setattr, inverted):
@@ -670,7 +685,7 @@ def assert_trace_names_the_rebuilt_steps(model, x):
 def test_trace_names_the_rebuilt_steps_on_the_zoo(name):
     spec = zoo.get_spec(name)
     model = zoo.build_model(spec, seed=0)
-    assert HYBRID in model.supported_modes()
+    assert HYBRID in admitted_modes(model)
     assert_trace_names_the_rebuilt_steps(model, ops.gaussian((2, spec.input_channels, 16, 16),
                                                              seed=1))
 
@@ -715,6 +730,27 @@ def test_walk_modes_allow_a_stem_conv():
     assert max_param_rel_err(grads, ref_grads) < 1e-12
 
 
+def test_block_mode_replays_its_stem_instead_of_keeping_it():
+    # the stem batch norm's input is kept in stored mode; block mode keeps
+    # only the last feature map and replays the stem from the batch once
+    # every block's backward is done
+    spec = zoo.small_hybrid_spec()
+    model = zoo.build_model(spec, seed=0)
+    x = ops.gaussian((2, 3, 8, 8), seed=1)
+    assert mm.replayed_inputs(BLOCK, [item.kind for item in model.items]) == {1}
+    assert mm.replayed_inputs(STORED, [item.kind for item in model.items]) == set()
+    _, saved = model.forward(x, STORED)
+    assert 1 in saved.vals
+    _, saved = model.forward(x, BLOCK)
+    assert list(saved.vals) == [len(model.items)]
+    stem = model.items[0]
+    calls = []
+    forward = stem.forward
+    stem.forward = lambda v: calls.append(v) or forward(v)
+    model.backward(saved, ops.gaussian((2, spec.classes), seed=2), x)
+    assert len(calls) == 1 and calls[0] is x
+
+
 def test_block_modes_need_a_block():
     model = chain_model(depth=1)
     with pytest.raises(ConfigError, match="reversible block"):
@@ -730,9 +766,9 @@ def test_hybrid_rejects_non_invertible_block_internals():
 
 
 def test_supported_modes_lists():
-    assert BackpropMode.STORED in revnet_model().supported_modes()
-    assert set(hybrid_model().supported_modes()) == {STORED, BLOCK, HYBRID}
-    assert set(chain_model().supported_modes()) == {STORED, HYBRID}
+    assert admitted_modes(revnet_model()) == [STORED, BLOCK]
+    assert admitted_modes(hybrid_model()) == [STORED, BLOCK, HYBRID]
+    assert admitted_modes(chain_model()) == [STORED, HYBRID]
 
 
 def test_mode_parse_round_trip():
@@ -819,7 +855,7 @@ def test_generated_architectures_agree_across_modes(spec, seed):
     x = ops.gaussian((2, 3, 8, 8), seed=seed + 1, dtype=np.float64)
     probe = ops.gaussian((2, 3), seed=seed + 2, dtype=np.float64)
     ref = None
-    for mode in model.supported_modes():
+    for mode in admitted_modes(model):
         logits, saved = model.forward(x, mode)
         # the replay's saved state at this size; the model holds f64, so
         # elements count x.itemsize bytes and not mm.BYTES_PER_ELEMENT
@@ -842,7 +878,7 @@ def test_generated_architectures_agree_across_modes(spec, seed):
 @given(spec=small_arch_specs())
 def test_trace_names_the_rebuilt_steps_on_generated_specs(spec):
     model = zoo.build_model(spec, seed=0)
-    assume(HYBRID in model.supported_modes())
+    assume(HYBRID in admitted_modes(model))
     assert_trace_names_the_rebuilt_steps(model, ops.gaussian((2, 3, 8, 8), seed=1))
 
 
@@ -906,10 +942,10 @@ LIFETIME_PEAK_BOUNDS = {
     ("layerwise", "stored"): 31_953_000,
     ("layerwise", "hybrid"): 30_090_000,
     ("hybrid", "stored"): 18_389_000,
-    ("hybrid", "block"): 16_050_000,
+    ("hybrid", "block"): 15_788_000,
     ("hybrid", "hybrid"): 15_727_000,
     ("small-hybrid", "stored"): 4_986_000,
-    ("small-hybrid", "block"): 1_383_000,
+    ("small-hybrid", "block"): 1_121_000,
     ("small-hybrid", "hybrid"): 934_000,
     ("pure-block", "stored"): 149_000,
     ("pure-block", "block"): 90_000,
@@ -969,10 +1005,11 @@ def test_conv_stem_skips_the_input_batch_gradient(name, mode, monkeypatch):
 
 
 # statistics calls per backward: (recomputing every batch norm's, reading
-# the cached ones outside walks); hybrid mode walks everywhere
+# the cached ones outside walks and at replayed inputs); hybrid mode walks
+# everywhere
 BN_STATS_CALLS = {
     ("revnet", "stored"): (24, 0),
-    ("small-hybrid", "block"): (33, 17),
+    ("small-hybrid", "block"): (33, 16),
     ("small-hybrid", "stored"): (17, 0),
     ("hybrid", "stored"): (25, 0),
     ("hybrid", "hybrid"): (49, 49),
@@ -1023,10 +1060,10 @@ BACKWARD_CONV_APPLIES = {
     ("layerwise", "stored"): 22,
     ("layerwise", "hybrid"): 44,
     ("hybrid", "stored"): 48,
-    ("hybrid", "block"): 96,
+    ("hybrid", "block"): 97,
     ("hybrid", "hybrid"): 96,
     ("small-hybrid", "stored"): 32,
-    ("small-hybrid", "block"): 64,
+    ("small-hybrid", "block"): 65,
     ("small-hybrid", "hybrid"): 80,
     ("pure-block", "stored"): 8,
     ("pure-block", "block"): 16,
@@ -1078,7 +1115,7 @@ def test_running_stats_change_once_per_training_forward(name):
         mean, var = layer.cached_stats
         np.testing.assert_allclose(layer.running_mean, (1 - m) * mean, rtol=1e-6)
         np.testing.assert_allclose(layer.running_var, m + (1 - m) * var, rtol=1e-6)
-    for mode in model.supported_modes():
+    for mode in admitted_modes(model):
         model = zoo.build_model(spec, seed=0)
         model.forward(x, mode, train=False)
         assert _running_stats(model) == initial, mode
