@@ -15,20 +15,24 @@ highest peak, largest first:
 
 The kernels are the three conv kernels in `ops`, the batch statistics
 (`ops.channel_mean_var`), batch norm's forward (`forward` and
-`forward_cached`) and backward, leaky ReLU's backward, the inverses a
-hybrid-mode walk runs (batch norm, leaky ReLU) and InvConv's backward, which
-in a walk also rebuilds its input in its output's buffer. A kernel that
+`forward_cached`) and backward, InvConv's and leaky ReLU's forward (which a
+block-mode re-record runs in the input it does not keep), leaky ReLU's
+backward, the inverses a hybrid-mode walk runs (batch norm, leaky ReLU) and
+InvConv's backward, which in a walk also rebuilds its input in its output's
+buffer. A kernel that
 calls another (batch norm's forward and backward call `channel_mean_var`,
-InvConv's backward the conv kernels) counts the inner call's bytes in its
-own peak too, so the InvConv row shows when one of its steps sets the peak.
+InvConv's forward and backward the conv kernels) counts the inner call's
+bytes in its own peak too, so the InvConv rows show when one of their steps
+sets the peak.
 
 A third step, run without `tracemalloc`, times every call; each row gives the
 median milliseconds per call of its kernel and shape. With `--baseline SRC`,
 each `ops` kernel call in that step also runs the same function of the
 `revtrain` package under SRC (another checkout's `src`) on the same
-arguments, in alternating order, and must return the same bits. The row
-then adds the baseline's median and the change, an interleaved in-process
-A/B:
+arguments, in alternating order, and must return the same bits; a buffer
+handed over in a `_Cell` reaches the baseline as a bare copy taken before
+either call. The row then adds the baseline's median and the change, an
+interleaved in-process A/B:
 
     python3 scripts/kernel_peaks.py --config hybrid --mode hybrid --batch 16 \
         --baseline ../parent/src
@@ -59,6 +63,8 @@ KERNELS = (
     (layers.InvBatchNorm, "forward_cached", "bn forward"),
     (layers.InvBatchNorm, "backward", "bn backward"),
     (layers.InvBatchNorm, "inverse", "bn inverse"),
+    (layers.InvConv, "forward", "invconv forward"),
+    (layers.InvLeakyReLU, "forward", "lrelu forward"),
     (layers.InvLeakyReLU, "backward", "lrelu backward"),
     (layers.InvLeakyReLU, "inverse", "lrelu inverse"),
     (layers.InvConv, "backward", "invconv backward"),
@@ -125,12 +131,15 @@ class Timer:
             first = args[arg]
             first = first.v if isinstance(first, layers._Cell) else first
             ours, theirs = self.times.setdefault((label, tuple(first.shape)), ([], []))
-            runs = [(fn, ours)] + ([(other, theirs)] if other else [])
+            runs = [(fn, args, ours)]
+            if other:
+                bare = [a.v.copy() if isinstance(a, layers._Cell) else a for a in args]
+                runs.append((other, bare, theirs))
             self.calls += 1
             results = {}
-            for f, spent in runs[:: 1 if self.calls % 2 else -1]:
+            for f, f_args, spent in runs[:: 1 if self.calls % 2 else -1]:
                 start = time.perf_counter()
-                results[f] = f(*args, **kwargs)
+                results[f] = f(*f_args, **kwargs)
                 spent.append(time.perf_counter() - start)
             if other:
                 mine, base = (r if isinstance(r, tuple) else (r,) for r in (results[fn], results[other]))

@@ -24,20 +24,31 @@ InvConv's backward in a walk and ReversibleBlock's backward
 (model._rebuild) rebuild the input one half at a time, each just before
 that branch's backward.
 
-Only a buffer handed over in a _Cell is written in place: public forward,
-inverse and backward never mutate their arguments. The backward interpreter
-(model._backward_chain) hands over what it owns: a layer's output gradient
-once the chain owns it, and during a walk the output y of a layer whose
-backward does not read y, or of an InvConv, whose backward reads only y1
-and x2 and so can rebuild x in y's buffer as it goes, leaving x in the
-cell. Given a cell, InvBatchNorm and InvLeakyReLU rebuild
-the input in y's buffer and build the input gradient in the output gradient's
-buffer, and InvConv adds its branch gradients into that buffer; Conv2D, the
-pools and MaxPool2x2 take the buffer so it is freed as soon as it is read.
-The elementwise kernels allocate their result plus bounded scratch: leaky
-ReLU one batch element's slice and its mask; InvBatchNorm's train forward
-one image slice of the squared deviations, which it turns into its output
-in place; its backward one volume (u) and one slice of a product.
+Only a buffer handed over in a _Cell (ops._Cell) is written in place:
+public forward, inverse and backward never mutate their arguments. The
+backward interpreter (model._backward_chain) hands over every buffer it owns
+once no later step reads it, to the step that can reuse it:
+  - an output gradient: InvBatchNorm and InvLeakyReLU build the input
+    gradient there, InvConv adds its branch gradients into it, and Conv2D,
+    the pools and MaxPool2x2 free it as soon as they have read it;
+  - an output y that the backward does not read: the inverses rebuild the
+    input there; a walked InvConv, whose backward reads only y1 and x2,
+    gets y whole and rebuilds x in it as it goes, leaving x in the cell;
+  - y1 alone, for any other InvConv, which frees it once G's weight
+    gradient has read it (x2 may come as a callable, called only when F's
+    branch needs it);
+  - an input x that no step below reads: InvBatchNorm's backward builds its
+    deviations u there, InvLeakyReLU's backward its gradient when the output
+    gradient is bare; the other layers that read x take it, so the
+    interpreter holds no reference of its own.
+A block-mode re-record (model.Module.apply_record with lean) hands InvConv's
+and InvLeakyReLU's forward each input it does not keep, and they write
+their output there.
+The elementwise kernels allocate their result, unless it goes into a handed
+over buffer, plus bounded scratch: leaky ReLU one batch element's slice and
+its mask; InvBatchNorm's train forward one image slice of the squared
+deviations, which it turns into its output in place; its backward one
+volume (u), none when x is handed over, and one slice of a product.
 
 InvBatchNorm's train forward only normalizes and caches its batch statistics,
 which the inverse, forward_cached and the cached backward read; the running
@@ -58,6 +69,7 @@ import numpy as np
 from . import ops
 from .errors import ConfigError, ShapeError, StateError
 from .memtrack import track
+from .ops import _Cell, _take
 
 
 def kaiming_kernel(cout, cin, kh, kw, rng, dtype):
@@ -66,42 +78,19 @@ def kaiming_kernel(cout, cin, kh, kw, rng, dtype):
     return ops.gaussian((cout, cin, kh, kw), rng=rng, std=std, dtype=dtype)
 
 
-class _Cell:
-    """Single-owner handoff for a tensor crossing a call boundary.
-
-    Passing a bare array into a call pins it in the caller's frame until the
-    call returns; wrapping it lets the callee take the only reference and
-    free the buffer as soon as it has been consumed.
-    """
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def take(self):
-        v = self.v
-        self.v = None
-        return v
-
-
-def _take(x):
-    return x.take() if isinstance(x, _Cell) else x
-
-
 def _own(x):
     """A buffer to write in place: a _Cell's, or a tracked copy of a bare array."""
     return x.take() if isinstance(x, _Cell) else track(x.copy())
 
 
-def _dest(x):
+def _dest(x, spare=None):
     """(x's array, a buffer for an elementwise result of x's shape): a
-    _Cell's buffer serves as both, a bare array gets a new tracked buffer
-    laid out like it."""
+    _Cell's buffer serves as both; a bare array gets spare, an owned buffer
+    of its shape, if given, else a new tracked buffer laid out like it."""
     if isinstance(x, _Cell):
         v = x.take()
         return v, v
-    return x, track(np.empty_like(x))
+    return x, track(np.empty_like(x)) if spare is None else spare
 
 
 def _col(v):
@@ -109,9 +98,10 @@ def _col(v):
 
 
 def _coupling_forward(x, f, g):
-    """y1 = x1 + f(x2), y2 = x2 + g(y1) in one new buffer, for branches f, g."""
+    """y1 = x1 + f(x2), y2 = x2 + g(y1) for branches f, g, in one new buffer,
+    or in x's if x is a _Cell (each half is read before it is written)."""
+    x, y = _dest(x)
     x1, x2 = ops.split_channels(x)
-    y = track(np.empty(x.shape, dtype=x.dtype))
     y1, y2 = ops.split_channels(y)
     np.add(x1, f(x2), out=y1)
     np.add(x2, g(y1), out=y2)
@@ -157,6 +147,7 @@ class Conv2D:
     def backward(self, grad_out, x=None, y=None, input_grad=True):
         """Without input_grad, the input gradient is None (not computed)."""
         grad_out = _take(grad_out)
+        x = _take(x)
         gx = ops.conv2d_backward_input(grad_out, self.kernel, padding=self.padding) if input_grad else None
         gk, gb = ops.conv2d_backward_weight(x, grad_out, padding=self.padding)
         return gx, {"kernel": gk, "bias": gb}
@@ -262,18 +253,21 @@ class InvBatchNorm:
         x recomputes them instead, which cancels its per-channel error.
         The input gradient is built in grad_out's buffer if grad_out is a
         _Cell.  Besides it, the only full-size buffer is u, the deviations
-        x - mean: the products u * u, g * u and gu * u are reduced one image
-        slice at a time (see ops.slice_sums).
+        x - mean, built in x's buffer if x is a _Cell: the products u * u,
+        g * u and gu * u are reduced one image slice at a time (see
+        ops.slice_sums).
         """
+        owned = isinstance(x, _Cell)
+        x = _take(x)
         g, gu = _dest(grad_out)
         self._check(x)
         if g.shape != x.shape:
             raise ShapeError(f"grad_out {g.shape} does not match x {x.shape}")
         if cached:
             mean, var = self.cached_stats
-            u = np.subtract(x, _col(mean))
+            u = np.subtract(x, _col(mean), out=x if owned else None)
         else:
-            _, var, u = ops.channel_mean_var(x)
+            _, var, u = ops.channel_mean_var(_Cell(x) if owned else x)
         sqrt_v = _col(np.sqrt(var))
         denom = sqrt_v + self.eps
         u /= denom
@@ -311,6 +305,12 @@ class InvLeakyReLU:
         return {}
 
     def forward(self, x):
+        """max(x, x / n), in x's buffer if x is a _Cell."""
+        if isinstance(x, _Cell):
+            y = ops.check_tensor(x.take(), "x")
+            for yb in y:
+                np.maximum(yb, yb / self.n, out=yb)
+            return y
         ops.check_tensor(x, "x")
         y = track(np.divide(x, self.n))
         return np.maximum(x, y, out=y)
@@ -318,8 +318,8 @@ class InvLeakyReLU:
     # The inverse and the gradient differ from their input only where the
     # sign is negative.  A where= mask on the whole tensor would skip the
     # positive half but runs several times slower than a plain ufunc, so
-    # both loop over batch elements: each step's scratch is one element's
-    # slice, and its mask for the gradient.
+    # both loop over batch elements, as the in-place forward does: each
+    # step's scratch is one element's slice, and its mask for the gradient.
 
     def inverse(self, y):
         """min(y, y * n), in y's buffer if y is a _Cell."""
@@ -331,12 +331,15 @@ class InvLeakyReLU:
 
     def backward(self, grad_out, x=None, y=None):
         """Divide gradients by n or 1 by the sign of x.  Built in grad_out's
-        buffer if grad_out is a _Cell.
+        buffer if grad_out is a _Cell, else in x's if x is (each element's
+        mask is read before its gradient is written).
 
         The divisor is looked up by the sign mask's bytes, so the division
         runs without a branch.
         """
-        g, gx = _dest(grad_out)
+        owned = isinstance(x, _Cell)
+        x = _take(x)
+        g, gx = _dest(grad_out, x if owned else None)
         ops.check_tensor(x, "x")
         if g.shape != x.shape:
             raise ShapeError(f"grad {g.shape} does not match x {x.shape}")
@@ -389,11 +392,13 @@ class InvConv:
         return ops.conv2d_forward(t, self.g_kernel, self.g_bias, padding=self.padding)
 
     def _branch_backward(self, kernel, x, grad):
-        """One branch conv's (input gradient, (kernel grad, bias grad))."""
-        gk_gb = ops.conv2d_backward_weight(x, grad, padding=self.padding)
+        """One branch conv's (input gradient, (kernel grad, bias grad)); x in
+        a _Cell is freed once the weight gradient has read it."""
+        gk_gb = ops.conv2d_backward_weight(_take(x), grad, padding=self.padding)
         return ops.conv2d_backward_input(grad, kernel, padding=self.padding), gk_gb
 
     def forward(self, x):
+        """The coupling, in x's buffer if x is a _Cell."""
         return _coupling_forward(x, self._f, self._g)
 
     def inverse(self, y):
@@ -409,23 +414,27 @@ class InvConv:
         second half of x) and y1 (G's input, the first half of y).
 
         Pass the two halves alone, or x and y to take them from; without y,
-        y1 is recomputed as x1 + F(x2).  Given only y, in a _Cell, x is
-        rebuilt in y's buffer one half at a time, each just before its
-        branch's backward (x2 = y2 - G(y1) before G's, x1 = y1 - F(x2)
-        before F's), and left in the cell.
+        y1 is recomputed as x1 + F(x2).  G's branch runs first: y1 handed
+        over in a _Cell is freed once G's weight gradient has read it, and
+        x2 may be a callable that returns it, called only when F's branch
+        needs it.  Given only y, in a _Cell, x is rebuilt in y's buffer one
+        half at a time, each just before its branch's backward (x2 = y2 -
+        G(y1) before G's, x1 = y1 - F(x2) before F's), and left in the cell.
         """
         halves = None
         if x2 is None and x is None:
             halves = ops.split_channels(y.v)  # y1, y2, turning into x1, x2
             y1, x2 = halves
         elif x2 is None:
-            x1, x2 = ops.split_channels(x)
-            y1 = ops.add(x1, self._f(x2)) if y is None else ops.split_channels(y)[0]
+            x1, x2 = ops.split_channels(_take(x))
+            y1 = _Cell(ops.add(x1, self._f(x2))) if y is None else ops.split_channels(y)[0]
 
         def branch(kernel, fn, j, t, g):
             if halves is not None:  # rebuild half j from the branch input t
                 h = halves[j]
                 h -= fn(t)
+            elif callable(t):
+                t = t()
             return self._branch_backward(kernel, t, g)
 
         gx, (gk_f, gb_f), (gk_g, gb_g) = _coupling_backward(
@@ -499,7 +508,7 @@ class MaxPool2x2:
     def backward(self, grad_out, x=None, y=None):
         """Route gradients to each window's argmax, recomputed from the stored input."""
         grad_out = _take(grad_out)
-        ops.check_tensor(x, "x")
+        x = ops.check_tensor(_take(x), "x")
         bs, c, h, w = x.shape
         win = self._windows(x)
         if grad_out.shape != win.shape[:4]:

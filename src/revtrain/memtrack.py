@@ -12,13 +12,18 @@ plus one slice's GEMM result (and, for batch-innermost slices, one copy of
 the slice's input).
 InvBatchNorm's train forward holds its output and one image slice of the
 squared deviations (at most ops.BN_SLICE_BYTES, or one image), no second
-volume; its backward one untracked volume (u) and one image slice of a
-product besides its gradient; InvLeakyReLU's inverse and gradient one batch
-element's slice and its sign mask. Calls handed a buffer in a layers._Cell
-write their result into it, so an in-place step adds no tracked bytes.
+volume; its backward one untracked volume (u), unless its input is handed
+over, and one image slice of a product besides its gradient;
+InvLeakyReLU's forward in place, inverse and gradient one batch element's
+slice and its sign mask. Calls handed a buffer in an ops._Cell write their
+result (or, for batch norm's backward, its deviations) into it, so an
+in-place step adds no tracked bytes. The backward interpreter hands over
+every buffer it owns once no later step reads it (see model._backward_chain
+and layers); a block-mode re-record, the inputs it does not keep.
 InvConv's backward holds only the halves it reads: walked, it rebuilds its
-input in its output's buffer, and after a block-mode rebuild it gets a
-replayed x2 and a copy of y1, each half a volume.
+input in its output's buffer; otherwise it gets a copy of y1, freed once
+G's weight gradient has read it, and x2 (after a block-mode rebuild
+replayed only for F's branch), each half a volume.
 """
 
 from __future__ import annotations

@@ -17,8 +17,10 @@ which modes a model admits):
                      The re-record is lean (`_x2_replayable`): InvConv's
                      backward reads only x2 and y1, so an InvConv input
                      that replays through per-channel layers is left out,
-                     its x2 half replayed just before its backward, and
-                     only y1 of its output outlives the layer above.  The
+                     its x2 half replayed when F's branch of its backward
+                     needs it, and only y1 of its output outlives the
+                     layer above.  The re-record runs InvConv and leaky
+                     ReLU in the inputs it does not keep.  The
                      inputs such layers keep below the first block are
                      replayed instead (`memory_model.replayed_inputs`):
                      nothing reads them until every block's backward is
@@ -59,6 +61,17 @@ or walked (hybrid); a block's input is rebuilt only there, one half at a
 time (`_rebuild`).
 The interpreter knows chain positions, not names: an SnrTrace keys each
 truth by its step object and holds the step's path.
+
+Ownership decides what runs in place, and it follows from what later steps
+read (`backward_reads`, `keeps_input`, `_x2_replayable`), never from array
+shapes.  The interpreter owns every buffer it makes and every value it is
+given above position 0, but a bare record's (stored mode's, which the
+caller may still hold): the saved state, a walk's values and a lean
+re-record (`_LeanRecord`) are its own.  It hands each owned buffer that no
+later step reads to the step that can reuse it (see `_backward_chain`), so
+batch norm's backward builds its deviations in its input and leaky ReLU's
+its gradient, a walk rebuilds each input in its output's buffer, and an
+InvConv keeps only y1 of its output, freed once G's branch has read it.
 
 Parameters and their gradients are flat dicts keyed by the layer paths of
 `SequentialModel.named_layers`, e.g. ``"3.F.0.f_kernel"`` for item 3's
@@ -157,8 +170,34 @@ def _replay(steps, vals, i):
     return x
 
 
+def _output_read(steps, vals, i, walk, replay, owns):
+    """What step i's backward reads of its output y, the input of step
+    i + 1: "y", "y1" (a copy of y's first channel half) or None.
+
+    A block reads y whole, and so does a walk's step with no input at hand,
+    which rebuilds it from y.  Any other InvConv reads only y1: the chain
+    copies it out where it owns y, and a lean record keeps nothing else of
+    an InvConv whose input it left out.
+    """
+    step = steps[i]
+    at_hand = i in vals or i in replay
+    if isinstance(step, ReversibleBlock) or walk and not at_hand:
+        return "y"
+    if step.kind == "invconv":
+        return "y1" if owns or not at_hand else "y"
+    return None
+
+
+def _keep(vals, i, x, read):
+    """Leave at position i what the step below reads of its output x."""
+    if read == "y":
+        vals[i] = x
+    elif read == "y1" and x is not None:
+        vals[i] = track(ops.split_channels(x)[0].copy())
+
+
 def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, replay=(),
-                    input_grad=True):
+                    input_grad=True, owns=True):
     """Backprop through steps last to first.
 
     vals maps chain positions to values at hand, position i being the input
@@ -166,13 +205,13 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, re
     walk, or a callable rebuilding a block's output from its record.  The
     interpreter consumes it.  At step i, y is the value above; the input x
     is an anchor, else the layer's inverse of y (a walk, unless i is in
-    replay), else a replay from below.  A layer gets only what its backward
-    reads, the rest released first, so an anchor in a walk keeps y for a
-    layer that reads it.  An
-    InvConv with no anchor reads halves: a walk hands it y in a cell, in
-    which its backward rebuilds x; outside a walk (a lean record) it gets
-    x2, replayed on its channels alone, and y1, all that the value above
-    keeps once the layer there has read it.
+    replay), else a replay from below.  Each step gets only what its
+    backward reads, the rest released first; what the step below reads of
+    x is left in vals (_output_read): x whole, a copy of its y1 half for an
+    InvConv, or nothing.  An InvConv with no anchor reads halves: a walk
+    hands it y in a cell, in which its backward rebuilds x; outside a walk
+    (a lean record) it gets y1, the copy the step above left, and x2,
+    replayed on its channels alone when F's branch needs it.
     block_backward(i, block, y, grad) takes y in a cell and returns
     (x or None, grad_in, param_grads).  trace, if given, records each
     rebuilt input against its step (see SnrTrace).  Without input_grad, a
@@ -181,45 +220,51 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, re
     input its last train-mode forward saw, so its backward reads the cached
     statistics.
 
-    The interpreter owns every value in vals above position 0, so it hands
-    y over in a cell to a block, to a layer whose backward does not read
-    y, and to a walked InvConv; a walk's inverse rebuilds x in that
-    buffer.  grad may be a
-    cell: the chain owns it then, and always after the first step, and
-    hands it over in a cell to every step while it owns it.  A bare grad is
-    the caller's (a branch's entry gradient is a view of its coupling's
-    gradient buffer) and is never written.
+    Ownership.  The interpreter owns what it makes (inverses, replays, y1
+    copies, a block's rebuilt input) and, if owns, every value in vals
+    above position 0; a bare record that is not (a stored-mode record)
+    is only released.  It hands an owned value over in a cell to the step
+    that can reuse it once no later step reads it: y to a block, to a walked
+    InvConv and to an inverse; y1 to its InvConv, which frees it once G's
+    branch has read it; and x, above position 0, to its own step when no
+    step below reads it, after copying the y1 that an InvConv below reads:
+    batch norm builds its deviations there, and leaky ReLU its gradient
+    when grad is not its own.
+    grad may be a cell: the chain owns it then, and always after the first
+    step, and hands it over in a cell to every step while it owns it.  A
+    bare grad is the caller's (a branch's entry gradient is a view of its
+    coupling's gradient buffer) and is never written.
 
     Returns (grad_in, param_grads), keys "<position>.<name>".
     """
     owned = isinstance(grad, _Cell)
     grad = _take(grad)
     grads = {}
-    for i in reversed(range(len(steps))):
+    top = len(steps)
+    if top and top in vals:  # the output: leave what the last step reads of it
+        _keep(vals, top, vals.pop(top), _output_read(steps, vals, top - 1, walk, replay, owns))
+    for i in reversed(range(top)):
         step = steps[i]
-        y = vals.pop(i + 1, None)
+        x = None
+        y = _Cell(vals.pop(i + 1, None))
         if owned:
             grad = _Cell(grad)
         if isinstance(step, ReversibleBlock):
-            x, grad, pg = block_backward(i, step, _Cell(y), grad)
+            x, grad, pg = block_backward(i, step, y, grad)
             if trace is not None:
                 trace.record(step, x)
         elif step.kind == "invconv" and i not in vals and i not in replay:
-            # no input at hand: a walk rebuilds it in y's buffer, and a lean
-            # record has kept only y1 and replays x2
-            if walk:
-                y = _Cell(y)
+            if walk:  # rebuilt in y's buffer
                 grad, pg = step.backward(grad, y=y)
                 x = y.take()
                 if trace is not None:
                     trace.record(step, x)
-            else:
-                grad, pg = step.backward(grad, x2=_replay_x2(steps, vals, i), y1=y)
-                x = None
+            else:  # a lean record: y holds y1, and x2 replays for F's branch
+                grad, pg = step.backward(grad, x2=partial(_replay_x2, steps, vals, i), y1=y)
         else:
             reads = step.backward_reads
-            if "y" not in reads:
-                y = _Cell(y)
+            half = _output_read(steps, vals, i, walk, replay, owns) == "y1"
+            mine = owns or i not in vals  # else x is a bare record's anchor
             x = vals.get(i) if walk else None
             if walk and x is None and i not in replay:
                 if not step.invertible:
@@ -236,22 +281,32 @@ def _backward_chain(steps, grad, vals, walk, block_backward=None, trace=None, re
                 y = None
             if x is None and "x" in reads:
                 x = _replay(steps, vals, i)
-            if i == 0 and not input_grad and step.kind == "conv":
-                grad, pg = step.backward(grad, x, y, input_grad=False)
+            vals.pop(i, None)
+            below = _output_read(steps, vals, i - 1, walk, replay, owns) if i else None
+            _keep(vals, i, x, below)
+            if mine and i and below != "y":
+                x = _Cell(x) if "x" in reads else None
+            if step.kind == "invconv" and half and y.v is not None:
+                grad, pg = step.backward(grad, x2=ops.split_channels(_take(x))[1], y1=y)
+            elif i == 0 and not input_grad and step.kind == "conv":
+                grad, pg = step.backward(grad, x, _take(y), input_grad=False)
             elif step.kind == "bn" and (not walk or i in replay):
-                grad, pg = step.backward(grad, x, y, cached=True)
+                grad, pg = step.backward(grad, x, _take(y), cached=True)
             else:
-                grad, pg = step.backward(grad, x, y)
+                grad, pg = step.backward(grad, x, _take(y))
+            x = None
         owned = True
         if x is not None:
-            if not walk and i > 0 and steps[i - 1].kind == "invconv" and i - 1 not in vals:
-                # the InvConv below reads only y1 of its output
-                x = track(ops.split_channels(x)[0].copy())
-            vals[i] = x
+            _keep(vals, i, x, _output_read(steps, vals, i - 1, walk, replay, owns) if i else None)
         for name, g in pg.items():
             grads[f"{i}.{name}"] = g
     vals.clear()  # only the input at 0 is left
     return grad, grads
+
+
+class _LeanRecord(dict):
+    """A lean record (Module.apply_record(lean=True)): made for one
+    backward, which owns its values above position 0."""
 
 
 class Module:
@@ -271,23 +326,32 @@ class Module:
         Position 0 is always anchored so unparameterised prefixes can be
         replayed.  A lean record leaves out each InvConv input whose x2
         half replays through per-channel layers (_x2_replayable); its
-        backward then keeps only y1 of that InvConv's output.  Returns
-        (output, record) with record[i] = input of layer i.
+        backward then keeps only y1 of that InvConv's output.  A lean
+        record is made for one backward, which owns its values above
+        position 0 (a _LeanRecord), and the pass owns every input it does
+        not keep: it hands it to the layer, so InvConv and leaky ReLU write
+        their output there.  Returns (output, record) with record[i] =
+        input of layer i.
         """
-        rec = {0: x}
+        rec = (_LeanRecord if lean else dict)({0: x})
         for i, layer in enumerate(self.layers):
             if mm.keeps_input(BackpropMode.STORED, layer.kind, i) and not (
                     lean and _x2_replayable(self.layers, i)):
                 rec[i] = x
+            elif lean and i:
+                x = _Cell(x)
             x = _apply_layer(layer, x)
         return x, rec
 
     def backward_from_record(self, grad, rec):
-        """Stored-style backward from a record, which it consumes.
+        """Stored-style backward from a record, which it consumes.  It writes
+        in place only into a lean record's values; any other record's are
+        the caller's, and only released.
 
         Returns (grad_in, param_grads).
         """
-        return _backward_chain(self.layers, grad, rec, walk=False)
+        return _backward_chain(self.layers, grad, rec, walk=False,
+                               owns=isinstance(rec, _LeanRecord))
 
     def walk_backward(self, grad, x, y, trace=None):
         """Layer-wise inverse walk from the output y down to the input x:

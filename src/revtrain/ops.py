@@ -51,6 +51,11 @@ formed one image slice (at most BN_SLICE_BYTES) at a time. channel_mean_var
 alone computes batch-norm statistics (forward, backward, SNR closed forms):
 the mean, the deviations x - mean and the variance folded from their squares.
 
+A kernel never writes into its arguments, except a buffer handed over in a
+_Cell: the caller gives up its only reference, and the kernel may build its
+result there (channel_mean_var its deviations; the layers their outputs and
+gradients, see layers).
+
 Convolution-application accounting: conv2d_forward and conv2d_backward_input
 each count as one application; conv2d_backward_weight rides along with the
 input-gradient sweep of the same layer and does not increment the counter.
@@ -91,6 +96,30 @@ def _count_apply() -> None:
     global _conv_applies
     with _counter_lock:
         _conv_applies += 1
+
+
+class _Cell:
+    """Single-owner handoff for a tensor crossing a call boundary.
+
+    Passing a bare array into a call pins it in the caller's frame until the
+    call returns; wrapping it lets the callee take the only reference and
+    free the buffer as soon as it has been consumed, or write its result
+    into it.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    def take(self):
+        v = self.v
+        self.v = None
+        return v
+
+
+def _take(x):
+    return x.take() if isinstance(x, _Cell) else x
 
 
 def check_tensor(x, name: str = "tensor"):
@@ -428,10 +457,12 @@ def slice_mean(op, a, b=None):
 
 def channel_mean_var(x):
     """(mean, biased variance, dev = x - mean) per channel over (bs, h, w), in
-    new untracked buffers, bit-equal to x.mean and x.var; dev is the caller's."""
-    check_tensor(x, "x")
+    new untracked buffers, bit-equal to x.mean and x.var; dev is the caller's,
+    built in x's buffer if x is a _Cell."""
+    owned = isinstance(x, _Cell)
+    x = check_tensor(_take(x), "x")
     mean = x.mean(axis=(0, 2, 3))
-    dev = np.subtract(x, mean.reshape(1, -1, 1, 1))
+    dev = np.subtract(x, mean.reshape(1, -1, 1, 1), out=x if owned else None)
     return mean, slice_mean(np.square, dev), dev
 
 

@@ -573,3 +573,5 @@ def test_kernel_peaks_script_lists_each_kernel_and_restores_them(capsys):
 
     outer, inner = peak("invconv backward"), peak("conv input gradient")
     assert None not in (outer, inner) and outer >= inner
+    # a re-record's forwards run in the inputs it does not keep
+    assert None not in (peak("invconv forward"), peak("lrelu forward"))

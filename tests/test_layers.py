@@ -547,6 +547,13 @@ def test_bn_matches_textbook_expressions_bitwise(dtype, bs, view):
         want = textbook_bn_backward(ref, x, bn.gamma, bn.eps, bn.eps_i)
         for got, w in zip((gx, pg["gamma"], pg["beta"]), want):
             _same_bits(got, w)
+    # an input handed over holds u, cached or recomputed, with the same bits
+    want = textbook_bn_backward(grad, x, bn.gamma, bn.eps, bn.eps_i)
+    for cached in (False, True):
+        for arg, _ in _handovers(grad):
+            gx, pg = bn.backward(arg, _Cell(x.copy()), cached=cached)
+            for got, w in zip((gx, pg["gamma"], pg["beta"]), want):
+                _same_bits(got, w)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -586,11 +593,14 @@ def test_lrelu_matches_masked_select_in_every_layout(dtype, bs, view):
     lr = InvLeakyReLU(2.5)
     x = _kernel_input(dtype, bs, view, seed=42)
     grad = _kernel_input(dtype, bs, view, seed=43)
-    _same_bits(lr.forward(x), where_lrelu_forward(x, lr.n))
+    for arg, ref in _handovers(x):
+        _same_bits(lr.forward(arg), where_lrelu_forward(ref, lr.n))
     for arg, ref in _handovers(x):
         _same_bits(lr.inverse(arg), where_lrelu_inverse(ref, lr.n))
     for arg, ref in _handovers(grad):
         _same_bits(lr.backward(arg, x)[0], where_lrelu_backward(ref, x, lr.n))
+    for arg, ref in _handovers(grad):  # the gradient in a handed-over input
+        _same_bits(lr.backward(arg, _Cell(x.copy()))[0], where_lrelu_backward(ref, x, lr.n))
 
 
 def _traced_peak(call):
@@ -628,6 +638,11 @@ def test_elementwise_scratch_stays_within_budget(dtype, view):
     assert _traced_peak(lambda: bn.backward(grad, x)) <= 2 * vol + product + vectors + objects
     owned = grad.copy()
     assert _traced_peak(lambda: bn.backward(_Cell(owned), x)) <= vol + product + vectors + objects
+    # handed its input too, it builds u there: no volume besides the two
+    for cached in (False, True):
+        owned, owned_x = grad.copy(), x.copy()
+        assert _traced_peak(lambda: bn.backward(_Cell(owned), _Cell(owned_x), cached=cached)) \
+            <= product + vectors + objects
     owned = y.copy()
     assert _traced_peak(lambda: bn.inverse(_Cell(owned))) <= vectors + objects
     lr = InvLeakyReLU(2.0)
@@ -636,6 +651,10 @@ def test_elementwise_scratch_stays_within_budget(dtype, view):
     # mask, the intp indices take converts it to, and the looked-up divisors
     owned = y.copy()
     assert _traced_peak(lambda: lr.inverse(_Cell(owned))) <= elems * item + objects
+    owned = x.copy()
+    assert _traced_peak(lambda: lr.forward(_Cell(owned))) <= elems * item + objects
     owned = grad.copy()
     budget = elems * (1 + np.dtype(np.intp).itemsize + item) + objects
     assert _traced_peak(lambda: lr.backward(_Cell(owned), x)) <= budget
+    owned = x.copy()  # the gradient in its input, beside a bare output gradient
+    assert _traced_peak(lambda: lr.backward(grad, _Cell(owned))) <= budget
