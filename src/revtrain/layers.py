@@ -18,11 +18,12 @@ InvConv and model.ReversibleBlock share one additive coupling,
 y1 = x1 + F(x2), y2 = x2 + G(y1), over the channel halves (views) of one
 buffer (RevNet, Gomez et al., arXiv 1707.04585; i-RevNet, Jacobsen et al.,
 arXiv 1802.07088): _coupling_forward and _coupling_backward hold its forward
-and gradient arithmetic, with the branches passed in. Its inverse is written
-where it runs: InvConv.inverse subtracts both halves in place, and
-InvConv's backward in a walk and ReversibleBlock's backward
-(model._rebuild) rebuild the input one half at a time, each just before
-that branch's backward.
+and gradient arithmetic, with the branches passed in. InvConv's branches F
+and G are two half-width Conv2D layers, whose arrays its params() returns as
+f_kernel, f_bias, g_kernel, g_bias. The inverse is written where it runs:
+InvConv.inverse subtracts both halves in place, and InvConv's backward in a
+walk and ReversibleBlock's backward (model._rebuild) rebuild the input one
+half at a time, each just before that branch's backward.
 
 Only a buffer handed over in a _Cell (ops._Cell) is written in place:
 public forward, inverse and backward never mutate their arguments. The
@@ -40,7 +41,9 @@ once no later step reads it, to the step that can reuse it:
   - an input x that no step below reads: InvBatchNorm's backward builds its
     deviations u there, InvLeakyReLU's backward its gradient when the output
     gradient is bare; the other layers that read x take it, so the
-    interpreter holds no reference of its own.
+    interpreter holds no reference of its own. Conv2D's backward computes
+    its weight gradient first and frees x before it builds the input
+    gradient, which then takes x's place.
 A block-mode re-record (model.Module.apply_record with lean) hands InvConv's
 and InvLeakyReLU's forward each input it does not keep, and they write
 their output there.
@@ -145,11 +148,12 @@ class Conv2D:
         return ops.conv2d_forward(x, self.kernel, self.bias, padding=self.padding)
 
     def backward(self, grad_out, x=None, y=None, input_grad=True):
-        """Without input_grad, the input gradient is None (not computed)."""
+        """The weight gradient first, so x in a _Cell is freed before the
+        input gradient is built; without input_grad, that is None (not
+        computed)."""
         grad_out = _take(grad_out)
-        x = _take(x)
+        gk, gb = ops.conv2d_backward_weight(_take(x), grad_out, padding=self.padding)
         gx = ops.conv2d_backward_input(grad_out, self.kernel, padding=self.padding) if input_grad else None
-        gk, gb = ops.conv2d_backward_weight(x, grad_out, padding=self.padding)
         return gx, {"kernel": gk, "bias": gb}
 
 
@@ -349,8 +353,13 @@ class InvLeakyReLU:
         return gx, {}
 
 
+def _branch_keyed(f, g):
+    """F's and G's {name: array} dicts as one, keyed f_<name> then g_<name>."""
+    return {f"{b}_{name}": arr for b, d in (("f", f), ("g", g)) for name, arr in d.items()}
+
+
 class InvConv:
-    """Additive coupling over a channel split, each branch one convolution.
+    """Additive coupling over a channel split, each branch a Conv2D.
 
     forward: y1 = x1 + F(x2); y2 = x2 + G(y1)
     inverse: x2 = y2 - G(y1);  x1 = y1 - F(x2)
@@ -369,44 +378,25 @@ class InvConv:
         if k % 2 == 0:
             raise ConfigError(f"kernel size must be odd to preserve spatial dims, got {k}")
         self.channels, self.k = channels, k
-        self.padding = (k - 1) // 2
         half = channels // 2
+        # one generator for both, so F and G draw different kernels
         rng = rng if rng is not None else ops.default_rng(0)
-        self.f_kernel = kaiming_kernel(half, half, k, k, rng, dtype)
-        self.f_bias = track(np.zeros(half, dtype=dtype))
-        self.g_kernel = kaiming_kernel(half, half, k, k, rng, dtype)
-        self.g_bias = track(np.zeros(half, dtype=dtype))
+        self.F = Conv2D(half, half, k, rng, dtype)
+        self.G = Conv2D(half, half, k, rng, dtype)
 
     def params(self):
-        return {
-            "f_kernel": self.f_kernel,
-            "f_bias": self.f_bias,
-            "g_kernel": self.g_kernel,
-            "g_bias": self.g_bias,
-        }
-
-    def _f(self, t):
-        return ops.conv2d_forward(t, self.f_kernel, self.f_bias, padding=self.padding)
-
-    def _g(self, t):
-        return ops.conv2d_forward(t, self.g_kernel, self.g_bias, padding=self.padding)
-
-    def _branch_backward(self, kernel, x, grad):
-        """One branch conv's (input gradient, (kernel grad, bias grad)); x in
-        a _Cell is freed once the weight gradient has read it."""
-        gk_gb = ops.conv2d_backward_weight(_take(x), grad, padding=self.padding)
-        return ops.conv2d_backward_input(grad, kernel, padding=self.padding), gk_gb
+        return _branch_keyed(self.F.params(), self.G.params())
 
     def forward(self, x):
         """The coupling, in x's buffer if x is a _Cell."""
-        return _coupling_forward(x, self._f, self._g)
+        return _coupling_forward(x, self.F.forward, self.G.forward)
 
     def inverse(self, y):
         """x2 = y2 - G(y1), x1 = y1 - F(x2), in y's buffer if y is a _Cell."""
         x = _own(y)
         h1, h2 = ops.split_channels(x)  # y1, y2, turning into x1, x2
-        h2 -= self._g(h1)
-        h1 -= self._f(h2)
+        h2 -= self.G.forward(h1)
+        h1 -= self.F.forward(h2)
         return x
 
     def backward(self, grad_out, x=None, y=None, x2=None, y1=None):
@@ -427,22 +417,26 @@ class InvConv:
             y1, x2 = halves
         elif x2 is None:
             x1, x2 = ops.split_channels(_take(x))
-            y1 = _Cell(ops.add(x1, self._f(x2))) if y is None else ops.split_channels(y)[0]
+            if y is not None:
+                y1 = ops.split_channels(y)[0]
+            else:  # x1 + F(x2), added into F's output
+                y1 = _Cell(self.F.forward(x2))
+                y1.v += x1
 
-        def branch(kernel, fn, j, t, g):
+        def branch(conv, j, t, g):
             if halves is not None:  # rebuild half j from the branch input t
                 h = halves[j]
-                h -= fn(t)
+                h -= conv.forward(t)
             elif callable(t):
                 t = t()
-            return self._branch_backward(kernel, t, g)
+            return conv.backward(g, t)
 
-        gx, (gk_f, gb_f), (gk_g, gb_g) = _coupling_backward(
+        gx, f_grads, g_grads = _coupling_backward(
             grad_out,
-            lambda gy1: branch(self.f_kernel, self._f, 0, x2, gy1),
-            lambda g2: branch(self.g_kernel, self._g, 1, y1, g2),
+            lambda gy1: branch(self.F, 0, x2, gy1),
+            lambda g2: branch(self.G, 1, y1, g2),
         )
-        return gx, {"f_kernel": gk_f, "f_bias": gb_f, "g_kernel": gk_g, "g_bias": gb_g}
+        return gx, _branch_keyed(f_grads, g_grads)
 
 
 class ChannelPool:

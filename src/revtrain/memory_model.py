@@ -92,9 +92,9 @@ class LayerSpec:
     def param_count(self):
         if self.kind == "conv":
             return self.c_in * self.c_out * self.k * self.k + self.c_out
-        if self.kind == "invconv":
+        if self.kind == "invconv":  # F and G, two half-width k x k convs
             half = self.c_in // 2
-            return 2 * (half * half * self.k * self.k + half)
+            return 2 * LayerSpec("conv", half, half, self.k).param_count()
         if self.kind == "bn":
             return 2 * self.c_in
         if self.kind == "head":
@@ -840,8 +840,8 @@ def parse_arch_text(text, source="<arch>"):
 def parse_arch_file(path):
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as err:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read architecture file {path}: {err}") from None
     return parse_arch_text(text, source=str(path))
 

@@ -396,12 +396,6 @@ def split_channels(x):
     return x[:, : c // 2], x[:, c // 2 :]
 
 
-def add(a, b):
-    if np.shape(a) != np.shape(b):
-        raise ShapeError(f"operand shapes differ: {np.shape(a)} vs {np.shape(b)}")
-    return track(a + b)
-
-
 def sum_sq_norm(x) -> float:
     """Squared L2 norm of all elements, accumulated in f64."""
     r = np.asarray(x).ravel().astype(np.float64, copy=False)

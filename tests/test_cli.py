@@ -202,6 +202,16 @@ def test_memcost_rejects_unbuildable_arch_file(case, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_memcost_rejects_an_arch_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.cfg"
+    path.write_bytes(b"\xff\xfe[meta]\n")
+    assert cli.main(["memcost", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+    assert captured.out == ""
+
+
 def test_memcost_refuses_dry_runs_far_above_the_requested_size(tmp_path, capsys):
     # twelve pools would need dry runs at 4096x4096 and 8192x8192 for a 32x32 report
     path = tmp_path / "deep-pool.cfg"
@@ -546,6 +556,18 @@ def test_inspect_data_without_root_mentions_env_var(tmp_path, capsys, monkeypatc
     rc = cli.main(["inspect-data"])
     assert rc == 2
     assert "REVTRAIN_DATA" in capsys.readouterr().err
+
+
+def test_bits_check_script_prints_the_same_line_for_the_same_step():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "bits_check.py"
+    spec = importlib.util.spec_from_file_location("bits_check", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    arch = zoo.get_spec("small-hybrid")
+    line = script.check(arch, mm.BackpropMode.HYBRID, np.float32)
+    assert line.startswith("small-hybrid hybrid float32 weights=")
+    assert script.check(arch, mm.BackpropMode.HYBRID, np.float32) == line
+    assert script.check(arch, mm.BackpropMode.HYBRID, np.float64) != line
 
 
 def test_kernel_peaks_script_lists_each_kernel_and_restores_them(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from revtrain import ops
+from revtrain import memtrack, ops
 from revtrain.errors import ConfigError, ShapeError, StateError
 from revtrain.layers import (
     BatchPool,
@@ -264,11 +264,21 @@ def test_lrelu_matches_masked_select_bitwise(dtype, n):
 
 def test_invconv_zero_kernels_is_identity():
     ic = InvConv(4, k=3)
-    ic.f_kernel[...] = 0
-    ic.g_kernel[...] = 0
+    for name in ("f_kernel", "g_kernel"):
+        ic.params()[name][...] = 0
     x = ops.gaussian((2, 4, 5, 5), seed=17)
     assert_array_equal(ic.forward(x), x)
     assert_array_equal(ic.inverse(x), x)
+
+
+def test_invconv_params_are_its_branch_convs_arrays():
+    ic = InvConv(4, k=3)
+    params = ic.params()
+    assert list(params) == ["f_kernel", "f_bias", "g_kernel", "g_bias"]
+    for got, want in zip(params.values(), (ic.F.kernel, ic.F.bias, ic.G.kernel, ic.G.bias)):
+        assert got is want
+    # both convs draw from one generator, so their kernels differ
+    assert not np.array_equal(ic.F.kernel, ic.G.kernel)
 
 
 def test_invconv_roundtrip_f32():
@@ -417,6 +427,18 @@ def test_conv_layer_backward_matches_finite_differences():
     conv.kernel[...] = k0
     assert rel_err(grads["kernel"], fd_k) < 1e-7
     assert_allclose(grads["bias"], r.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+
+def test_conv_layer_backward_frees_a_handed_over_input_before_its_input_gradient():
+    conv = Conv2D(4, 4, k=3, rng=ops.default_rng(34))
+    cell = _Cell(ops.gaussian((2, 4, 8, 8), seed=35))
+    grad = ops.gaussian((2, 4, 8, 8), seed=36)
+    with memtrack.MeasureScope() as scope:
+        before = memtrack.live_bytes()
+        gx, grads = conv.backward(grad, cell)
+    assert gx.shape == grad.shape and cell.v is None
+    # the input gradient, as large as x, takes x's place
+    assert scope.peak_bytes - before <= grads["kernel"].nbytes + grads["bias"].nbytes
 
 
 # --- ClassifierHead ----------------------------------------------------------

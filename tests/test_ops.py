@@ -380,14 +380,6 @@ def test_split_channels_requires_even_channels():
         ops.split_channels(np.zeros((1, 3, 2, 2), dtype=np.float32))
 
 
-def test_elementwise_suite():
-    a = ops.gaussian((2, 2, 3, 3), seed=1)
-    b = ops.gaussian((2, 2, 3, 3), seed=2)
-    assert_array_equal(ops.add(a, b), a + b)
-    with pytest.raises(ShapeError):
-        ops.add(a, ops.gaussian((2, 2, 3, 4), seed=3))
-
-
 def test_sum_sq_norm():
     assert ops.sum_sq_norm(np.zeros((3, 3))) == 0.0
     x = np.array([1.0, 2.0, 3.0], dtype=np.float32)
