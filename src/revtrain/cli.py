@@ -170,9 +170,17 @@ def cmd_snr_alpha(args):
     return EXIT_OK if worst <= tol else EXIT_MISMATCH
 
 
+SNR_DEPTHS, SNR_SLOPES = "2,4,6,8,10,12,14,16", "2"
+
+
 def cmd_snr_profile(args):
     if (args.config is None) == (args.family is None):
         raise ConfigError("pass exactly one of --config or --family")
+    source, unused = (("--config", ("depths", "slopes")) if args.config is not None
+                      else ("--family", ("mode",)))
+    for name in unused:
+        if getattr(args, name) is not None:
+            raise ConfigError(f"--{name} does not apply with {source}")
     if args.config is not None:
         spec = resolve_spec(args.config)
         mode = args.mode or spec.mode
@@ -182,8 +190,8 @@ def cmd_snr_profile(args):
         trace = snr.traced_backward(model, x, mode, seed=args.seed + 2)
         sys.stdout.write(snr.trace_csv(trace))
         return EXIT_OK
-    depths = _parse_list(args.depths, int, "integers")
-    slopes = _parse_list(args.slopes, float, "numbers")
+    depths = _parse_list(SNR_DEPTHS if args.depths is None else args.depths, int, "integers")
+    slopes = _parse_list(SNR_SLOPES if args.slopes is None else args.slopes, float, "numbers")
     rows = snr.snr_depth_sweep(args.family, depths, slopes, width=args.width,
                                h=args.height, w=args.height, bs=args.batch,
                                seed=args.seed)
@@ -354,11 +362,12 @@ def build_parser():
 
     p = sub.add_parser("snr-profile", help="per-layer SNR trace or depth sweep CSV")
     p.add_argument("--config", default=None, help="trace this spec (arch file or zoo name)")
-    p.add_argument("--mode", choices=sorted(mm.MODES), default=None)
+    p.add_argument("--mode", choices=sorted(mm.MODES), default=None,
+                   help="backprop mode of the --config trace (default: the spec's)")
     p.add_argument("--family", choices=sorted(zoo.FAMILIES), default=None,
                    help="sweep a generated family instead of tracing a spec")
-    p.add_argument("--depths", default="2,4,6,8,10,12,14,16")
-    p.add_argument("--slopes", default="2")
+    p.add_argument("--depths", default=None, help=f"--family depths (default {SNR_DEPTHS})")
+    p.add_argument("--slopes", default=None, help=f"--family slopes (default {SNR_SLOPES})")
     p.add_argument("--width", type=int, default=16,
                    help="spatial width with --config; channel width with --family")
     p.add_argument("--height", type=int, default=8,

@@ -9,7 +9,9 @@ temporaries) is deliberately untracked. The conv kernels build their column
 workspace in slices of at most ops.COLUMN_BYTES (1.18 MB), read from the
 unpadded input, so one conv call's untracked scratch stays near that budget
 plus one slice's GEMM result (and, for batch-innermost slices, one copy of
-the slice's input).
+the slice's input). The weight gradient's transposed copy of grad_out counts
+against the same budget: a slice's columns and that copy fit it together, or
+the slice is one channel's columns.
 InvBatchNorm's train forward holds its output and one image slice of the
 squared deviations (at most ops.BN_SLICE_BYTES, or one image), no second
 volume; its backward one untracked volume (u), unless its input is handed

@@ -19,11 +19,21 @@ window and zeroes the rest. The columns are untracked scratch built in
 slices of at most COLUMN_BYTES: for the forward and input-gradient kernels,
 slices of batch elements and, within one, of output rows; for the weight
 gradient, slices of input channels (but at least one row of one element, or
-one channel). A call's scratch is thus about COLUMN_BYTES plus one slice's
-GEMM result (and, in batch-innermost slices, one copy of the slice's input),
-not the whole-batch column matrix (9x the input for a 3x3 kernel). The input
-gradient correlates grad_out, padded by k-1-p, with the flipped kernel, so it
-computes exactly the input's window rather than the full correlation.
+one channel). The weight gradient also holds grad_out transposed to (pixels,
+out channels), its GEMM's right operand, and where the pixel count (the
+GEMM's reduction length) is a multiple of PIXEL_TILE, as in every conv the
+models run, it sizes its slices so that one slice's columns and that copy
+together fit COLUMN_BYTES (again at least one channel's columns, even where
+the copy alone exceeds the budget). On such lengths, slices down to one
+channel keep every bitwise test below and every zoo step's gradients equal;
+on other lengths they can round differently (one-channel slices of an f64
+(7, 32, 31, 29) input, unpadded, 5,481 pixels, moved bits), so those slice
+the columns alone to COLUMN_BYTES. A call's scratch is thus about
+COLUMN_BYTES plus one slice's GEMM result (and, in batch-innermost slices,
+one copy of the slice's input), not the whole-batch column matrix (9x the
+input for a 3x3 kernel). The input gradient correlates grad_out, padded by
+k-1-p, with the flipped kernel, so it computes exactly the input's window
+rather than the full correlation.
 
 Column pixels are ordered (b, i, j), except in forward and input-gradient
 calls of kernels larger than 1x1 whose output planes hold fewer than
@@ -169,12 +179,12 @@ PIXEL_TILE = 16
 SHORT_PLANE = 8 * 8
 
 
-def _slices(total: int, unit_bytes: int, unit_macs: int):
+def _slices(total: int, unit_bytes: int, unit_macs: int, budget: int = COLUMN_BYTES):
     """The fewest near-equal slices of range(total), each unit taking
     unit_bytes of columns and unit_macs multiply-adds, whose columns fit
-    COLUMN_BYTES (at least one unit a slice), but none so small that its GEMM
+    budget bytes (at least one unit a slice), but none so small that its GEMM
     has at most SMALL_GEMM_MACS multiply-adds while the whole has more."""
-    n = -(-total // max(1, COLUMN_BYTES // unit_bytes))
+    n = -(-total // max(1, budget // unit_bytes))
     n = max(1, min(n, total // (SMALL_GEMM_MACS // unit_macs + 1)))
     return [slice(i * total // n, (i + 1) * total // n) for i in range(n)]
 
@@ -368,19 +378,23 @@ def conv2d_backward_weight(x, grad_out, *, padding: int = 0):
         raise ShapeError(f"batch mismatch: x {bs}, grad_out {bs_g}")
     k = _kernel_side(h + 2 * padding - oh + 1, w + 2 * padding - ow + 1, padding)
     # columns one input-channel slice at a time, so each weight still reduces
-    # over the whole batch in a single GEMM
+    # over the whole batch in a single GEMM; where the pixel count is a
+    # multiple of PIXEL_TILE, a slice's columns and g_mat share the budget
+    # (see the module docstring)
     n = bs * oh * ow
     g_mat = grad_out.transpose(0, 2, 3, 1).reshape(n, cout)
     gk = np.empty((cin * k * k, cout), dtype=np.result_type(x, grad_out))
     macs = cin * k * k * n * cout
     im2col = macs <= SMALL_GEMM_MACS
+    budget = COLUMN_BYTES - (g_mat.nbytes if n % PIXEL_TILE == 0 else 0)
     planes = _planes(x, False)
-    for sl in [slice(0, cin)] if im2col else _slices(cin, k * k * n * x.itemsize, k * k * n * cout):
+    for sl in [slice(0, cin)] if im2col else _slices(cin, k * k * n * x.itemsize, k * k * n * cout, budget):
         cols = _columns(planes[sl], k, padding, (oh, ow))
         if im2col:
             cols = np.ascontiguousarray(cols.T).T
         np.matmul(cols, g_mat, out=gk[sl.start * k * k : sl.stop * k * k])
         del cols
+    del g_mat
     gk = gk.reshape(cin, k, k, cout).transpose(3, 0, 1, 2)
     gb = grad_out.sum(axis=(0, 2, 3))
     return track(np.ascontiguousarray(gk)), track(np.ascontiguousarray(gb))

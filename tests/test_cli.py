@@ -297,6 +297,18 @@ def test_snr_profile_needs_exactly_one_source(capsys):
     assert cli.main(["snr-profile", "--config", "hybrid", "--family", "layerwise"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--config", "hybrid", "--depths", "0"], "--depths does not apply with --config"),
+    (["--config", "pure-block", "--slopes", "2"], "--slopes does not apply with --config"),
+    (["--family", "layerwise", "--mode", "stored"], "--mode does not apply with --family"),
+], ids=["config-depths", "config-slopes", "family-mode"])
+def test_snr_profile_rejects_options_its_source_ignores(argv, message, capsys):
+    assert cli.main(["snr-profile"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # -- gradcheck -----------------------------------------------------------------------
 
 
@@ -597,3 +609,20 @@ def test_kernel_peaks_script_lists_each_kernel_and_restores_them(capsys):
     assert None not in (outer, inner) and outer >= inner
     # a re-record's forwards run in the inputs it does not keep
     assert None not in (peak("invconv forward"), peak("lrelu forward"))
+
+
+def test_paper_step_script_reports_the_step_and_the_mode_ladder(capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "paper_step.py"
+    spec = importlib.util.spec_from_file_location("paper_step", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    # the paper's step at a size the suite can afford
+    assert script.main(side=16, batch=2) == 0
+    lines = capsys.readouterr().out.splitlines()
+    real, tracked = (float(line.split()[2]) for line in lines[1:3])
+    assert lines[1].startswith("real peak") and lines[2].startswith("tracked peak")
+    assert real >= tracked > 0
+    ladder = [line.split() for line in lines[3:6]]
+    assert [row[1] for row in ladder] == ["hybrid", "block", "stored"]
+    assert float(ladder[0][2]) <= float(ladder[1][2]) < float(ladder[2][2])
+    assert lines[6] == "real peak under 1e+09 B"

@@ -260,11 +260,12 @@ def test_conv_kernels_bitwise_equal_im2col_reference_at_wide_small_maps(f32_shap
     _check_against_im2col(x, kernel, bias, padding, _bitwise)
 
 
-@pytest.mark.parametrize("bs,forward_slices,weight_slices", [(32, 4, 3), (16, 2, 2)])
+@pytest.mark.parametrize("bs,forward_slices,weight_slices", [(32, 4, 3), (16, 2, 3)])
 def test_stem_convs_take_the_fewest_slices_the_budget_allows(bs, forward_slices, weight_slices, monkeypatch):
     # the 3-channel stems of small-hybrid (batch 32) and hybrid (batch 16):
-    # ten images of forward columns fit the budget, and one channel of
-    # weight-gradient columns at batch 32 (two at 16)
+    # ten images of forward columns fit the budget; the weight gradient's
+    # transposed grad_out (4.2 and 2.1 MB) exceeds it, so it takes one
+    # channel of columns a slice
     x = ops.gaussian((bs, 3, 32, 32), seed=1)
     kernel = ops.gaussian((32, 3, 3, 3), seed=2)
     g = ops.gaussian((bs, 32, 32, 32), seed=3)
@@ -272,6 +273,22 @@ def test_stem_convs_take_the_fewest_slices_the_budget_allows(bs, forward_slices,
     weight = _column_slices(lambda: ops.conv2d_backward_weight(x, g, padding=1), monkeypatch)
     assert (len(forward), len(weight)) == (forward_slices, weight_slices)
     assert all(planes[1] * 27 * 1024 * 4 <= ops.COLUMN_BYTES for planes, _, _ in forward)
+
+
+@pytest.mark.parametrize("shape,cout", [((16, 8, 32, 32), 8), ((16, 32, 16, 16), 32)])
+def test_weight_gradient_scratch_stays_within_the_column_budget(shape, cout):
+    # hybrid's batch-16 block convs: a slice's columns and the transposed
+    # grad_out together, and nothing else but the two outputs
+    x = ops.gaussian(shape, seed=1)
+    g = ops.gaussian((shape[0], cout) + shape[2:], seed=2)
+    tracemalloc.start()
+    try:
+        gk, gb = ops.conv2d_backward_weight(x, g, padding=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gk.shape == (cout, shape[1], 3, 3)
+    assert peak - gk.nbytes - gb.nbytes <= ops.COLUMN_BYTES, (shape, peak)
 
 
 @pytest.mark.parametrize("shape,k,padding", [

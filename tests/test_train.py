@@ -207,6 +207,9 @@ def run_history(cfg, dataset):
 def test_run_is_deterministic_given_seed(dataset):
     cfg = train.TrainConfig(arch=chain_spec(), epochs=2, batch_size=32, subset=192,
                             test_subset=96, lr_max=0.02, seed=3)
+    # peak_bytes counts the tracked bytes live at entry: free what earlier
+    # tests left in reference cycles, so both runs start from the same heap
+    gc.collect()
     h1 = run_history(cfg, dataset)
     h2 = run_history(cfg, dataset)
     assert len(h1) == len(h2) == 2
